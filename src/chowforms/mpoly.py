@@ -9,6 +9,7 @@ lexicographic by block, then by variable index.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 
@@ -582,13 +583,22 @@ def divexact(f, g):
     gexp, gc = g.leading_term()
     q = {}
     r = dict(f.terms)
+    blocks = f.vars.blocks
 
-    def lead(terms):
-        return max(terms, key=f._key)
+    def entry(exp):
+        # Negated f._key, flattened: heapq pops the leading term first.
+        return (tuple(-sum(exp[i] for i in b) for b in blocks)
+                + tuple(-e for e in exp), exp)
 
-    while r:
-        rexp = lead(r)
-        rc = r[rexp]
+    # The order is a monomial order, so every term the loop adds to r lies
+    # below the one it cancels; an exponent no longer in r is stale.
+    heap = [entry(exp) for exp in r]
+    heapq.heapify(heap)
+    while heap:
+        rexp = heapq.heappop(heap)[1]
+        rc = r.get(rexp)
+        if rc is None:
+            continue
         exp = tuple(a - b for a, b in zip(rexp, gexp))
         if any(e < 0 for e in exp) or rc % gc != 0:
             raise UsageError("not an exact division")
@@ -598,6 +608,8 @@ def divexact(f, g):
             key = tuple(a + b for a, b in zip(exp, e2))
             s = r.get(key, 0) - c * c2
             if s:
+                if key not in r:
+                    heapq.heappush(heap, entry(key))
                 r[key] = s
             elif key in r:
                 del r[key]

@@ -5,17 +5,20 @@ Engines, in increasing sophistication:
 * :func:`det_cofactor` — Laplace expansion, dimension <= 6, test oracle.
 * :func:`det_bareiss` — fraction-free elimination directly over MPoly
   entries with exact division; the workhorse for symbolic resultants.
-* :func:`det_univariate_interp` — evaluation at integer points, integer
-  Bareiss determinants, exact Lagrange interpolation.
+* :func:`det_packed` — a matrix of univariate integer polynomials
+  (given as coefficient lists) by one integer Bareiss determinant at
+  z = 2^K, read back as balanced base-2^K digits.
+* :func:`det_univariate_interp` — :func:`det_packed` on a univariate
+  PolyMatrix, with a degree cap check.
 * :func:`det_kronecker` — pack multivariate entries to univariates,
-  interpolate, unpack by mixed-radix digits.
+  take :func:`det_univariate_interp`, unpack by mixed-radix digits.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import InternalError, UsageError
+from .errors import UsageError
 from .mpoly import MPoly, VarTable, divexact, kronecker_pack, kronecker_unpack
 
 
@@ -137,100 +140,64 @@ def det_bareiss(M):
     return -d if sign < 0 else d
 
 
-def _eval_nodes(count):
-    """0, 1, -1, 2, -2, ... — symmetric to keep evaluated bitsizes small."""
-    nodes = [0]
-    k = 1
-    while len(nodes) < count:
-        nodes.append(k)
-        if len(nodes) < count:
-            nodes.append(-k)
-        k += 1
-    return nodes[:count]
+def det_packed(base, entries):
+    """Ascending coefficient list of the determinant of a matrix of
+    univariate integer polynomials, from one integer determinant.
 
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    def _mpz(x):
-        return x
-
-
-def _interpolate_exact(nodes, values):
-    """Exact integer-coefficient interpolation through (nodes, values).
-
-    The nodes must form a contiguous integer range (which the symmetric
-    node sequence always does), so every Lagrange denominator divides N!
-    and the weights are signed binomial coefficients — pure integer
-    arithmetic throughout.  Raises InternalError if the data is not an
-    integer polynomial (cannot happen for determinant data).
+    ``base`` is an integer matrix holding the constant entries (and zero
+    at every listed position); ``entries`` lists (i, j, coeffs) for the
+    other entries, coefficients ascending.  No coefficient of the
+    determinant exceeds H, the product of the row 1-norms taken over all
+    coefficients, so with 2^K > 2H they are the balanced base-2^K digits
+    of the determinant at z = 2^K (Kronecker substitution).  High zero
+    coefficients are dropped; a zero determinant gives [].
     """
-    lo, hi = min(nodes), max(nodes)
-    n = len(nodes)
-    if hi - lo != n - 1:
-        raise InternalError("interpolation nodes must be a contiguous range")
-    d = n - 1
-    # W(x) = prod over the range of (x - a), ascending coefficients.
-    w = [_mpz(1)]
-    for a in range(lo, hi + 1):
-        w = [_mpz(0)] + w
-        for i in range(len(w) - 1):
-            w[i] -= a * w[i + 1]
-    fact = [_mpz(1)] * n
-    for i in range(1, n):
-        fact[i] = fact[i - 1] * i
-    nfact = fact[d]
-    acc = [_mpz(0)] * n
-    vmap = dict(zip(nodes, values))
-    for a in range(lo, hi + 1):
-        v = vmap[a]
-        if v == 0:
-            continue
-        # Synthetic division: q = W / (x - a), ascending order.
-        q = [_mpz(0)] * n
-        carry = w[n]
-        for i in range(d, -1, -1):
-            q[i] = carry
-            carry = w[i] + a * carry
-        # 1/prod_{b != a}(a - b) = (-1)^(hi-a) / ((a-lo)! (hi-a)!)
-        c = v * (nfact // (fact[a - lo] * fact[hi - a]))
-        if (hi - a) % 2:
-            c = -c
-        for i in range(n):
-            acc[i] += c * q[i]
+    norms = [sum(map(abs, row)) for row in base]
+    for i, _, coeffs in entries:
+        norms[i] += sum(map(abs, coeffs))
+    shift = math.prod(norms).bit_length() + 1
+    rows = [list(r) for r in base]
+    for i, j, coeffs in entries:
+        v = 0
+        for c in reversed(coeffs):
+            v = (v << shift) + c
+        rows[i][j] = v
+    det = det_integer(rows)
+    full = 1 << shift
     out = []
-    for c in acc:
-        if c % nfact:
-            raise InternalError("interpolation data is not an integer polynomial")
-        out.append(int(c // nfact))
+    while det:
+        r = det & (full - 1)
+        if r > full >> 1:
+            r -= full
+        out.append(r)
+        det = (det - r) >> shift
     return out
 
 
 def det_univariate_interp(M, D):
-    """Determinant of a univariate PolyMatrix by evaluation–interpolation.
+    """Determinant of a univariate PolyMatrix via :func:`det_packed`.
 
-    ``D`` must be at least the degree of the determinant; an undersized cap
-    is caught by a verification evaluation at one fresh point.
+    ``D`` must be at least the degree of the determinant; a larger degree
+    raises UsageError.
     """
     if M.vars.nvars != 1:
         raise UsageError("det_univariate_interp needs a single-variable matrix")
-    name = M.vars.names[0]
-    nodes = _eval_nodes(D + 1)
-    values = [det_integer(M.evaluate({name: a})) for a in nodes]
-    coeffs = _interpolate_exact(nodes, values)
-    det = MPoly(M.vars, {(i,): c for i, c in enumerate(coeffs)})
-    fresh = max(abs(a) for a in nodes) + 1
-    if det.evaluate({name: fresh}) != det_integer(M.evaluate({name: fresh})):
+    base = [[0] * M.dim for _ in range(M.dim)]
+    entries = [(i, j, [e.terms.get((k,), 0)
+                       for k in range(e.partial_degree(0) + 1)])
+               for i, row in enumerate(M.entries) for j, e in enumerate(row)]
+    coeffs = det_packed(base, entries)
+    if len(coeffs) > D + 1:
         raise UsageError("degree cap D too small for det_univariate_interp")
-    return det
+    return MPoly(M.vars, {(i,): c for i, c in enumerate(coeffs)})
 
 
 def det_kronecker(M, bounds):
     """Determinant via Kronecker packing of the entries.
 
     ``bounds[i]`` must dominate the determinant's partial degree in
-    variable i (e.g. dim * max entry degree); too-small caps surface as an
-    unpack range error or the interpolation verification failure.
+    variable i (e.g. dim * max entry degree); a packed determinant whose
+    degree reaches the radix raises UsageError.
     """
     if len(bounds) != M.vars.nvars:
         raise UsageError("need one degree cap per variable")

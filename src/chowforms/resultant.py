@@ -10,9 +10,12 @@ fresh variable s and returns the trailing s-coefficient instead.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .errors import DegenerateError, InternalError, UsageError
 from .mpoly import MPoly, VarTable, divexact
-from .polydet import PolyMatrix, det_bareiss
+from .polydet import PolyMatrix, det_bareiss, det_packed
 
 
 def monomials_of_degree(nvars, total):
@@ -242,20 +245,9 @@ def _simplex_points(nvars, total):
     return out
 
 
-def _split_by_s(f, s_idx):
-    """List of s-coefficients of f (index = s-exponent), s removed."""
-    top = f.partial_degree(s_idx)
-    buckets = [dict() for _ in range(top + 1)]
-    for exp, c in f.terms.items():
-        e = exp[:s_idx] + (0,) + exp[s_idx + 1:]
-        buckets[exp[s_idx]][e] = c
-    return [MPoly(f.vars, b) for b in buckets]
-
-
 def _udiv_exact(num, den):
     """Exact division of integer coefficient lists (ascending); _BadGrid if
-    the division leaves a remainder."""
-    from fractions import Fraction
+    the divisor is zero or the division leaves a remainder."""
     while num and num[-1] == 0:
         num = num[:-1]
     while den and den[-1] == 0:
@@ -266,45 +258,54 @@ def _udiv_exact(num, den):
         return []
     if len(num) < len(den):
         raise _BadGrid
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    rem = [Fraction(c) for c in num]
+    rem = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    # A step that leaves a remainder leaves it in rem, where no later step
+    # reaches.
     for i in range(len(q) - 1, -1, -1):
-        q[i] = rem[i + len(den) - 1] / den[-1]
-        if q[i]:
+        c = q[i] = rem[i + len(den) - 1] // den[-1]
+        if c:
             for j, dc in enumerate(den):
-                rem[i + j] -= q[i] * dc
-    if any(rem) or any(c.denominator != 1 for c in q):
+                rem[i + j] -= c * dc
+    if any(rem):
         raise _BadGrid
-    return [int(c) for c in q]
+    return q
 
 
-def _matrix_evaluator(M, wide, sname):
-    """Precompute the s-coefficient split of every entry; returns
-    (eval_fn, s_degree_cap) where eval_fn(point) -> list of coefficient
-    lists of det(M) in s is deferred to the caller (it returns the integer
-    matrix as a function of the s-node)."""
-    s_idx = wide.index(sname)
-    split = [[_split_by_s(e, s_idx) for e in row] for row in M.entries]
-    cap = sum(max(len(parts) - 1 for parts in row) for row in split)
-    def at_point(point):
-        numeric = [[[p.evaluate(point) for p in parts] for parts in row]
-                   for row in split]
-        def at_node(a):
-            return [[sum(c * a ** k for k, c in enumerate(parts))
-                     for parts in row] for row in numeric]
-        return at_node
-    return at_point, cap
+def _compile(M, s_idx):
+    """Integer structure of a matrix over the perturbation table.
+
+    Returns (base, monos, listed): ``base`` holds the constant entries
+    (zero elsewhere), ``monos`` the parameter monomials that occur, as
+    (variable index, exponent) pairs, and ``listed`` one (i, j, layers)
+    per other entry, ``layers[k]`` being its s^k coefficient as
+    (integer, monomial index) pairs.
+    """
+    base = [[0] * M.dim for _ in range(M.dim)]
+    monos = {}
+    listed = []
+    for i, row in enumerate(M.entries):
+        for j, e in enumerate(row):
+            if e.is_constant():
+                base[i][j] = e.constant_value()
+                continue
+            layers = [[] for _ in range(e.partial_degree(s_idx) + 1)]
+            for exp, c in e.terms.items():
+                mono = tuple((v, k) for v, k in enumerate(exp)
+                             if k and v != s_idx)
+                layers[exp[s_idx]].append((c, monos.setdefault(mono, len(monos))))
+            listed.append((i, j, layers))
+    return base, list(monos), listed
 
 
-def _det_poly_in_s(at_node, cap):
-    """Coefficient list (ascending in s) of det of an integer matrix family."""
-    from .polydet import _eval_nodes, _interpolate_exact, det_integer
-    nodes = _eval_nodes(cap + 1)
-    values = [det_integer(at_node(a)) for a in nodes]
-    coeffs = _interpolate_exact(nodes, values)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _det_in_s(compiled, values):
+    """Ascending s-coefficients of det of a compiled matrix at the
+    parameter values (a list indexed like the table's variables)."""
+    base, monos, listed = compiled
+    mv = [math.prod(values[v] ** k for v, k in mono) for mono in monos]
+    entries = [(i, j, [sum(c * mv[t] for c, t in layer) for layer in layers])
+               for i, j, layers in listed]
+    return det_packed(base, entries)
 
 
 def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
@@ -316,8 +317,11 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     homogeneous of degree ``degrees[b]`` in each block — true when each
     block is the coefficient vector of one unperturbed polynomial, with
     degree the Bezout product of the other degrees.  Dramatically faster
-    than the symbolic route: every sample is an integer determinant
-    quotient, and the sample count is the monomial-count bound
+    than the symbolic route: M and M0 are compiled once into integer
+    structure, every sample evaluates only their nonconstant entries,
+    takes one packed integer determinant per matrix (:func:`det_packed`)
+    and divides the two s-polynomials exactly over the integers, and the
+    sample count is the monomial-count bound
     prod_b C(degrees[b] + len(block) - 1, len(block) - 1).
 
     When the perturbed polynomials themselves carry block-homogeneous
@@ -329,12 +333,10 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     Returns (trailing_coefficient, s_valuation) over a parameter table
     whose blocks are exactly ``blocks``.
     """
-    import itertools
-
     M, M0, wide, sname = perturbed_macaulay(sys, perturb_indices, shift)
-    evalM, capM = _matrix_evaluator(M, wide, sname)
-    evalM0, capM0 = _matrix_evaluator(M0, wide, sname)
-    base_point = {n: 0 for n in wide.names}
+    s_idx = wide.index(sname)
+    compiled = _compile(M, s_idx)
+    compiled0 = _compile(M0, s_idx)
 
     out_names = tuple(n for blk in blocks for n in blk)
     out_blocks = []
@@ -354,21 +356,18 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     alphas = [sum(combo, ()) for combo in itertools.product(*per_block)]
 
     def point_of(values):
-        point = dict(base_point)
+        point = [0] * wide.nvars
         for n in dehom_names:
-            point[n] = 1
+            point[wide.index(n)] = 1
         for n, v in zip(affine_names, values):
-            point[n] = v
+            point[wide.index(n)] = v
         return point
 
     def sample(point):
-        at_node = evalM(point)
-        at_node0 = evalM0(point)
-        den = _det_poly_in_s(at_node0, capM0)
+        den = _det_in_s(compiled0, point)
         if not den:
             raise _BadGrid
-        num = _det_poly_in_s(at_node, capM)
-        return _udiv_exact(num, den)
+        return _udiv_exact(_det_in_s(compiled, point), den)
 
     for attempt in range(grid.retries):
         rng = grid.rng(tag, attempt)
@@ -449,9 +448,6 @@ def _newton_assemble(values, alphas, block_sizes, degrees, offsets, out_vars,
     degrees; without it every block variable is an interpolation axis and
     ``degrees`` are only upper bounds on the per-block total degree.
     """
-    from fractions import Fraction
-    from math import factorial
-
     naff = sum(block_sizes)
     diffs = dict(values)
     # Forward differences along each affine axis in turn; the triangular
@@ -465,50 +461,51 @@ def _newton_assemble(values, alphas, block_sizes, degrees, offsets, out_vars,
                     break
                 prev = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:]
                 diffs[alpha] = diffs[alpha] - diffs[prev]
-    # Basis polynomial per axis: C(x - offset, k) as Fraction coefficients.
     aff_idx = []
     for blk_idx, nb in enumerate(block_sizes):
         start = out_vars.blocks[blk_idx][0]
         first = start + 1 if homogenize else start
         aff_idx.extend(range(first, first + nb))
+    # The interpolant is sum_alpha Delta^alpha / alpha! * prod_i
+    # (x_i - o_i)(x_i - o_i - 1)...(x_i - o_i - alpha_i + 1); it has integer
+    # coefficients exactly when every alpha! divides its Delta^alpha.
+    # falling[axis][k] holds the ascending coefficients of the k-th factor.
+    falling = []
+    for axis in range(naff):
+        polys = [[1]]
+        top = max((a[axis] for a in alphas), default=0)
+        for root in range(offsets[axis], offsets[axis] + top):
+            p = polys[-1]
+            polys.append([a - root * b for a, b in zip([0] + p, p + [0])])
+        falling.append(polys)
+
     acc = {}
     nout = out_vars.nvars
     for alpha in alphas:
         d = diffs[alpha]
         if d == 0:
             continue
-        term = {tuple([0] * nout): Fraction(d)}
+        d, r = divmod(d, math.prod(math.factorial(k) for k in alpha))
+        if r:
+            raise InternalError("interpolation produced non-integer coefficients")
+        term = {(0,) * nout: d}
         for axis, k in enumerate(alpha):
             if k == 0:
                 continue
-            # (x - o)(x - o - 1)...(x - o - k + 1) / k! in variable aff_idx[axis]
-            coeffs = [Fraction(1)]
-            for t in range(k):
-                root = offsets[axis] + t
-                shifted = [Fraction(0)] + coeffs          # x * p
-                scaled = [root * c for c in coeffs] + [Fraction(0)]
-                coeffs = [a - b for a, b in zip(shifted, scaled)]
-            kfact = factorial(k)
-            coeffs = [c / kfact for c in coeffs]
-            new_term = {}
             vi = aff_idx[axis]
+            new_term = {}
             for exp, c in term.items():
-                for e, bc in enumerate(coeffs):
-                    if bc == 0:
-                        continue
-                    ne = list(exp)
-                    ne[vi] += e
-                    ne = tuple(ne)
-                    new_term[ne] = new_term.get(ne, Fraction(0)) + c * bc
+                for e, bc in enumerate(falling[axis][k]):
+                    if bc:
+                        ne = exp[:vi] + (e,) + exp[vi + 1:]
+                        new_term[ne] = new_term.get(ne, 0) + c * bc
             term = new_term
         for exp, c in term.items():
-            acc[exp] = acc.get(exp, Fraction(0)) + c
+            acc[exp] = acc.get(exp, 0) + c
     out = {}
     for exp, c in acc.items():
         if c == 0:
             continue
-        if c.denominator != 1:
-            raise InternalError("interpolation produced non-integer coefficients")
         e = list(exp)
         for blk_idx, blk in enumerate(out_vars.blocks):
             s = sum(exp[i] for i in blk)
@@ -516,7 +513,7 @@ def _newton_assemble(values, alphas, block_sizes, degrees, offsets, out_vars,
                 raise InternalError("interpolant exceeds its block degree bound")
             if homogenize:
                 e[blk[0]] += degrees[blk_idx] - s
-        out[tuple(e)] = int(c)
+        out[tuple(e)] = c
     return MPoly(out_vars, out)
 
 

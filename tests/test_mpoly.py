@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chowforms import (MPoly, ParseError, UsageError, VarTable, divexact, gcd,
                        kronecker_pack, kronecker_unpack, parse_poly,
                        square_free_part)
+from chowforms.mpoly import divides
 from conftest import rand_poly
 
 
@@ -201,6 +202,27 @@ class TestGcd:
             assert divexact(a * c, g) * g == a * c
             assert divexact(b * c, g) * g == b * c
             assert q * c.normalized() == g
+
+    def test_divexact_rejects_remainder(self, rng):
+        # The verification in the heuristic gcd relies on a remainder
+        # being reported, not dropped.
+        vars = VarTable(("x", "y"))
+        for _ in range(50):
+            f = rand_poly(rng, vars, max_deg=2, max_coeff_bits=4, nonzero=True)
+            g = rand_poly(rng, vars, max_deg=2, max_coeff_bits=4, nonzero=True)
+            if g.is_constant():
+                continue
+            with pytest.raises(UsageError):
+                divexact(f * g + MPoly.const(vars, 1), g)
+            assert not divides(g, f * g + MPoly.const(vars, 1))
+            assert divides(g, f * g)
+
+    def test_divexact_block_order_round_trip(self, rng):
+        vars = VarTable(("x0", "x1", "u0", "u1"), [(0, 1), (2, 3)])
+        for _ in range(50):
+            f = rand_poly(rng, vars, max_deg=3, max_coeff_bits=6, nonzero=True)
+            g = rand_poly(rng, vars, max_deg=3, max_coeff_bits=6, nonzero=True)
+            assert divexact(f * g, g) == f
 
 
 class TestSquareFree:

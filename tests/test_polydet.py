@@ -6,6 +6,7 @@ import pytest
 from chowforms import (MPoly, PolyMatrix, UsageError, VarTable, det_bareiss,
                        det_cofactor, det_integer, det_kronecker,
                        det_univariate_interp, parse_poly)
+from chowforms.polydet import det_packed
 from conftest import rand_poly
 
 
@@ -92,6 +93,52 @@ class TestUnivariateInterp:
         with pytest.raises(UsageError):
             det_univariate_interp(M, 3)
 
+    @staticmethod
+    def packed(M):
+        """det_packed on M's coefficient lists, constant entries in the base."""
+        base = [[e.constant_value() if e.is_constant() else 0 for e in r]
+                for r in M.entries]
+        entries = [(i, j, [e.terms.get((k,), 0)
+                           for k in range(e.partial_degree(0) + 1)])
+                   for i, r in enumerate(M.entries) for j, e in enumerate(r)
+                   if not e.is_constant()]
+        return det_packed(base, entries)
+
+    @staticmethod
+    def coeffs(f):
+        return [f.terms.get((k,), 0) for k in range(f.partial_degree(0) + 1)] \
+            if not f.is_zero() else []
+
+    def test_packed_matches_cofactor(self, rng):
+        # Entries of s-degree up to 3 with signed coefficients, dims 1..5.
+        z = VarTable(("z",))
+        for _ in range(30):
+            M = rand_matrix(rng, z, rng.randint(1, 5), max_deg=3, max_coeff_bits=7)
+            assert self.packed(M) == self.coeffs(det_cofactor(M))
+
+    def test_packed_negative_coefficients(self):
+        z = VarTable(("z",))
+        M = mat(z, [["-3*z^3 - 7", "-z"], ["5", "-2*z^2 + 1"]])
+        assert self.packed(M) == self.coeffs(det_cofactor(M))
+        assert self.packed(M) == [-7, 5, 14, -3, 0, 6]
+
+    def test_packed_degree_zero(self):
+        # Every entry constant: the base alone, one coefficient.
+        z = VarTable(("z",))
+        assert self.packed(mat(z, [[2, 1], [1, 3]])) == [5]
+        assert det_packed([[0, 4], [-3, 0]], [(0, 0, [7]), (1, 1, [-1])]) == [5]
+
+    def test_packed_singular_is_empty(self):
+        z = VarTable(("z",))
+        assert self.packed(mat(z, [["z + 1", "z^2 - 3"], ["z + 1", "z^2 - 3"]])) == []
+        assert det_packed([[0, 0], [1, 2]], [(0, 0, [0, 0])]) == []
+
+    def test_packed_zero_interior_coefficient(self):
+        # det = z^3 + 2*z^0: the z and z^2 digits are zero.
+        z = VarTable(("z",))
+        M = mat(z, [["z^3 + 1", 1], [-1, 1]])
+        assert self.packed(M) == [2, 0, 0, 1]
+
 
 class TestKronecker:
     def test_identity(self, xyz):
@@ -109,6 +156,11 @@ class TestKronecker:
             caps = [4 * d for d in M.max_partial_degrees()]
             caps = [max(c, 1) for c in caps]
             assert det_kronecker(M, caps) == det_cofactor(M)
+
+    def test_full_caps_one_matrix(self, rng, xyz):
+        # Packed degree up to 728: one determinant, not 729 samples.
+        M = rand_matrix(rng, xyz, 4, max_deg=2, max_coeff_bits=8)
+        assert det_kronecker(M, (8, 8, 8)) == det_cofactor(M)
 
     def test_cap_below_entry_degree(self, xy):
         M = mat(xy, [["x^3", 1], [1, "x"]])

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from chowforms import MPoly, VarTable
-from chowforms.errors import DegenerateError, UsageError
+from chowforms.errors import DegenerateError, InternalError, UsageError
 from chowforms.polydet import det_integer
-from chowforms.resultant import (MacaulaySystem, bezout_bounds, gcp_resultant,
+from chowforms.resultant import (MacaulaySystem, _BadGrid, _newton_assemble,
+                                 _udiv_exact, bezout_bounds, gcp_resultant,
                                  macaulay_matrix, monomials_of_degree,
                                  resultant_dense)
 
@@ -145,6 +146,38 @@ class TestGcp:
             assert (gv == 0) == oracle
             hits += oracle
         assert 0 < hits < 50  # both outcomes exercised
+
+    def test_udiv_exact_integer_quotient(self):
+        # (s^2 - 1) * (3s + 2) / (s^2 - 1), high zeros ignored.
+        assert _udiv_exact([-2, -3, 2, 3, 0], [-1, 0, 1]) == [2, 3]
+        assert _udiv_exact([0, 0], [5]) == []
+
+    def test_udiv_exact_remainder_is_bad_grid(self):
+        with pytest.raises(_BadGrid):
+            _udiv_exact([1, 0, 1], [1, 1])        # s^2 + 1 = (s + 1)(s - 1) + 2
+        with pytest.raises(_BadGrid):
+            _udiv_exact([3, 3], [2])              # 3/2 not integral
+        with pytest.raises(_BadGrid):
+            _udiv_exact([1], [1, 1])              # divisor of higher degree
+
+    def test_udiv_exact_zero_denominator_is_bad_grid(self):
+        with pytest.raises(_BadGrid):
+            _udiv_exact([1, 2], [])
+        with pytest.raises(_BadGrid):
+            _udiv_exact([1, 2], [0, 0])
+
+    def test_newton_assemble_rejects_non_integer_interpolant(self):
+        # x(x - 1)/2 takes integer values on the grid but has a
+        # non-integer coefficient.
+        vars = VarTable(("x",), [(0,)])
+        values = {(a,): (a + 5) * (a + 4) // 2 for a in range(3)}
+        with pytest.raises(InternalError):
+            _newton_assemble(values, [(0,), (1,), (2,)], [1], [2], [5], vars,
+                             homogenize=False)
+        values = {(a,): 3 * (a + 5) ** 2 - 7 for a in range(3)}
+        got = _newton_assemble(values, [(0,), (1,), (2,)], [1], [2], [5], vars,
+                               homogenize=False)
+        assert got == MPoly(vars, {(2,): 3, (0,): -7})
 
 
 class TestBezout:

@@ -2,24 +2,28 @@
 
 The supports are products of dilated simplices (one per projective block);
 a random integer lifting induces a regular fine mixed subdivision of the
-Minkowski sum, queried one point at a time through its lower envelope.
+Minkowski sum, queried one point at a time through its lower envelope:
+one float LP seeds the cell of the first point, and an exact integer dual
+simplex walks from each certified cell to the next (:class:`_CellWalk`).
 Rows of the resultant matrix are indexed by the lattice points of the
 shifted Minkowski sum; the resultant is the matrix determinant divided by
-the principal minor on the points in non-mixed cells.  A bad lifting
-(coarse subdivision, vanishing minor, inexact division) triggers a retry
-with fresh randomness.
+the principal minor on the points in non-mixed cells.  For interpolation
+both are compiled once per lifting, so a sample evaluates only the
+nonconstant entries.  A bad lifting (coarse subdivision, vanishing minor,
+inexact division) triggers a retry with fresh randomness.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
-from fractions import Fraction
 
-from .errors import DegenerateError, IndeterminateError, UsageError
+from .errors import IndeterminateError, UsageError
 from .mpoly import MPoly, VarTable, divexact
 from .polydet import PolyMatrix, det_bareiss, det_integer
-from .resultant import drop_variables
+from .resultant import (_BadGrid, _compile, _det_in_s, _newton_assemble,
+                        _simplex_points, drop_variables)
 
 
 class _BadLifting(Exception):
@@ -116,82 +120,119 @@ class MultiResSystem:
         return g
 
 
-def _solve_fraction(a, b):
-    """Solve the square rational system a x = b exactly; None if singular."""
-    n = len(a)
-    m = [[Fraction(v) for v in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+def _ff_solve(a, rhs):
+    """Bareiss-style integer Gauss-Jordan elimination of a X = rhs.
+
+    Returns (d, X) with d = |det a| > 0 and X = d a^-1 rhs, an integer
+    matrix (every division is exact, as in Bareiss elimination), or None
+    if a is singular.
+    """
+    m = len(a)
+    t = [list(r) + list(q) for r, q in zip(a, rhs)]
+    prev = 1
+    for k in range(m):
+        piv = next((i for i in range(k, m) if t[i][k]), None)
         if piv is None:
             return None
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [v / pv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+        t[k], t[piv] = t[piv], t[k]
+        rk = t[k]
+        pk = rk[k]
+        for i in range(m):
+            if i != k:
+                f = t[i][k]
+                t[i] = [(pk * u - f * v) // prev for u, v in zip(t[i], rk)]
+        prev = pk
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [[sign * v for v in r[m:]] for r in t]
 
 
-def _locate_cell(supports, liftings, N, x, cache):
-    """Cell of the regular mixed subdivision containing the point x.
+class _CellWalk:
+    """Cells of the regular mixed subdivision induced by one lifting.
 
-    The cell is the face of the lower envelope of the lifted Minkowski sum
-    at x: minimize sum_i w_i(a) lambda_{i,a} subject to the points averaging
-    to x with one convex combination per polytope.  A float LP locates the
-    candidate cell, then everything is certified exactly over the rationals:
-    the cell's affine support function must lie weakly below every lifted
-    point (strictly off the cell) and x must be a strictly positive convex
-    combination of the cell.  Any failure means the lifting or perturbation
-    was not generic and raises ``_BadLifting`` for a retry.
+    The cell containing x is the optimal basis of the LP: minimize
+    sum_i,a w_i(a) lambda_{i,a} over lambda >= 0 with
+    sum lambda_{i,a} (a, e_i) = (x, 1, ..., 1), one Cayley column (a, e_i)
+    per support point.  ``locate`` takes b = D (x, 1, ..., 1) in integers.
+    The first point is seeded by a float LP; every later point starts an
+    exact dual simplex (Bland's rule) from the previous cell, which stays
+    dual feasible since only b changes.  Each basis is solved once, fraction
+    free: d > 0 and d B^-1, so lambda, reduced costs and pivot rows are
+    integer dot products scaled by d.  A cell is certified only when every
+    lambda > 0 and every off-cell reduced cost is > 0 (x strictly inside a
+    fine cell, which is then the unique optimum); anything else raises
+    ``_BadLifting`` for a retry.
     """
-    from scipy.optimize import linprog
 
-    k = len(supports)
-    idx = [(i, a) for i, sup in enumerate(supports) for a in sup]
-    c = [float(liftings[i][a]) for i, a in idx]
-    A = [[float(a[j]) for _, a in idx] for j in range(N)]
-    for i in range(k):
-        A.append([1.0 if ii == i else 0.0 for ii, _ in idx])
-    b = [float(xi) for xi in x] + [1.0] * k
-    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-    if not res.success:
-        raise _BadLifting
-    sigmas = [[] for _ in range(k)]
-    for (i, a), lam in zip(idx, res.x):
-        if lam > 1e-9:
-            sigmas[i].append(a)
-    if any(not s for s in sigmas) or sum(len(s) for s in sigmas) != N + k:
-        raise _BadLifting  # not the interior of a fine mixed cell
-    key = tuple(tuple(sorted(s)) for s in sigmas)
-    if key not in cache:
-        rows = []
-        rhs = []
-        for i, s in enumerate(sigmas):
-            for a in s:
-                rows.append(list(a) + [int(ii == i) for ii in range(k)])
-                rhs.append(liftings[i][a])
-        sol = _solve_fraction(rows, rhs)
-        if sol is None:
+    def __init__(self, supports, liftings, N):
+        self.k = len(supports)
+        self.m = N + self.k
+        self.idx = [(i, a) for i, sup in enumerate(supports) for a in sup]
+        self.cols = [list(a) + [int(j == i) for j in range(self.k)]
+                     for i, a in self.idx]
+        self.costs = [liftings[i][a] for i, a in self.idx]
+        self.basis = None
+        self.facts = {}
+
+    def _seed(self, b):
+        from scipy.optimize import linprog
+
+        A = [[float(col[r]) for col in self.cols] for r in range(self.m)]
+        res = linprog([float(w) for w in self.costs], A_eq=A,
+                      b_eq=[v / b[-1] for v in b], bounds=(0, None),
+                      method="highs")
+        if not res.success:
             raise _BadLifting
-        gamma, cv = sol[:N], sol[N:]
-        for i, sup in enumerate(supports):
-            on_cell = set(sigmas[i])
-            for a in sup:
-                h = sum(g * ai for g, ai in zip(gamma, a)) + cv[i]
-                w = liftings[i][a]
-                if w < h or (w == h and a not in on_cell):
-                    raise _BadLifting
-        cache[key] = True
-    cols = [(i, a) for i, s in enumerate(sigmas) for a in s]
-    rows = [[Fraction(a[j]) for _, a in cols] for j in range(N)]
-    for i in range(k):
-        rows.append([Fraction(int(ii == i)) for ii, _ in cols])
-    lam = _solve_fraction(rows, list(x) + [Fraction(1)] * k)
-    if lam is None or any(v <= 0 for v in lam):
-        raise _BadLifting  # x on a cell boundary: perturbation not generic
-    return sigmas
+        basis = tuple(j for j, lam in enumerate(res.x) if lam > 1e-9)
+        if len(basis) != self.m:
+            raise _BadLifting
+        return basis
+
+    def _factor(self, basis):
+        """(d B^-1, d * reduced costs, strict) of a basis, d = |det B|;
+        strict: every off-basis reduced cost is > 0.  Cached."""
+        if basis not in self.facts:
+            m = self.m
+            sol = _ff_solve([[self.cols[j][r] for j in basis] for r in range(m)],
+                            [[int(r == c) for c in range(m)] for r in range(m)])
+            if sol is None:
+                raise _BadLifting
+            d, inv = sol
+            y = [sum(self.costs[j] * row[c] for j, row in zip(basis, inv))
+                 for c in range(m)]
+            red = [d * w - sum(map(operator.mul, y, col))
+                   for w, col in zip(self.costs, self.cols)]
+            strict = all(r > 0 for j, r in enumerate(red) if j not in basis)
+            self.facts[basis] = (inv, red, strict)
+        return self.facts[basis]
+
+    def locate(self, b):
+        """Sorted column indices of the cell containing b / D."""
+        seeded = self.basis is None
+        basis = self._seed(b) if seeded else self.basis
+        for _ in range(16 * len(self.cols)):
+            inv, red, strict = self._factor(basis)
+            lam = [sum(map(operator.mul, row, b)) for row in inv]
+            out = next((r for r, v in enumerate(lam) if v < 0), None)
+            if out is None or seeded:
+                break
+            # Entering column: least ratio red_j / -alpha_j, lowest index
+            # on ties; alpha is row ``out`` of d B^-1 A.
+            enter = None
+            for j, col in enumerate(self.cols):
+                alpha = sum(map(operator.mul, inv[out], col))
+                if alpha < 0 and (enter is None
+                                  or red[j] * -a_in < red[enter] * -alpha):
+                    enter, a_in = j, alpha
+            if enter is None:
+                raise _BadLifting
+            basis = tuple(sorted(basis[:out] + basis[out + 1:] + (enter,)))
+        else:
+            raise _BadLifting
+        if not strict or min(lam) <= 0 or \
+                len({self.idx[j][0] for j in basis}) != self.k:
+            raise _BadLifting
+        self.basis = basis
+        return basis
 
 
 def _lattice_points(nsizes, sums):
@@ -209,10 +250,11 @@ def _lattice_points(nsizes, sums):
 def _build_matrix(sys, rng):
     supports = [sys.affine_support(i) for i in range(len(sys.polys))]
     liftings = [{a: rng.randint(1, 2 ** 16) for a in sup} for sup in supports]
-    cell_cache = {}
-    denom = 2 ** 20 + 7
-    delta = [Fraction(rng.randint(1, 2 ** 10), denom * (sys.N + 1))
-             for _ in range(sys.N)]
+    cells = _CellWalk(supports, liftings, sys.N)
+    # Each row's point is x = p - delta, scaled to integers by delta's
+    # common denominator D.
+    D = (2 ** 20 + 7) * (sys.N + 1)
+    delta = [rng.randint(1, 2 ** 10) for _ in range(sys.N)]
     sums = [sum(d[j] for d in sys.mdegs) for j in range(sys.l)]
     points = _lattice_points(sys.nsizes, sums)
     index = {p: i for i, p in enumerate(points)}
@@ -221,8 +263,11 @@ def _build_matrix(sys, rng):
     rows = []
     mixed_flags = []
     for p in points:
-        x = [pi - di for pi, di in zip(p, delta)]
-        sigmas = _locate_cell(supports, liftings, sys.N, x, cell_cache)
+        b = [D * pi - di for pi, di in zip(p, delta)] + [D] * len(supports)
+        sigmas = [[] for _ in supports]
+        for j in cells.locate(b):
+            i, a = cells.idx[j]
+            sigmas[i].append(a)
         singles = [i for i, s in enumerate(sigmas) if len(s) == 1]
         if not singles:
             raise _BadLifting
@@ -298,23 +343,44 @@ def resultant_multihomogeneous(sys, seed=0, retries=8):
                              "multihomogeneous resultant")
 
 
+def _compile_lifting(rows, sub):
+    """One lifting's Canny-Emiris matrix and its non-mixed principal minor
+    (None when ``sub`` is empty), compiled once for :func:`_quotient`."""
+    minor = [[rows[i][j] for j in sub] for i in sub]
+    return (_compile(PolyMatrix(rows), None),
+            _compile(PolyMatrix(minor), None) if sub else None)
+
+
+def _quotient(compiled, values):
+    """det M / det M_sub at the parameter values (a list indexed like the
+    system's variables): _BadGrid on a zero minor, _BadLifting on a
+    remainder."""
+    full, minor = compiled
+    den = (_det_in_s(minor, values) or [0])[0] if minor else 1
+    if den == 0:
+        raise _BadGrid
+    q, r = divmod((_det_in_s(full, values) or [0])[0], den)
+    if r:
+        raise _BadLifting
+    return q
+
+
 def resultant_multihomogeneous_interp(sys, param_blocks, bounds, grid,
                                       tag="mres-interp"):
     """Sparse multihomogeneous resultant by evaluation and interpolation.
 
-    Avoids the symbolic determinant: the Canny-Emiris matrix structure is
-    built once per lifting, every sample is an integer determinant
-    quotient at a numeric parameter point, and the polynomial is recovered
-    by Newton interpolation on a product of lattice simplices (one per
-    ``param_blocks`` entry, with per-block total-degree bound ``bounds``;
-    these are upper bounds, e.g. the Bezout counts, so the blocks are
-    interpolated inhomogeneously).  A result is accepted once two
-    independent liftings agree on the normalized polynomial.
+    Avoids the symbolic determinant: each lifting's Canny-Emiris matrix
+    is built once, its cells walked by an exact dual simplex from one
+    LP-seeded cell, and it is compiled with its non-mixed minor into
+    integer structure (:func:`resultant._compile`), so every sample
+    evaluates only the nonconstant entries and takes one integer
+    determinant quotient at a numeric parameter point.  The polynomial is
+    recovered by Newton interpolation on a product of lattice simplices
+    (one per ``param_blocks`` entry, with per-block total-degree bound
+    ``bounds``; these are upper bounds, e.g. the Bezout counts, so the
+    blocks are interpolated inhomogeneously).  A result is accepted once
+    two independent liftings agree on the normalized polynomial.
     """
-    import itertools
-
-    from .resultant import _newton_assemble, _simplex_points
-
     out_names = tuple(n for blk in param_blocks for n in blk)
     out_blocks = []
     pos = 0
@@ -325,21 +391,13 @@ def resultant_multihomogeneous_interp(sys, param_blocks, bounds, grid,
     block_sizes = [len(blk) for blk in param_blocks]
     per_block = [_simplex_points(nb, d) for nb, d in zip(block_sizes, bounds)]
     alphas = [sum(combo, ()) for combo in itertools.product(*per_block)]
-    base_point = {n: 0 for n in sys.vars.names}
+    out_idx = [sys.vars.index(n) for n in out_names]
 
-    class _BadGrid(Exception):
-        pass
-
-    def quotient(rows, sub, point):
-        irows = [[e.evaluate(point) for e in r] for r in rows]
-        minor = det_integer([[irows[i][j] for j in sub] for i in sub]) \
-            if sub else 1
-        if minor == 0:
-            raise _BadGrid
-        det = det_integer(irows)
-        if det % minor:
-            raise _BadLifting
-        return det // minor
+    def point_of(vals):
+        point = [0] * sys.vars.nvars
+        for i, v in zip(out_idx, vals):
+            point[i] = v
+        return point
 
     rng = grid.rng(tag)
     seen = []
@@ -348,26 +406,20 @@ def resultant_multihomogeneous_interp(sys, param_blocks, bounds, grid,
     # the per-lifting success rate well below one half.
     for lift_try in range(8 * grid.retries):
         try:
-            rows, sub = _build_matrix(sys, rng)
+            compiled = _compile_lifting(*_build_matrix(sys, rng))
         except _BadLifting:
             continue
         cand = None
         for attempt in range(grid.retries):
             offsets = [rng.randint(0, 64 * (attempt + 1)) for _ in out_names]
             try:
-                values = {}
-                for alpha in alphas:
-                    point = dict(base_point)
-                    point.update(zip(out_names,
-                                     (o + a for o, a in zip(offsets, alpha))))
-                    values[alpha] = quotient(rows, sub, point)
+                values = {alpha: _quotient(compiled, point_of(
+                    o + a for o, a in zip(offsets, alpha))) for alpha in alphas}
                 poly = _newton_assemble(values, alphas, block_sizes, bounds,
                                         offsets, out_vars, homogenize=False)
                 fresh = [rng.randint(100, 10 ** 4) for _ in out_names]
-                point = dict(base_point)
-                point.update(zip(out_names, fresh))
                 if poly.evaluate(dict(zip(out_names, fresh))) != \
-                        quotient(rows, sub, point):
+                        _quotient(compiled, point_of(fresh)):
                     raise _BadLifting
                 cand = poly.normalized()
                 break

@@ -195,25 +195,19 @@ def det_univariate_interp(M, D):
 def det_kronecker(M, bounds):
     """Determinant via Kronecker packing of the entries.
 
-    ``bounds[i]`` must dominate the determinant's partial degree in
-    variable i (e.g. dim * max entry degree); a packed determinant whose
-    degree reaches the radix raises UsageError.
+    ``bounds[i]`` must be at least the row-sum bound
+    sum_r max_j deg_i(M[r][j]), which dominates the determinant's partial
+    degree in variable i, so no packed digit overflows into the next
+    variable's place; a smaller cap raises UsageError.
     """
     if len(bounds) != M.vars.nvars:
         raise UsageError("need one degree cap per variable")
-    entry_deg = M.max_partial_degrees()
-    for cap, deg in zip(bounds, entry_deg):
-        if deg > cap:
-            raise UsageError("degree cap below an entry's partial degree")
+    for i, cap in enumerate(bounds):
+        if cap < sum(max(e.partial_degree(i) for e in r) for r in M.entries):
+            raise UsageError("degree cap below the row-sum degree bound")
     zvars = VarTable(("z",))
     packed = PolyMatrix([[kronecker_pack(e, bounds, zvars) for e in r]
                          for r in M.entries])
-    entry_packed_deg = packed.max_partial_degrees()[0]
-    radix = 1
-    for cap in bounds:
-        radix *= cap + 1
-    # The packed determinant has degree <= dim * max packed entry degree,
-    # and anything unpackable lies below the radix.
-    cap = min(M.dim * entry_packed_deg, radix - 1)
-    packed_det = det_univariate_interp(packed, cap)
-    return kronecker_unpack(packed_det, bounds, M.vars)
+    radix = math.prod(cap + 1 for cap in bounds)
+    return kronecker_unpack(det_univariate_interp(packed, radix - 1), bounds,
+                            M.vars)

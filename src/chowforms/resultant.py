@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .errors import DegenerateError, InternalError, UsageError
 from .mpoly import MPoly, VarTable, divexact
@@ -279,8 +280,10 @@ def _compile(M, s_idx):
     (zero elsewhere), ``monos`` the parameter monomials that occur, as
     (variable index, exponent) pairs, and ``listed`` one (i, j, layers)
     per other entry, ``layers[k]`` being its s^k coefficient as
-    (integer, monomial index) pairs.
+    (integer, monomial index) pairs.  ``s_idx=None`` means there is no
+    s variable: every entry has the single layer k = 0.
     """
+    s_of = (lambda exp: 0) if s_idx is None else operator.itemgetter(s_idx)
     base = [[0] * M.dim for _ in range(M.dim)]
     monos = {}
     listed = []
@@ -289,11 +292,11 @@ def _compile(M, s_idx):
             if e.is_constant():
                 base[i][j] = e.constant_value()
                 continue
-            layers = [[] for _ in range(e.partial_degree(s_idx) + 1)]
+            layers = [[] for _ in range(max(map(s_of, e.terms)) + 1)]
             for exp, c in e.terms.items():
                 mono = tuple((v, k) for v, k in enumerate(exp)
                              if k and v != s_idx)
-                layers[exp[s_idx]].append((c, monos.setdefault(mono, len(monos))))
+                layers[s_of(exp)].append((c, monos.setdefault(mono, len(monos))))
             listed.append((i, j, layers))
     return base, list(monos), listed
 

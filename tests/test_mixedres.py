@@ -1,11 +1,18 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from chowforms import MPoly, VarTable
 from chowforms.errors import UsageError
-from chowforms.mixedres import MultiResSystem, resultant_multihomogeneous
-from chowforms.resultant import MacaulaySystem, bezout_bounds, resultant_dense
+from chowforms.mixedres import (MultiResSystem, _BadLifting, _build_matrix,
+                                _CellWalk, _compile_lifting, _ff_solve,
+                                _lattice_points, _quotient,
+                                resultant_multihomogeneous)
+from chowforms.polydet import det_integer
+from chowforms.resultant import (MacaulaySystem, _BadGrid, _det_in_s,
+                                 bezout_bounds, resultant_dense)
 
 X3 = VarTable(("x0", "x1", "x2"))
 
@@ -107,3 +114,209 @@ class TestValidation:
         fs = [bad, bilinear(vars, (1, 1, 1, 1)), bilinear(vars, (1, 2, 1, 1))]
         with pytest.raises(UsageError):
             MultiResSystem(fs, [("x0", "x1"), ("y0", "y1")])
+
+
+def fraction_solve(a, b):
+    """Oracle: a x = b over the rationals, None if a is singular."""
+    n = len(a)
+    m = [[Fraction(v) for v in row] + [Fraction(bv)] for row, bv in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
+
+
+class TestFractionFreeSolve:
+    def test_matches_fraction_solve(self, rng):
+        for _ in range(200):
+            m = rng.randint(1, 6)
+            a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(m)]
+            rhs = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(m)]
+            got = _ff_solve(a, rhs)
+            if det_integer(a) == 0:
+                assert got is None
+                continue
+            d, X = got
+            assert d == abs(det_integer(a))
+            for c in range(2):
+                want = fraction_solve(a, [r[c] for r in rhs])
+                assert [Fraction(X[r][c], d) for r in range(m)] == want
+
+    def test_singular_returns_none(self, rng):
+        for _ in range(50):
+            m = rng.randint(2, 5)
+            a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(m - 1)]
+            coef = [rng.randint(-3, 3) for _ in range(m - 1)]
+            a.insert(rng.randrange(m), [sum(c * r[j] for c, r in zip(coef, a))
+                                        for j in range(m)])
+            assert _ff_solve(a, [[1]] * m) is None
+
+
+def walk_systems():
+    """Small P1xP1 and P2 systems, as MultiResSystem instances."""
+    xy = TestBilinear.VARS
+    p1p1 = MultiResSystem(
+        [bilinear(xy, (1, 2, 3, 4)), bilinear(xy, (2, -1, 0, 5)),
+         MPoly(xy, {(2, 0, 1, 0): 1, (1, 1, 0, 1): 3, (0, 2, 1, 0): -2})],
+        [("x0", "x1"), ("y0", "y1")])
+    lin = MPoly(X3, {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3})
+    quad = MPoly(X3, {(2, 0, 0): 1, (0, 1, 1): -1, (0, 0, 2): 5})
+    p2 = MultiResSystem([lin, lin, quad], [X3.names])
+    return [p1p1, p2]
+
+
+class TestCellWalk:
+    """The walked cell is the unique basis that passes the certificate
+    (lambda > 0, off-cell reduced costs > 0, every polytope present), found
+    here by brute force over all (N+k)-column subsets in rationals."""
+
+    @staticmethod
+    def certified_subsets(cells):
+        """Bases whose dual certificate holds: (basis, B) pairs."""
+        out = []
+        for basis in itertools.combinations(range(len(cells.cols)), cells.m):
+            if len({cells.idx[j][0] for j in basis}) != cells.k:
+                continue
+            B = [[cells.cols[j][r] for j in basis] for r in range(cells.m)]
+            y = fraction_solve([list(r) for r in zip(*B)],
+                               [cells.costs[j] for j in basis])
+            if y is None:
+                continue
+            if all(w - sum(u * v for u, v in zip(y, col)) > 0
+                   for j, (w, col) in enumerate(zip(cells.costs, cells.cols))
+                   if j not in basis):
+                out.append((basis, B))
+        return out
+
+    @staticmethod
+    def brute(certified, b):
+        return [basis for basis, B in certified
+                if all(v > 0 for v in fraction_solve(B, b))]
+
+    @staticmethod
+    def lifting(sys, rng):
+        supports = [sys.affine_support(i) for i in range(len(sys.polys))]
+        liftings = [{a: rng.randint(1, 2 ** 16) for a in sup}
+                    for sup in supports]
+        D = (2 ** 20 + 7) * (sys.N + 1)
+        delta = [rng.randint(1, 2 ** 10) for _ in range(sys.N)]
+        sums = [sum(d[j] for d in sys.mdegs) for j in range(sys.l)]
+        bs = [[D * pi - di for pi, di in zip(p, delta)] + [D] * len(supports)
+              for p in _lattice_points(sys.nsizes, sums)]
+        return _CellWalk(supports, liftings, sys.N), bs
+
+    def test_walk_matches_brute_force(self):
+        rng = random.Random(5)
+        checked = 0
+        for sys in walk_systems():
+            for _ in range(3):
+                cells, bs = self.lifting(sys, rng)
+                certified = self.certified_subsets(cells)
+                for b in bs:
+                    want = self.brute(certified, b)
+                    assert len(want) <= 1
+                    if want:
+                        assert cells.locate(b) == want[0]
+                        checked += 1
+                    else:
+                        with pytest.raises(_BadLifting):
+                            cells.locate(b)
+                        break
+        assert checked >= 20
+
+    def test_lattice_point_on_boundary_raises(self):
+        rng = random.Random(7)
+        hits = 0
+        for sys in walk_systems():
+            cells, bs = self.lifting(sys, rng)
+            certified = self.certified_subsets(cells)
+            cells.locate(bs[0])
+            sums = [sum(d[j] for d in sys.mdegs) for j in range(sys.l)]
+            for p in _lattice_points(sys.nsizes, sums):
+                b = list(p) + [1] * cells.k  # delta = 0
+                if self.brute(certified, b):
+                    continue
+                hits += 1
+                with pytest.raises(_BadLifting):
+                    cells.locate(b)
+        assert hits >= 2
+
+    def test_coarse_lifting_raises(self):
+        # An affine lifting puts every support point on the lower envelope:
+        # each basis is dual feasible, none strictly.
+        rng = random.Random(11)
+        for sys in walk_systems():
+            generic, bs = self.lifting(sys, rng)
+            start = generic.locate(bs[0])
+            supports = [sys.affine_support(i) for i in range(len(sys.polys))]
+            affine = [{a: 3 * sum(a) + i for a in sup}
+                      for i, sup in enumerate(supports)]
+            for seeded in (True, False):
+                cells = _CellWalk(supports, affine, sys.N)
+                if not seeded:
+                    cells.basis = start
+                with pytest.raises(_BadLifting):
+                    cells.locate(bs[0])
+
+    def test_start_cell_does_not_matter(self):
+        rng = random.Random(9)
+        for sys in walk_systems():
+            cells, bs = self.lifting(sys, rng)
+            found = [cells.locate(b) for b in bs]
+            for b, want in zip(bs, found):
+                for start in set(found):
+                    cells.basis = start
+                    assert cells.locate(b) == want
+
+
+class TestCompiledSampler:
+    """The compiled matrix and minor against per-entry evaluation."""
+
+    def test_matches_per_entry_evaluation(self):
+        vars = VarTable(("x0", "x1", "y0", "y1", "u0", "u1", "u2", "u3"),
+                        blocks=((0, 1), (2, 3), (4, 5, 6, 7)))
+        rng = random.Random(3)
+        u = [MPoly.var(vars, f"u{j}") for j in range(4)]
+        monos = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
+        f1 = MPoly.zero(vars)
+        for uj, e in zip(u, monos):
+            f1 = f1 + uj * MPoly(vars, {e + (0,) * 4: 1})
+        f2 = MPoly(vars, {e + (0,) * 4: c for e, c in zip(monos, (2, -1, 0, 5))})
+        f3 = MPoly(vars, {(2, 0, 1, 0, 0, 0, 0, 0): 1, (1, 1, 0, 1, 0, 0, 0, 0): 3,
+                          (0, 2, 1, 0, 0, 0, 0, 0): -2})
+        f3 = f3 + u[0] * MPoly(vars, {(0, 2, 0, 1, 0, 0, 0, 0): 1})
+        sys = MultiResSystem([f1, f2, f3], [("x0", "x1"), ("y0", "y1")])
+        samples = 0
+        for seed in range(6):
+            try:
+                rows, sub = _build_matrix(sys, random.Random(seed))
+            except _BadLifting:
+                continue
+            compiled = _compile_lifting(rows, sub)
+            for _ in range(5):
+                values = [0] * 4 + [rng.randint(-50, 50) for _ in range(4)]
+                point = dict(zip(vars.names, values))
+                irows = [[e.evaluate(point) for e in r] for r in rows]
+                det = det_integer(irows)
+                minor = det_integer([[irows[i][j] for j in sub] for i in sub]) \
+                    if sub else 1
+                assert (_det_in_s(compiled[0], values) or [0])[0] == det
+                if sub:
+                    assert (_det_in_s(compiled[1], values) or [0])[0] == minor
+                if minor == 0:
+                    with pytest.raises(_BadGrid):
+                        _quotient(compiled, values)
+                elif det % minor:
+                    with pytest.raises(_BadLifting):
+                        _quotient(compiled, values)
+                else:
+                    assert _quotient(compiled, values) == det // minor
+                samples += 1
+        assert samples >= 10

@@ -167,6 +167,18 @@ class TestKronecker:
         with pytest.raises(UsageError):
             det_kronecker(M, (2, 2))
 
+    def test_cap_below_row_sum_bound(self, xy):
+        # Each entry fits its caps, but the determinant's x-degree does
+        # not: packed, it would carry into y's place (x^2 read as y).
+        with pytest.raises(UsageError):
+            det_kronecker(mat(xy, [["x", 0], [0, "x"]]), (1, 1))
+        with pytest.raises(UsageError):
+            det_kronecker(mat(xy, [["x*y", 1], [1, "x"]]), (1, 2))
+        assert det_kronecker(mat(xy, [["x", 0], [0, "x"]]), (2, 1)) == \
+            parse_poly("x^2", xy)
+        assert det_kronecker(mat(xy, [["x*y", 1], [1, "x"]]), (2, 2)) == \
+            parse_poly("x^2*y - 1", xy)
+
 
 class TestHadamardBitsize:
     def test_bitsize_inequality(self, rng, xyz):

@@ -115,6 +115,8 @@ def parse_problem(text):
             polys.append(parse_poly(expr, vars))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}")
+        except UsageError as exc:
+            raise UsageError(f"line {lineno}: {exc}")
     return Problem(vars, blocks, polys, dim, format)
 
 

@@ -460,6 +460,36 @@ class MPoly:
 
 # -- parsing ----------------------------------------------------------
 
+# Caps on a power or product in parsed text, checked before it is
+# expanded: the degree of the result, and an estimate of its size in bits,
+# 64 per term plus the coefficient bits.
+MAX_PARSE_DEGREE = 1000
+MAX_PARSE_BITS = 2 ** 21
+
+
+def _check_expansion(what, degree, terms, nvars, bits):
+    """UsageError unless a result of this degree, with at most ``terms``
+    terms (and at most C(nvars + degree, nvars), nvars variables
+    occurring) and coefficients of at most ``bits`` bits, is within the
+    parser's caps."""
+    if degree <= MAX_PARSE_DEGREE:
+        terms = min(terms, math.comb(nvars + degree, nvars))
+        if terms * (bits + 64) <= MAX_PARSE_BITS:
+            return
+    raise UsageError(f"{what} too large to expand (caps: degree "
+                     f"{MAX_PARSE_DEGREE}, {MAX_PARSE_BITS} bits)")
+
+
+def _occurring(f):
+    return {i for exp in f.terms for i, k in enumerate(exp) if k}
+
+
+def _norm_bits(f):
+    """ceil(log2 ||f||_1): ||f||_1 ** e bounds every coefficient of f ** e,
+    and ||f||_1 * ||g||_1 every coefficient of f * g."""
+    return (sum(map(abs, f.terms.values())) - 1).bit_length()
+
+
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))")
 
 
@@ -521,7 +551,13 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                result = result * self.factor()
+                f = self.factor()
+                _check_expansion(
+                    "product", result.total_degree() + f.total_degree(),
+                    len(result.terms) * len(f.terms),
+                    len(_occurring(result) | _occurring(f)),
+                    _norm_bits(result) + _norm_bits(f))
+                result = result * f
             else:
                 return result
 
@@ -533,8 +569,13 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind != "int":
                 self.fail("expected integer exponent after '^'")
+            e = int(val)
+            t = len(base.terms)
+            _check_expansion(f"power '^{e}'", base.total_degree() * e,
+                             math.comb(t + e - 1, e) if t else 1,
+                             len(_occurring(base)), e * _norm_bits(base))
             self.next()
-            return base ** int(val)
+            return base ** e
         return base
 
     def atom(self):

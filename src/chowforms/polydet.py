@@ -7,7 +7,8 @@ Engines, in increasing sophistication:
   entries with exact division; the workhorse for symbolic resultants.
 * :func:`det_packed` — a matrix of univariate integer polynomials
   (given as coefficient lists) by one integer Bareiss determinant at
-  z = 2^K, read back as balanced base-2^K digits.
+  z = 2^K, read back as balanced base-2^K digits; a matrix of constant
+  polynomials goes to :func:`det_integer` unpacked.
 * :func:`det_univariate_interp` — :func:`det_packed` on a univariate
   PolyMatrix, with a degree cap check.
 * :func:`det_kronecker` — pack multivariate entries to univariates,
@@ -149,14 +150,26 @@ def det_packed(base, entries):
     other entries, coefficients ascending.  No coefficient of the
     determinant exceeds H, the product of the row 1-norms taken over all
     coefficients, so with 2^K > 2H they are the balanced base-2^K digits
-    of the determinant at z = 2^K (Kronecker substitution).  High zero
-    coefficients are dropped; a zero determinant gives [].
+    of the determinant at z = 2^K (Kronecker substitution).  When no entry
+    has more than one coefficient the matrix is an integer matrix, and the
+    single determinant is taken on it as it stands, with no norms, shift
+    or digit read.  High zero coefficients are dropped; a zero determinant
+    gives [].
     """
+    rows = [list(r) for r in base]
+    for i, j, coeffs in entries:
+        if len(coeffs) > 1:
+            break
+        if coeffs:
+            rows[i][j] = coeffs[0]
+    else:
+        det = det_integer(rows)
+        return [det] if det else []
+    # Every listed entry is packed below, overwriting what the loop wrote.
     norms = [sum(map(abs, row)) for row in base]
     for i, _, coeffs in entries:
         norms[i] += sum(map(abs, coeffs))
     shift = math.prod(norms).bit_length() + 1
-    rows = [list(r) for r in base]
     for i, j, coeffs in entries:
         v = 0
         for c in reversed(coeffs):

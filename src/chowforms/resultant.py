@@ -14,7 +14,8 @@ import itertools
 import math
 import operator
 
-from .errors import DegenerateError, InternalError, UsageError
+from .errors import (DegenerateError, IndeterminateError, InternalError,
+                     UsageError)
 from .mpoly import MPoly, VarTable, divexact
 from .polydet import PolyMatrix, det_bareiss, det_packed
 
@@ -301,12 +302,17 @@ def _compile(M, s_idx):
     return base, list(monos), listed
 
 
-def _det_in_s(compiled, values):
+def _det_in_s(compiled, values, keep=None):
     """Ascending s-coefficients of det of a compiled matrix at the
-    parameter values (a list indexed like the table's variables)."""
+    parameter values (a list indexed like the table's variables).
+
+    ``keep`` keeps only the entries' s^0..s^(keep-1) coefficients;
+    ``keep=1`` is the plain integer determinant of the matrix at s = 0.
+    """
     base, monos, listed = compiled
     mv = [math.prod(values[v] ** k for v, k in mono) for mono in monos]
-    entries = [(i, j, [sum(c * mv[t] for c, t in layer) for layer in layers])
+    entries = [(i, j, [sum(c * mv[t] for c, t in layer)
+                       for layer in layers[:keep]])
                for i, j, layers in listed]
     return det_packed(base, entries)
 
@@ -326,6 +332,17 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     and divides the two s-polynomials exactly over the integers, and the
     sample count is the monomial-count bound
     prod_b C(degrees[b] + len(block) - 1, len(block) - 1).
+
+    The s-path is needed only until a sample has a nonzero constant
+    term: that proves the valuation is 0, and every later grid point of
+    the attempt takes q(0) = det M(0) / det M0(0) from two plain integer
+    determinants, an exact division whose remainder marks a bad point.
+    A point where det M0(0) = 0 still takes the s-path, and so does every
+    sample of an attempt with positive valuation.  The fresh-point check
+    always takes the s-path, so it certifies the s = 0 values against the
+    perturbed computation.  An attempt whose interpolant fails that check
+    is dropped like a bad grid; when every attempt is dropped the call
+    raises IndeterminateError.
 
     When the perturbed polynomials themselves carry block-homogeneous
     coefficients, every s-power displaces one coefficient slot, lowering
@@ -366,11 +383,15 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
             point[wide.index(n)] = v
         return point
 
-    def sample(point):
-        den = _det_in_s(compiled0, point)
+    def sample(point, keep=None):
+        # keep=1: only q(0) = det M(0) / det M0(0), or the full q(s) when
+        # M0(0) is singular at this point.
+        den = _det_in_s(compiled0, point, keep)
         if not den:
+            if keep:
+                return sample(point)
             raise _BadGrid
-        return _udiv_exact(_det_in_s(compiled, point), den)
+        return _udiv_exact(_det_in_s(compiled, point, keep), den)
 
     for attempt in range(grid.retries):
         rng = grid.rng(tag, attempt)
@@ -383,7 +404,8 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
         all_bad = True
         for alpha in alphas:
             try:
-                q = sample(point_of([o + a for o, a in zip(offsets, alpha)]))
+                q = sample(point_of([o + a for o, a in zip(offsets, alpha)]),
+                           1 if val == 0 else None)
             except _BadGrid:
                 table[alpha] = None
                 continue
@@ -434,11 +456,10 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
         got = q[val] if val < len(q) else 0
         point = {n: 1 for n in dehom_names}
         point.update(zip(affine_names, fresh))
-        if poly.evaluate(point) != got:
-            raise InternalError("interpolated resultant failed verification")
-        return poly, val
-    raise UsageError(f"gcp_block_interpolation found no usable grid in "
-                     f"{grid.retries} attempts")
+        if poly.evaluate(point) == got:
+            return poly, val
+    raise IndeterminateError(f"gcp_block_interpolation found no usable grid "
+                             f"in {grid.retries} attempts")
 
 
 def _newton_assemble(values, alphas, block_sizes, degrees, offsets, out_vars,

@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
 from chowforms.cli import main, parse_problem
-from chowforms.errors import ParseError
+from chowforms.errors import ParseError, UsageError
 from chowforms.mpoly import parse_poly
 
 
@@ -60,6 +61,19 @@ class TestParser:
     def test_blocks_must_partition(self):
         with pytest.raises(ParseError):
             parse_problem("ring x0 x1 y0\nblocks (x0 x1)(y0 y9)\npoly x0\n")
+
+    def test_expansion_caps_checked_before_expanding(self):
+        vars = parse_problem("ring x0 x1 x2\n").vars
+        assert len(parse_poly("x0^1000", vars).terms) == 1
+        assert len(parse_poly("(x0+x1+x2)^40", vars).terms) == 861
+        assert parse_poly("1^100000000000000000000", vars) == 1
+        for text in ("x0^1001", "(x0+x1+x2)^150", "(2^99999)^99999",
+                     "(2^1000*x0 + x1)^50", "(x0+x1+x2)^30*(x0+x1+x2)^30",
+                     "x0^600*x1^600"):
+            with pytest.raises(UsageError):
+                parse_poly(text, vars)
+        with pytest.raises(UsageError, match="line 2"):
+            parse_problem("ring x0 x1\npoly (x0+x1)^5000\n")
 
 
 class TestCommands:
@@ -161,6 +175,13 @@ class TestExitCodes:
     def test_linear_hurwitz_is_2(self, tmp_path, capsys):
         text = "ring x0 x1 x2\npoly x0\ndim 1\n"
         assert main(["hurwitz", write(tmp_path, "p", text)]) == 2
+
+    def test_oversized_power_is_2_within_seconds(self, tmp_path, capsys):
+        text = "ring x0 x1 x2\npoly (x0+x1+x2)^400\ndim 1\n"
+        start = time.monotonic()
+        assert main(["bounds", write(tmp_path, "p", text)]) == 2
+        assert time.monotonic() - start < 2
+        assert "too large" in capsys.readouterr().err
 
 
 class TestDeterminismAndMetadata:

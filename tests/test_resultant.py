@@ -2,12 +2,18 @@ import random
 
 import pytest
 
-from chowforms import MPoly, VarTable
-from chowforms.errors import DegenerateError, InternalError, UsageError
+from chowforms import MPoly, VarTable, hurwitz, resultant
+from chowforms.chow import attach_u_blocks, chow_form_ci, u_block_names
+from chowforms.dimension import ProjectiveVariety, RandomGrid
+from chowforms.errors import (DegenerateError, IndeterminateError,
+                              InternalError, UsageError)
+from chowforms.mpoly import parse_poly
 from chowforms.polydet import det_integer
-from chowforms.resultant import (MacaulaySystem, _BadGrid, _newton_assemble,
-                                 _udiv_exact, bezout_bounds, gcp_resultant,
-                                 macaulay_matrix, monomials_of_degree,
+from chowforms.resultant import (MacaulaySystem, _BadGrid, _compile,
+                                 _det_in_s, _newton_assemble, _udiv_exact,
+                                 bezout_bounds, gcp_block_interpolation,
+                                 gcp_resultant, macaulay_matrix,
+                                 monomials_of_degree, perturbed_macaulay,
                                  resultant_dense)
 
 X2 = VarTable(("x0", "x1"))
@@ -178,6 +184,128 @@ class TestGcp:
         got = _newton_assemble(values, [(0,), (1,), (2,)], [1], [2], [5], vars,
                                homogenize=False)
         assert got == MPoly(vars, {(2,): 3, (0,): -7})
+
+
+def chow_ci_system(polys, r):
+    """The chow-ci elimination system: polys plus r+1 generic u-forms."""
+    xvars = polys[0].vars
+    n = xvars.nvars - 1
+    wide = attach_u_blocks(xvars, r, n)
+    out = [f.rename_into(wide) for f in polys]
+    for i in range(r + 1):
+        U = MPoly.zero(wide)
+        for j, x in enumerate(xvars.names):
+            U = U + MPoly.var(wide, f"u{i}{j}") * MPoly.var(wide, x)
+        out.append(U)
+    return (MacaulaySystem(out, xvars.names),
+            [u_block_names(i, n) for i in range(r + 1)])
+
+
+def random_form(rng, vars, d, bound=3):
+    return MPoly(vars, {e: rng.randint(-bound, bound)
+                        for e in monomials_of_degree(vars.nvars, d)})
+
+
+class _DetLog:
+    """Records (matrix dimension, keep, result) of every _det_in_s call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        inner = resultant._det_in_s
+
+        def logged(compiled, values, keep=None):
+            out = inner(compiled, values, keep)
+            self.calls.append((len(compiled[0]), keep, out))
+            return out
+
+        monkeypatch.setattr(resultant, "_det_in_s", logged)
+
+    def count(self, keep):
+        return sum(1 for _, k, _ in self.calls if k == keep)
+
+
+class TestSampleAtZero:
+    def test_s_zero_quotient_matches_full_path(self):
+        rng = random.Random(5)
+        X4 = VarTable(("x0", "x1", "x2", "x3"))
+        cases = [([random_form(rng, X3, d)], 1) for d in (2, 2, 3, 3)]
+        cases += [([random_form(rng, X4, 2), random_form(rng, X4, 2)], 1)]
+        compared = 0
+        for polys, r in cases:
+            sys, _ = chow_ci_system(polys, r)
+            for perturb in (range(len(polys)), range(len(sys.polys))):
+                M, M0, wide, sname = perturbed_macaulay(sys, perturb)
+                s_idx = wide.index(sname)
+                full, minor = _compile(M, s_idx), _compile(M0, s_idx)
+                for _ in range(12):
+                    # Small coordinates, so that some minors vanish at s = 0.
+                    point = [rng.randint(-2, 2) for _ in range(wide.nvars)]
+                    den = _det_in_s(minor, point, 1)
+                    assert (den or [0])[0] == (_det_in_s(minor, point)
+                                               or [0])[0]
+                    if not den:
+                        continue
+                    q0 = _udiv_exact(_det_in_s(full, point, 1), den)
+                    q = _udiv_exact(_det_in_s(full, point),
+                                    _det_in_s(minor, point))
+                    assert (q0 or [0])[0] == (q or [0])[0]
+                    compared += 1
+        assert compared > 50
+
+    def test_singular_minor_at_zero_falls_back_to_full_path(self, monkeypatch):
+        # With the u-forms perturbed too, M0 = [u01 + s].  On this grid u01
+        # has offset 0, so det M0(0) = 0 at every point with u01 = 0, while
+        # det M0(s) = s is not; those points must take the s-path.
+        sys, blocks = chow_ci_system([parse_poly("x0*x2 - x1^2", X3)], 1)
+        ref, ref_val = gcp_block_interpolation(sys, range(1), blocks, [2, 2],
+                                               RandomGrid(seed=3))
+        log = _DetLog(monkeypatch)
+        got, val = gcp_block_interpolation(sys, range(3), blocks, [2, 2],
+                                           RandomGrid(seed=17),
+                                           tag="fallback")
+        fallbacks = sum(1 for dim, k, out in log.calls
+                        if dim == 1 and k == 1 and not out)
+        assert fallbacks >= 1
+        # One attempt: the first grid point, each fallback and the fresh
+        # check are the only s-path samples, two determinants each.
+        assert log.count(None) == 2 * (1 + fallbacks + 1)
+        assert (got, val) == (ref, ref_val) and val == 0
+
+    def test_valuation_one_discriminant_never_samples_at_zero(
+            self, monkeypatch):
+        V = ProjectiveVariety(X3, [parse_poly("x0*x2 - x1^2", X3)])
+        R1 = hurwitz.u_resultant(V, 1, RandomGrid(seed=3))
+        vals = []
+        inner = hurwitz.gcp_block_interpolation
+
+        def recorded(*args, **kw):
+            out = inner(*args, **kw)
+            vals.append(out[1])
+            return out
+
+        monkeypatch.setattr(hurwitz, "gcp_block_interpolation", recorded)
+        log = _DetLog(monkeypatch)
+        hurwitz.discriminant_via_partials(R1, RandomGrid(seed=3))
+        assert vals == [1]
+        assert log.calls and log.count(1) == 0
+
+    def test_conic_chow_ci_takes_one_full_grid_sample(self, monkeypatch):
+        # 36 grid points: the first proves valuation 0 on the s-path, the
+        # other 35 take det M(0) and det M0(0); the fresh check takes the
+        # s-path again.
+        log = _DetLog(monkeypatch)
+        V = ProjectiveVariety(X3, [parse_poly("x0*x2 - x1^2", X3)])
+        chow_form_ci(V, 1, RandomGrid(seed=0))
+        assert log.count(None) == 2 * (1 + 1)
+        assert log.count(1) == 2 * 35
+
+    def test_failed_fresh_check_retries_then_indeterminate(self):
+        # Degree 1 per block is below the true degree 2, so every
+        # interpolant fails its fresh-point check.
+        sys, blocks = chow_ci_system([parse_poly("x0*x2 - x1^2", X3)], 1)
+        with pytest.raises(IndeterminateError):
+            gcp_block_interpolation(sys, range(1), blocks, [1, 1],
+                                    RandomGrid(seed=0))
 
 
 class TestBezout:

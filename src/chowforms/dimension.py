@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-from .errors import UsageError
+from .errors import InternalError, UsageError
 from .mpoly import MPoly, VarTable
-from .resultant import MacaulaySystem, gcp_resultant
+from .resultant import MacaulaySystem, _BadGrid, gcp_sampler
 
 
 class ProjectiveVariety:
@@ -181,6 +181,41 @@ def substitute_projective(polys, basis, zvars):
 
 # -- projective solvability and dimension ------------------------------
 
+def _gcp_trailing(sys, perturb_indices=None, var=None, degree=0):
+    """(s-valuation, trailing values) of the generalized characteristic
+    polynomial of ``sys`` (the perturbed resultant, :func:`gcp_sampler`),
+    sampled at var = 0, 1, ..., degree with every other parameter 0.
+
+    ``var`` may occur only in the last polynomial of ``sys``, and
+    ``degree`` must bound its degree in every s-coefficient.  A nonzero
+    s-coefficient then cannot vanish at all the samples, so the valuation
+    is exact, and the trailing coefficient is constant in var iff its
+    values agree.  M0 has no row of the last polynomial (every monomial
+    that polynomial owns is reduced), so det M0 does not depend on var: a
+    minor that vanishes at one sample vanishes identically.  Without
+    ``var`` the system has no parameters and one sample decides.
+    """
+    sample = gcp_sampler(sys, perturb_indices)
+    point = [0] * sys.vars.nvars
+    qs = []
+    keep = None
+    for v in range(degree + 1):
+        if var is not None:
+            point[var] = v
+        try:
+            qs.append(sample(point, keep))
+        except _BadGrid:
+            raise InternalError("perturbed Macaulay minor vanished; "
+                                "ill-posed perturbation") from None
+        if qs[-1] and qs[-1][0]:
+            # The valuation is 0: the other samples need only q(0).
+            keep = 1
+    if not any(qs):
+        raise InternalError("perturbed resultant is identically zero")
+    val = min(next(i for i, c in enumerate(q) if c) for q in qs if q)
+    return val, [q[val] if val < len(q) else 0 for q in qs]
+
+
 def _fresh_table(prefix, count):
     return VarTable(tuple(f"{prefix}{i}" for i in range(count)))
 
@@ -247,8 +282,7 @@ def _proj_round(polys, vars, rng, bound):
                 return True  # degenerate combination; count as inconclusive
             combos.append(g)
         polys = combos
-    sys = MacaulaySystem(polys, vars.names)
-    _, val = gcp_resultant(sys, with_valuation=True)
+    val, _ = _gcp_trailing(MacaulaySystem(polys, vars.names))
     return val >= 1
 
 
@@ -363,8 +397,11 @@ def _affine_round(polys, vars, rng, bound):
     for name in vars.names:
         m_form = m_form + rng.randint(1, bound) * MPoly.var(wide, name)
     sys = MacaulaySystem(homog + [m_form], ("w",) + vars.names)
-    trailing = gcp_resultant(sys, range(len(homog)))
-    return trailing.partial_degree(trailing.vars.index("m0")) > 0
+    # The GCP has degree prod d_i in the coefficients of the m-form, so
+    # every s-coefficient has m0-degree at most that.
+    _, values = _gcp_trailing(sys, range(len(homog)), wide.index("m0"),
+                              prod(f.total_degree() for f in polys))
+    return len(set(values)) > 1
 
 
 def affine_solvable(polys, vars, grid, tag="aff"):

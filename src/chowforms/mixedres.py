@@ -22,8 +22,8 @@ import random
 from .errors import IndeterminateError, UsageError
 from .mpoly import MPoly, VarTable, divexact
 from .polydet import PolyMatrix, det_bareiss, det_integer
-from .resultant import (_BadGrid, _compile, _det_in_s, _newton_assemble,
-                        _simplex_points, drop_variables)
+from .resultant import (_BadGrid, _block_grid, _compile, _det_in_s,
+                        _newton_assemble, drop_variables)
 
 
 class _BadLifting(Exception):
@@ -365,7 +365,7 @@ def _quotient(compiled, values):
     return q
 
 
-def resultant_multihomogeneous_interp(sys, param_blocks, bounds, grid,
+def resultant_multihomogeneous_interp(sys, param_blocks, degrees, grid,
                                       tag="mres-interp"):
     """Sparse multihomogeneous resultant by evaluation and interpolation.
 
@@ -374,29 +374,29 @@ def resultant_multihomogeneous_interp(sys, param_blocks, bounds, grid,
     LP-seeded cell, and it is compiled with its non-mixed minor into
     integer structure (:func:`resultant._compile`), so every sample
     evaluates only the nonconstant entries and takes one integer
-    determinant quotient at a numeric parameter point.  The polynomial is
-    recovered by Newton interpolation on a product of lattice simplices
-    (one per ``param_blocks`` entry, with per-block total-degree bound
-    ``bounds``; these are upper bounds, e.g. the Bezout counts, so the
-    blocks are interpolated inhomogeneously).  A result is accepted once
-    two independent liftings agree on the normalized polynomial.
-    """
-    out_names = tuple(n for blk in param_blocks for n in blk)
-    out_blocks = []
-    pos = 0
-    for blk in param_blocks:
-        out_blocks.append(tuple(range(pos, pos + len(blk))))
-        pos += len(blk)
-    out_vars = VarTable(out_names, out_blocks)
-    block_sizes = [len(blk) for blk in param_blocks]
-    per_block = [_simplex_points(nb, d) for nb, d in zip(block_sizes, bounds)]
-    alphas = [sum(combo, ()) for combo in itertools.product(*per_block)]
-    out_idx = [sys.vars.index(n) for n in out_names]
+    determinant quotient at a numeric parameter point.
 
-    def point_of(vals):
+    Each ``param_blocks`` entry is the coefficient vector of one
+    polynomial of the system (or a linear reparametrization of it), so
+    the resultant is homogeneous in it of degree exactly ``degrees[b]``,
+    its Bezout number.  The polynomial is interpolated homogeneously at
+    those degrees: the first name of each block is pinned to 1 on a
+    product of lattice simplices in the others, and the result is
+    rehomogenized.  The fresh-point check draws every coordinate at
+    random, pinned ones included, so a quotient of another degree fails
+    it and rejects the lifting.  A result is accepted once two independent
+    liftings agree on the normalized polynomial.
+    """
+    out_vars, affine_names, block_sizes, alphas = _block_grid(param_blocks,
+                                                              degrees)
+    pinned = [sys.vars.index(blk[0]) for blk in param_blocks]
+
+    def point_of(names, vals):
         point = [0] * sys.vars.nvars
-        for i, v in zip(out_idx, vals):
-            point[i] = v
+        for i in pinned:
+            point[i] = 1
+        for n, v in zip(names, vals):
+            point[sys.vars.index(n)] = v
         return point
 
     rng = grid.rng(tag)
@@ -411,15 +411,16 @@ def resultant_multihomogeneous_interp(sys, param_blocks, bounds, grid,
             continue
         cand = None
         for attempt in range(grid.retries):
-            offsets = [rng.randint(0, 64 * (attempt + 1)) for _ in out_names]
+            offsets = [rng.randint(0, 64 * (attempt + 1)) for _ in affine_names]
             try:
                 values = {alpha: _quotient(compiled, point_of(
-                    o + a for o, a in zip(offsets, alpha))) for alpha in alphas}
-                poly = _newton_assemble(values, alphas, block_sizes, bounds,
-                                        offsets, out_vars, homogenize=False)
-                fresh = [rng.randint(100, 10 ** 4) for _ in out_names]
-                if poly.evaluate(dict(zip(out_names, fresh))) != \
-                        _quotient(compiled, point_of(fresh)):
+                    affine_names, (o + a for o, a in zip(offsets, alpha))))
+                    for alpha in alphas}
+                poly = _newton_assemble(values, alphas, block_sizes, degrees,
+                                        offsets, out_vars)
+                fresh = [rng.randint(100, 10 ** 4) for _ in out_vars.names]
+                if poly.evaluate(dict(zip(out_vars.names, fresh))) != \
+                        _quotient(compiled, point_of(out_vars.names, fresh)):
                     raise _BadLifting
                 cand = poly.normalized()
                 break

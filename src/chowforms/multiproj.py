@@ -232,8 +232,8 @@ def multi_chow_form_ci(V, alpha, grid=None, table=None):
     wide, forms, u_blocks = _attach_forms(V, alpha)
     polys = [f.rename_into(wide) for f in V.polys] + forms
     sys = MultiResSystem(polys, V.x_blocks)
-    bounds = sys.bezout_bounds()[len(V.polys):]
-    R = resultant_multihomogeneous_interp(sys, u_blocks, bounds, grid,
+    degrees = sys.bezout_bounds()[len(V.polys):]
+    R = resultant_multihomogeneous_interp(sys, u_blocks, degrees, grid,
                                           tag=f"mchow-{alpha}")
     if R.is_zero() or R.is_constant():
         raise UsageError("the multigraded elimination degenerated; the "
@@ -245,8 +245,9 @@ def multi_chow_form_ci(V, alpha, grid=None, table=None):
 def multidegree(V, alpha, grid, table=None):
     """Number of points in which a generic subspace of format alpha meets
     V: slice by n_i - alpha_i random linear forms per block, append a
-    multilinear form restricted to a random parameter line, and read off
-    the degree of the square-free part of the eliminant."""
+    multilinear form whose coefficients run through a random pencil
+    c0 * t0_ + c1 * t1_, and read off the degree of the square-free part
+    of the eliminant, a binary form in (t0_, t1_)."""
     if grid is None:
         grid = RandomGrid(seed=0)
     alpha = tuple(alpha)
@@ -257,8 +258,8 @@ def multidegree(V, alpha, grid, table=None):
     answers = []
     for trial in range(2 * grid.retries):
         rng = grid.rng("mdeg", alpha, trial)
-        wide = V.vars.extend(("t_",))
-        t = MPoly.var(wide, "t_")
+        wide = V.vars.extend(("t0_", "t1_"))
+        t0, t1 = MPoly.var(wide, "t0_"), MPoly.var(wide, "t1_")
         # A random invertible change of coordinates in each block leaves
         # the multidegree unchanged and makes the coefficient patterns
         # generic enough for the sparse elimination.
@@ -285,16 +286,16 @@ def multidegree(V, alpha, grid, table=None):
                 polys.append(L)
         M = MPoly.zero(wide)
         for combo in itertools.product(*[blk for blk in V.x_blocks]):
-            m = MPoly.const(wide, rng.randint(1, grid.bound)) + \
-                rng.randint(1, grid.bound) * t
+            m = rng.randint(1, grid.bound) * t0 + \
+                rng.randint(1, grid.bound) * t1
             for xname in combo:
                 m = m * MPoly.var(wide, xname)
             M = M + m
         polys.append(M)
         sys = MultiResSystem(polys, V.x_blocks)
-        bound = sys.bezout_bounds()[-1]
-        R = resultant_multihomogeneous_interp(sys, [("t_",)], [bound], grid,
-                                              tag=("mdeg", alpha, trial))
+        R = resultant_multihomogeneous_interp(
+            sys, [("t0_", "t1_")], sys.bezout_bounds()[-1:], grid,
+            tag=("mdeg", alpha, trial))
         if R.is_zero():
             continue
         count = square_free_part(R).total_degree()

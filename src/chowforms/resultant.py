@@ -277,16 +277,18 @@ def _udiv_exact(num, den):
 def _compile(M, s_idx):
     """Integer structure of a matrix over the perturbation table.
 
-    Returns (base, monos, listed): ``base`` holds the constant entries
-    (zero elsewhere), ``monos`` the parameter monomials that occur, as
-    (variable index, exponent) pairs, and ``listed`` one (i, j, layers)
-    per other entry, ``layers[k]`` being its s^k coefficient as
-    (integer, monomial index) pairs.  ``s_idx=None`` means there is no
-    s variable: every entry has the single layer k = 0.
+    Returns (base, monos, singles, listed): ``base`` holds the constant
+    entries (zero elsewhere), ``monos`` the parameter monomials that
+    occur, as (variable index, exponent) pairs, ``singles`` one
+    (i, j, c, t) per entry that is the single term c * monos[t], and
+    ``listed`` one (i, j, layers) per other entry, ``layers[k]`` being its
+    s^k coefficient as (integer, monomial index) pairs.  ``s_idx=None``
+    means there is no s variable: every entry has the single layer k = 0.
     """
     s_of = (lambda exp: 0) if s_idx is None else operator.itemgetter(s_idx)
     base = [[0] * M.dim for _ in range(M.dim)]
     monos = {}
+    singles = []
     listed = []
     for i, row in enumerate(M.entries):
         for j, e in enumerate(row):
@@ -298,8 +300,11 @@ def _compile(M, s_idx):
                 mono = tuple((v, k) for v, k in enumerate(exp)
                              if k and v != s_idx)
                 layers[s_of(exp)].append((c, monos.setdefault(mono, len(monos))))
-            listed.append((i, j, layers))
-    return base, list(monos), listed
+            if len(layers) == 1 and len(layers[0]) == 1:
+                singles.append((i, j) + layers[0][0])
+            else:
+                listed.append((i, j, layers))
+    return base, list(monos), singles, listed
 
 
 def _det_in_s(compiled, values, keep=None):
@@ -309,12 +314,67 @@ def _det_in_s(compiled, values, keep=None):
     ``keep`` keeps only the entries' s^0..s^(keep-1) coefficients;
     ``keep=1`` is the plain integer determinant of the matrix at s = 0.
     """
-    base, monos, listed = compiled
+    base, monos, singles, listed = compiled
     mv = [math.prod(values[v] ** k for v, k in mono) for mono in monos]
+    # Single-term entries are constant in s: they join the base.
+    rows = [list(r) for r in base]
+    for i, j, c, t in singles:
+        rows[i][j] = c * mv[t]
     entries = [(i, j, [sum(c * mv[t] for c, t in layer)
                        for layer in layers[:keep]])
                for i, j, layers in listed]
-    return det_packed(base, entries)
+    return det_packed(rows, entries)
+
+
+def gcp_sampler(sys, perturb_indices=None, shift=0):
+    """The perturbed resultant q(s) = det M(s) / det M0(s) at integer
+    parameter points, for the Macaulay pair of :func:`perturbed_macaulay`.
+
+    The pair is compiled once.  The returned ``sample(point, keep=None)``
+    takes a point (a list indexed like ``sys.vars``) and gives the
+    ascending s-coefficients of q from one packed determinant per matrix
+    (:func:`_det_in_s`) and an exact division (:func:`_udiv_exact`); it
+    raises _BadGrid where det M0(s) vanishes.  ``keep=1`` gives only
+    q(0) = det M(0) / det M0(0), taking the s-path where det M0(0) = 0.
+    """
+    M, M0, wide, sname = perturbed_macaulay(sys, perturb_indices, shift)
+    s_idx = wide.index(sname)
+    compiled = _compile(M, s_idx)
+    compiled0 = _compile(M0, s_idx)
+
+    def sample(point, keep=None):
+        den = _det_in_s(compiled0, point, keep)
+        if not den:
+            if keep:
+                return sample(point)
+            raise _BadGrid
+        return _udiv_exact(_det_in_s(compiled, point, keep), den)
+
+    return sample
+
+
+def _block_grid(blocks, degrees):
+    """Interpolation grid for a polynomial homogeneous of degree
+    ``degrees[b]`` in each name tuple ``blocks[b]``, whose first name is
+    pinned to 1.
+
+    Returns (out_vars, affine_names, block_sizes, alphas): a table with
+    one block per name tuple, the names that are not pinned, their count
+    per block, and the exponents over them of per-block total degree at
+    most ``degrees[b]``.
+    """
+    out_blocks = []
+    pos = 0
+    for blk in blocks:
+        out_blocks.append(tuple(range(pos, pos + len(blk))))
+        pos += len(blk)
+    out_vars = VarTable(tuple(n for blk in blocks for n in blk), out_blocks)
+    block_sizes = [len(blk) - 1 for blk in blocks]
+    per_block = [_simplex_points(nb, d) if nb else [()]
+                 for nb, d in zip(block_sizes, degrees)]
+    alphas = [sum(combo, ()) for combo in itertools.product(*per_block)]
+    return (out_vars, [n for blk in blocks for n in blk[1:]], block_sizes,
+            alphas)
 
 
 def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
@@ -327,10 +387,10 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     block is the coefficient vector of one unperturbed polynomial, with
     degree the Bezout product of the other degrees.  Dramatically faster
     than the symbolic route: M and M0 are compiled once into integer
-    structure, every sample evaluates only their nonconstant entries,
-    takes one packed integer determinant per matrix (:func:`det_packed`)
-    and divides the two s-polynomials exactly over the integers, and the
-    sample count is the monomial-count bound
+    structure (:func:`gcp_sampler`), every sample evaluates only their
+    nonconstant entries, takes one packed integer determinant per matrix
+    (:func:`det_packed`) and divides the two s-polynomials exactly over
+    the integers, and the sample count is the monomial-count bound
     prod_b C(degrees[b] + len(block) - 1, len(block) - 1).
 
     The s-path is needed only until a sample has a nonzero constant
@@ -353,45 +413,19 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     Returns (trailing_coefficient, s_valuation) over a parameter table
     whose blocks are exactly ``blocks``.
     """
-    M, M0, wide, sname = perturbed_macaulay(sys, perturb_indices, shift)
-    s_idx = wide.index(sname)
-    compiled = _compile(M, s_idx)
-    compiled0 = _compile(M0, s_idx)
-
-    out_names = tuple(n for blk in blocks for n in blk)
-    out_blocks = []
-    pos = 0
-    for blk in blocks:
-        out_blocks.append(tuple(range(pos, pos + len(blk))))
-        pos += len(blk)
-    out_vars = VarTable(out_names, out_blocks)
-
+    sample = gcp_sampler(sys, perturb_indices, shift)
     # Affine coordinates: first variable of each block is the
     # dehomogenizing one, pinned to 1 on the grid.
-    affine_names = [n for blk in blocks for n in blk[1:]]
+    out_vars, affine_names, block_sizes, alphas = _block_grid(blocks, degrees)
     dehom_names = [blk[0] for blk in blocks]
-    block_sizes = [len(blk) - 1 for blk in blocks]
-    per_block = [_simplex_points(nb, d) if nb else [()]
-                 for nb, d in zip(block_sizes, degrees)]
-    alphas = [sum(combo, ()) for combo in itertools.product(*per_block)]
 
     def point_of(values):
-        point = [0] * wide.nvars
+        point = [0] * sys.vars.nvars
         for n in dehom_names:
-            point[wide.index(n)] = 1
+            point[sys.vars.index(n)] = 1
         for n, v in zip(affine_names, values):
-            point[wide.index(n)] = v
+            point[sys.vars.index(n)] = v
         return point
-
-    def sample(point, keep=None):
-        # keep=1: only q(0) = det M(0) / det M0(0), or the full q(s) when
-        # M0(0) is singular at this point.
-        den = _det_in_s(compiled0, point, keep)
-        if not den:
-            if keep:
-                return sample(point)
-            raise _BadGrid
-        return _udiv_exact(_det_in_s(compiled, point, keep), den)
 
     for attempt in range(grid.retries):
         rng = grid.rng(tag, attempt)
@@ -462,15 +496,13 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
                              f"in {grid.retries} attempts")
 
 
-def _newton_assemble(values, alphas, block_sizes, degrees, offsets, out_vars,
-                     homogenize=True):
+def _newton_assemble(values, alphas, block_sizes, degrees, offsets, out_vars):
     """Multivariate Newton forward-difference interpolation on a product of
     lattice simplices.
 
-    With ``homogenize`` the first variable of each block is the pinned
-    dehomogenizing one and the result is rehomogenized to the exact block
-    degrees; without it every block variable is an interpolation axis and
-    ``degrees`` are only upper bounds on the per-block total degree.
+    The first variable of each block is the pinned dehomogenizing one;
+    the other ``block_sizes[b]`` are interpolation axes, and the result is
+    rehomogenized to the exact block degrees ``degrees``.
     """
     naff = sum(block_sizes)
     diffs = dict(values)
@@ -487,8 +519,7 @@ def _newton_assemble(values, alphas, block_sizes, degrees, offsets, out_vars,
                 diffs[alpha] = diffs[alpha] - diffs[prev]
     aff_idx = []
     for blk_idx, nb in enumerate(block_sizes):
-        start = out_vars.blocks[blk_idx][0]
-        first = start + 1 if homogenize else start
+        first = out_vars.blocks[blk_idx][0] + 1
         aff_idx.extend(range(first, first + nb))
     # The interpolant is sum_alpha Delta^alpha / alpha! * prod_i
     # (x_i - o_i)(x_i - o_i - 1)...(x_i - o_i - alpha_i + 1); it has integer
@@ -535,8 +566,7 @@ def _newton_assemble(values, alphas, block_sizes, degrees, offsets, out_vars,
             s = sum(exp[i] for i in blk)
             if s > degrees[blk_idx]:
                 raise InternalError("interpolant exceeds its block degree bound")
-            if homogenize:
-                e[blk[0]] += degrees[blk_idx] - s
+            e[blk[0]] += degrees[blk_idx] - s
         out[tuple(e)] = c
     return MPoly(out_vars, out)
 

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from chowforms import MPoly, VarTable
-from chowforms.errors import UsageError
+from chowforms.dimension import RandomGrid
+from chowforms.errors import IndeterminateError, UsageError
 from chowforms.mixedres import (MultiResSystem, _BadLifting, _build_matrix,
                                 _CellWalk, _compile_lifting, _ff_solve,
                                 _lattice_points, _quotient,
-                                resultant_multihomogeneous)
+                                resultant_multihomogeneous,
+                                resultant_multihomogeneous_interp)
 from chowforms.polydet import det_integer
 from chowforms.resultant import (MacaulaySystem, _BadGrid, _det_in_s,
                                  bezout_bounds, resultant_dense)
@@ -320,3 +322,59 @@ class TestCompiledSampler:
                     assert _quotient(compiled, values) == det // minor
                 samples += 1
         assert samples >= 10
+
+
+def incidence_system(rng, n, degrees):
+    """Random numeric forms of the given bidegrees on P^n x P^n, plus the
+    generic linear forms u.x and w.y: a complete intersection whose
+    resultant is homogeneous in u and in w of the Bezout degrees."""
+    X = tuple(f"x{i}" for i in range(n + 1))
+    Y = tuple(f"y{i}" for i in range(n + 1))
+    U = tuple(f"u{i}" for i in range(n + 1))
+    W = tuple(f"w{i}" for i in range(n + 1))
+    k = n + 1
+    vars = VarTable(X + Y + U + W, blocks=tuple(
+        tuple(range(b * k, b * k + k)) for b in range(4)))
+
+    def v(name):
+        return MPoly.var(vars, name)
+
+    polys = []
+    for dx, dy in degrees:
+        f = MPoly.zero(vars)
+        for a in itertools.combinations_with_replacement(X, dx):
+            for b in itertools.combinations_with_replacement(Y, dy):
+                m = MPoly.const(vars, rng.randint(-5, 5) or 1)
+                for name in a + b:
+                    m = m * v(name)
+                f = f + m
+        polys.append(f)
+    polys.append(sum((v(u) * v(x) for u, x in zip(U, X)), MPoly.zero(vars)))
+    polys.append(sum((v(w) * v(y) for w, y in zip(W, Y)), MPoly.zero(vars)))
+    sys = MultiResSystem(polys, [X, Y])
+    return sys, [U, W], sys.bezout_bounds()[-2:]
+
+
+class TestHomogeneousInterpolation:
+    @pytest.mark.parametrize("n, degrees", [
+        (1, [(2, 2)]), (1, [(1, 2)]),
+        (2, [(1, 1), (1, 1), (1, 0)]), (2, [(2, 1), (0, 1), (1, 0)])])
+    def test_matches_symbolic_resultant(self, n, degrees):
+        sys, blocks, bezout = incidence_system(random.Random(5), n, degrees)
+        got = resultant_multihomogeneous_interp(sys, blocks, bezout,
+                                                RandomGrid(seed=1))
+        want = resultant_multihomogeneous(sys, seed=1)
+        assert got.block_degrees() == tuple(bezout)
+        assert got.rename_into(want.vars) == want
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_wrong_degree_is_indeterminate(self, shift):
+        # One below the Bezout number the interpolant misses the affine
+        # part; one above, it is the true resultant times the pinned
+        # coordinate, which only a fresh point with that coordinate
+        # away from 1 can tell apart.
+        sys, blocks, bezout = incidence_system(random.Random(5), 1, [(1, 2)])
+        degrees = [bezout[0] + shift, bezout[1]]
+        with pytest.raises(IndeterminateError):
+            resultant_multihomogeneous_interp(sys, blocks, degrees,
+                                              RandomGrid(seed=1, retries=1))

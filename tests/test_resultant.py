@@ -174,16 +174,14 @@ class TestGcp:
 
     def test_newton_assemble_rejects_non_integer_interpolant(self):
         # x(x - 1)/2 takes integer values on the grid but has a
-        # non-integer coefficient.
-        vars = VarTable(("x",), [(0,)])
+        # non-integer coefficient.  The block is (w, x) with w pinned to 1.
+        vars = VarTable(("w", "x"), [(0, 1)])
         values = {(a,): (a + 5) * (a + 4) // 2 for a in range(3)}
         with pytest.raises(InternalError):
-            _newton_assemble(values, [(0,), (1,), (2,)], [1], [2], [5], vars,
-                             homogenize=False)
+            _newton_assemble(values, [(0,), (1,), (2,)], [1], [2], [5], vars)
         values = {(a,): 3 * (a + 5) ** 2 - 7 for a in range(3)}
-        got = _newton_assemble(values, [(0,), (1,), (2,)], [1], [2], [5], vars,
-                               homogenize=False)
-        assert got == MPoly(vars, {(2,): 3, (0,): -7})
+        got = _newton_assemble(values, [(0,), (1,), (2,)], [1], [2], [5], vars)
+        assert got == MPoly(vars, {(0, 2): 3, (2, 0): -7})
 
 
 def chow_ci_system(polys, r):

@@ -9,10 +9,12 @@ of the defining equations and assembles the answer as a gcd.
 from __future__ import annotations
 
 import math
+import operator
 
 from .dimension import ProjectiveVariety, RandomGrid, dim_leq
 from .errors import UsageError
 from .mpoly import MPoly, gcd, square_free_part
+from .polydet import rank_integer
 from .resultant import MacaulaySystem, gcp_block_interpolation, gcp_resultant
 
 
@@ -115,26 +117,6 @@ def evaluate_on_plane(cf, plane):
     return cf.poly.evaluate(point)
 
 
-def _rank_over_q(rows):
-    from fractions import Fraction
-    m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][c]
-        m[rank] = [v / pv for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def _combo_variety(V, rows):
     polys = []
     for row in rows:
@@ -152,7 +134,10 @@ def generic_lc(V, r, grid):
 
     Each Lambda must cut a variety of dimension <= r and the stack of all
     of them must have full column rank, so the intersection of the combo
-    varieties is V itself.
+    varieties is V itself.  A Lambda whose n-r combinations have
+    coefficient rank < n-r cuts a variety of dimension > r for certain:
+    it is redrawn without a dimension check and without using up one of
+    ``grid.retries`` attempts, up to 8 * ``grid.retries`` draws in all.
     """
     m = len(V.polys)
     n = V.n
@@ -168,31 +153,37 @@ def generic_lc(V, r, grid):
         ident = [[int(i == j) for j in range(m)] for i in range(nr)]
         return [LambdaMatrix(ident, seed=None)]
     bound = min(N * nr * d ** max(nr - 1, 0) + m + 1, 2 ** 15)
+    # One column per monomial: the generators' coefficients on it.
+    cols = [[f.terms.get(exp, 0) for f in V.polys]
+            for exp in {exp for f in V.polys for exp in f.terms}]
     last_err = "no attempt made"
-    for attempt in range(grid.retries):
-        rng = grid.rng("glc", attempt)
+    attempts = 0
+    for draw in range(8 * grid.retries):
+        if attempts == grid.retries:
+            break
+        rng = grid.rng("glc", draw)
         lambdas = [[[rng.randint(1, bound) for _ in range(m)] for _ in range(nr)]
                    for _ in range(N)]
+        if any(rank_integer([[sum(map(operator.mul, row, col))
+                              for col in cols] for row in lam]) < nr
+               for lam in lambdas):
+            last_err = "a combination matrix has coefficient rank < n - r"
+            continue
+        attempts += 1
         stacked = [row for lam in lambdas for row in lam]
-        if _rank_over_q(stacked) < min(m, N * nr):
+        if rank_integer(stacked) < min(m, N * nr):
             last_err = "stacked matrix not of full rank"
             continue
         ok = True
         for lam in lambdas:
-            try:
-                W = _combo_variety(V, lam)
-            except UsageError:
-                ok = False
-                last_err = "a combination vanished identically"
-                break
-            if not dim_leq(W, r, grid):
+            if not dim_leq(_combo_variety(V, lam), r, grid):
                 ok = False
                 last_err = "a combination variety has dimension > r"
                 break
         if ok:
-            return [LambdaMatrix(lam, seed=(grid.seed, attempt))
+            return [LambdaMatrix(lam, seed=(grid.seed, draw))
                     for lam in lambdas]
-    raise UsageError(f"generic_lc failed after {grid.retries} attempts: "
+    raise UsageError(f"generic_lc failed after {attempts} attempts: "
                      f"{last_err}")
 
 

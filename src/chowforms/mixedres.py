@@ -21,7 +21,7 @@ import random
 
 from .errors import IndeterminateError, UsageError
 from .mpoly import MPoly, VarTable, divexact
-from .polydet import PolyMatrix, det_bareiss, det_integer
+from .polydet import PolyMatrix, det_bareiss, det_integer, ff_reduce
 from .resultant import (_BadGrid, _block_grid, _compile, _det_in_s,
                         _newton_assemble, drop_variables)
 
@@ -120,32 +120,6 @@ class MultiResSystem:
         return g
 
 
-def _ff_solve(a, rhs):
-    """Bareiss-style integer Gauss-Jordan elimination of a X = rhs.
-
-    Returns (d, X) with d = |det a| > 0 and X = d a^-1 rhs, an integer
-    matrix (every division is exact, as in Bareiss elimination), or None
-    if a is singular.
-    """
-    m = len(a)
-    t = [list(r) + list(q) for r, q in zip(a, rhs)]
-    prev = 1
-    for k in range(m):
-        piv = next((i for i in range(k, m) if t[i][k]), None)
-        if piv is None:
-            return None
-        t[k], t[piv] = t[piv], t[k]
-        rk = t[k]
-        pk = rk[k]
-        for i in range(m):
-            if i != k:
-                f = t[i][k]
-                t[i] = [(pk * u - f * v) // prev for u, v in zip(t[i], rk)]
-        prev = pk
-    sign = 1 if prev > 0 else -1
-    return sign * prev, [[sign * v for v in r[m:]] for r in t]
-
-
 class _CellWalk:
     """Cells of the regular mixed subdivision induced by one lifting.
 
@@ -192,11 +166,15 @@ class _CellWalk:
         strict: every off-basis reduced cost is > 0.  Cached."""
         if basis not in self.facts:
             m = self.m
-            sol = _ff_solve([[self.cols[j][r] for j in basis] for r in range(m)],
-                            [[int(r == c) for c in range(m)] for r in range(m)])
-            if sol is None:
+            # [B | I] has rank m; its first m columns are the pivots
+            # exactly when B is nonsingular, and then X = det B * B^-1.
+            pivots, d, inv = ff_reduce([[self.cols[j][r] for j in basis]
+                                        + [int(r == c) for c in range(m)]
+                                        for r in range(m)])
+            if pivots != list(range(m)):
                 raise _BadLifting
-            d, inv = sol
+            if d < 0:
+                d, inv = -d, [[-v for v in row] for row in inv]
             y = [sum(self.costs[j] * row[c] for j, row in zip(basis, inv))
                  for c in range(m)]
             red = [d * w - sum(map(operator.mul, y, col))

@@ -17,8 +17,8 @@ from .dimension import RandomGrid, dim_projection
 from .errors import UsageError
 from .mixedres import MultiResSystem, resultant_multihomogeneous_interp
 from .mpoly import MPoly, VarTable, gcd, square_free_part
-from .polydet import det_integer
-from .chow import LambdaMatrix, _rank_over_q
+from .polydet import det_integer, rank_integer
+from .chow import LambdaMatrix
 
 
 class MultiprojVariety:
@@ -345,7 +345,7 @@ def multi_generic_lc(V, r, grid):
         lambdas = [[[rng.randint(1, bound) for _ in range(m)]
                     for _ in range(k)] for _ in range(N)]
         stacked = [row for lam in lambdas for row in lam]
-        if _rank_over_q(stacked) < min(m, N * k):
+        if rank_integer(stacked) < min(m, N * k):
             last_err = "stacked matrix not of full rank"
             continue
         ok = True

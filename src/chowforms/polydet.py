@@ -9,6 +9,11 @@ Engines, in increasing sophistication:
   (given as coefficient lists) by one integer Bareiss determinant at
   z = 2^K, read back as balanced base-2^K digits; a matrix of constant
   polynomials goes to :func:`det_integer` unpacked.
+* :func:`det_slice` — determinants of integer matrices that share all
+  rows but a few: one fraction-free Gauss–Jordan reduction of the shared
+  rows (:func:`ff_reduce`), then a small Schur-complement determinant per
+  matrix (Sylvester's identity).  :func:`rank_integer` counts the pivots
+  of the same elimination.
 * :func:`det_univariate_interp` — :func:`det_packed` on a univariate
   PolyMatrix, with a degree cap check.
 * :func:`det_kronecker` — pack multivariate entries to univariates,
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import UsageError
+from .errors import InternalError, UsageError
 from .mpoly import MPoly, VarTable, divexact, kronecker_pack, kronecker_unpack
 
 
@@ -105,6 +110,121 @@ def det_integer(rows):
     return sign * a[m - 1][m - 1]
 
 
+def _gauss_jordan(rows):
+    """Fraction-free Gauss–Jordan elimination with column pivoting.
+
+    Columns are scanned left to right; column c becomes a pivot when some
+    row not yet used has a nonzero entry there, i.e. when it is
+    independent of the pivot columns before it.  Every division is exact
+    (Bareiss).  Returns (pivots, sign, prev, tableau); at full row rank
+    the tableau is prev * A^-1 F with A = F[:, pivots] and
+    prev = sign * det A, ``sign`` recording the row swaps.
+    """
+    t = [list(r) for r in rows]
+    k = len(t)
+    ncols = len(t[0]) if t else 0
+    pivots = []
+    sign = 1
+    prev = 1
+    c = 0
+    for r in range(k):
+        piv = None
+        while c < ncols:
+            piv = next((i for i in range(r, k) if t[i][c]), None)
+            if piv is not None:
+                break
+            c += 1
+        if piv is None:
+            break
+        if piv != r:
+            t[r], t[piv] = t[piv], t[r]
+            sign = -sign
+        rk = t[r]
+        pk = rk[c]
+        for i in range(k):
+            if i == r:
+                continue
+            f = t[i][c]
+            if f:
+                t[i] = [(pk * u - f * v) // prev for u, v in zip(t[i], rk)]
+            elif pk != prev:
+                t[i] = [pk * u // prev for u in t[i]]
+        prev = pk
+        pivots.append(c)
+        c += 1
+    return pivots, sign, prev, t
+
+
+def ff_reduce(rows):
+    """Fraction-free reduction of a k x m integer matrix F of rank k.
+
+    Returns (P, d, X): the pivot columns P (ascending, each independent of
+    the columns before it), d = det F[:, P] with F's rows in their given
+    order, and the integer k x (m - k) matrix X = d * F[:, P]^-1 F[:, Q]
+    over the other columns Q, ascending.  Returns None when rank F < k.
+    An empty F gives ([], 1, []).
+    """
+    pivots, sign, prev, t = _gauss_jordan(rows)
+    if len(pivots) < len(t):
+        return None
+    pset = set(pivots)
+    other = [c for c in range(len(t[0]) if t else 0) if c not in pset]
+    return pivots, sign * prev, [[sign * row[c] for c in other] for row in t]
+
+
+def rank_integer(rows):
+    """Rank over Q of an integer matrix: the pivot count of
+    :func:`ff_reduce`'s elimination."""
+    return len(_gauss_jordan(rows)[0])
+
+
+def det_slice(fixed, at):
+    """Determinant of the integer matrices that share the rows ``fixed``.
+
+    Such a matrix M has the rows ``fixed`` in order, with varying rows V
+    at the (ascending) row positions ``at``.  The fixed rows are reduced
+    once (:func:`ff_reduce`: pivot columns P, d = det F[:, P] and
+    X = d F[:, P]^-1 F[:, Q]); the returned function takes V and gives
+    det M = sigma * det(d V_Q - V_P X) / d^(D-1), D = len(at), by
+    Sylvester's identity, sigma being the sign of moving V to the bottom
+    times the sign of the column order P + Q.  When the fixed rows are
+    linearly dependent, det M = 0 for every V.  The division is exact; a remainder
+    means a broken invariant and raises InternalError.
+    """
+    red = ff_reduce(fixed)
+    if red is None:
+        return lambda vary: 0
+    pivots, d, X = red
+    m = len(fixed) + len(at)
+    pset = set(pivots)
+    other = [c for c in range(m) if c not in pset]
+    swaps = sum(len(fixed) - (i - n) for n, i in enumerate(at))
+    swaps += sum(q < p for p in pivots for q in other)
+    sigma = -1 if swaps % 2 else 1
+    D = len(at)
+    if D == 0:
+        return lambda vary: sigma * d
+    scale = d ** (D - 1)
+    pairs = list(zip(pivots, X))
+
+    def det(vary):
+        schur = []
+        for v in vary:
+            row = [d * v[q] for q in other]
+            for p, x in pairs:
+                a = v[p]
+                if a:
+                    row = [s - a * y for s, y in zip(row, x)]
+            schur.append(row)
+        q, r = divmod(det_integer(schur), scale)
+        if r:
+            raise InternalError("Schur complement determinant is not "
+                                "divisible by the fixed pivot power")
+        return sigma * q
+
+    return det
+
+
 def det_bareiss(M):
     """Fraction-free Bareiss determinant over MPoly entries.
 
@@ -166,16 +286,39 @@ def det_packed(base, entries):
         det = det_integer(rows)
         return [det] if det else []
     # Every listed entry is packed below, overwriting what the loop wrote.
+    shift = packing_shift(row_norms(base, entries))
+    pack_rows(rows, entries, shift)
+    return unpack_digits(det_integer(rows), shift)
+
+
+def row_norms(base, entries):
+    """Row 1-norms over all coefficients of the matrix ``(base, entries)``
+    of :func:`det_packed`."""
     norms = [sum(map(abs, row)) for row in base]
     for i, _, coeffs in entries:
         norms[i] += sum(map(abs, coeffs))
-    shift = math.prod(norms).bit_length() + 1
+    return norms
+
+
+def packing_shift(norms):
+    """K with 2^K > 2H, H the product of the row norms: the digit width
+    that reads every determinant coefficient exactly.  Norms that bound
+    the true ones give a wider K and the same read."""
+    return math.prod(norms).bit_length() + 1
+
+
+def pack_rows(rows, entries, shift):
+    """Write each listed entry of ``entries`` into ``rows`` at z = 2^shift."""
     for i, j, coeffs in entries:
         v = 0
         for c in reversed(coeffs):
             v = (v << shift) + c
         rows[i][j] = v
-    det = det_integer(rows)
+
+
+def unpack_digits(det, shift):
+    """Balanced base-2^shift digits of ``det``, ascending, high zeros
+    dropped."""
     full = 1 << shift
     out = []
     while det:

@@ -17,7 +17,8 @@ import operator
 from .errors import (DegenerateError, IndeterminateError, InternalError,
                      UsageError)
 from .mpoly import MPoly, VarTable, divexact
-from .polydet import PolyMatrix, det_bareiss, det_packed
+from .polydet import (PolyMatrix, det_bareiss, det_packed, det_slice,
+                      pack_rows, packing_shift, row_norms, unpack_digits)
 
 
 def monomials_of_degree(nvars, total):
@@ -274,7 +275,7 @@ def _udiv_exact(num, den):
     return q
 
 
-def _compile(M, s_idx):
+def _compile(M, s_idx, rows=None):
     """Integer structure of a matrix over the perturbation table.
 
     Returns (base, monos, singles, listed): ``base`` holds the constant
@@ -284,14 +285,17 @@ def _compile(M, s_idx):
     ``listed`` one (i, j, layers) per other entry, ``layers[k]`` being its
     s^k coefficient as (integer, monomial index) pairs.  ``s_idx=None``
     means there is no s variable: every entry has the single layer k = 0.
+    ``rows`` compiles only those rows of M, renumbered from 0.
     """
     s_of = (lambda exp: 0) if s_idx is None else operator.itemgetter(s_idx)
-    base = [[0] * M.dim for _ in range(M.dim)]
+    if rows is None:
+        rows = range(M.dim)
+    base = [[0] * M.dim for _ in rows]
     monos = {}
     singles = []
     listed = []
-    for i, row in enumerate(M.entries):
-        for j, e in enumerate(row):
+    for i, r in enumerate(rows):
+        for j, e in enumerate(M.entries[r]):
             if e.is_constant():
                 base[i][j] = e.constant_value()
                 continue
@@ -307,12 +311,13 @@ def _compile(M, s_idx):
     return base, list(monos), singles, listed
 
 
-def _det_in_s(compiled, values, keep=None):
-    """Ascending s-coefficients of det of a compiled matrix at the
-    parameter values (a list indexed like the table's variables).
+def _rows_at(compiled, values, keep=None):
+    """(rows, entries) of a compiled matrix at the parameter values (a
+    list indexed like the table's variables), as :func:`det_packed` takes
+    them.
 
     ``keep`` keeps only the entries' s^0..s^(keep-1) coefficients;
-    ``keep=1`` is the plain integer determinant of the matrix at s = 0.
+    ``keep=1`` gives the integer matrix at s = 0.
     """
     base, monos, singles, listed = compiled
     mv = [math.prod(values[v] ** k for v, k in mono) for mono in monos]
@@ -323,34 +328,133 @@ def _det_in_s(compiled, values, keep=None):
     entries = [(i, j, [sum(c * mv[t] for c, t in layer)
                        for layer in layers[:keep]])
                for i, j, layers in listed]
-    return det_packed(rows, entries)
+    return rows, entries
 
 
-def gcp_sampler(sys, perturb_indices=None, shift=0):
+def _det_in_s(compiled, values, keep=None):
+    """Ascending s-coefficients of det of a compiled matrix at the
+    parameter values; ``keep`` as in :func:`_rows_at`, so ``keep=1`` is
+    the plain integer determinant of the matrix at s = 0."""
+    return det_packed(*_rows_at(compiled, values, keep))
+
+
+def _abs_compiled(compiled):
+    """The compiled matrix with every coefficient replaced by its absolute
+    value: at |values| its row sums bound the row norms at values."""
+    base, monos, singles, listed = compiled
+    return ([[abs(c) for c in row] for row in base], monos,
+            [(i, j, abs(c), t) for i, j, c, t in singles],
+            [(i, j, [[(abs(c), t) for c, t in layer] for layer in layers])
+             for i, j, layers in listed])
+
+
+class _SlicedMatrix:
+    """A compiled matrix whose rows are split by the fast coordinates:
+    ``at`` lists the rows that involve one of them, in order."""
+
+    def __init__(self, M, s_idx, fast):
+        self.full = _compile(M, s_idx)
+        self.at = [i for i, row in enumerate(M.entries)
+                   if any(e.partial_degree(v) for e in row for v in fast)]
+        if 0 < len(self.at) < M.dim:
+            at = set(self.at)
+            self.fixed = _compile(M, s_idx, [i for i in range(M.dim)
+                                             if i not in at])
+            self.vary = _compile(M, s_idx, self.at)
+            self.vary_abs = _abs_compiled(self.vary)
+
+    def slice(self, top, keep=None):
+        """s-coefficients of det, as a function of the points that agree
+        with ``top`` off the fast coordinates and lie below it on them in
+        absolute value.
+
+        The fixed rows are evaluated and reduced once (:func:`det_slice`);
+        each point then evaluates only the ``at`` rows.  Off s = 0 every
+        row is packed at one shift K for the whole slice, taken from the
+        fixed rows' norms and the ``at`` rows' norm bounds at ``top``.
+        With no ``at`` row the determinant is constant on the slice and
+        taken once; with no fixed row there is nothing to share and each
+        point takes its own determinant.
+        """
+        if not self.at:
+            det = _det_in_s(self.full, top, keep)
+            return lambda point: det
+        if len(self.at) == len(self.full[0]):
+            return lambda point: _det_in_s(self.full, point, keep)
+        rows, entries = _rows_at(self.fixed, top, keep)
+        shift = 0
+        if keep != 1:
+            bound = _rows_at(self.vary_abs, [abs(v) for v in top], keep)
+            shift = packing_shift(row_norms(rows, entries) + row_norms(*bound))
+        pack_rows(rows, entries, shift)
+        det = det_slice(rows, self.at)
+        vary = self.vary
+
+        def at_point(point):
+            vrows, ventries = _rows_at(vary, point, keep)
+            pack_rows(vrows, ventries, shift)
+            d = det(vrows)
+            if shift:
+                return unpack_digits(d, shift)
+            return [d] if d else []
+
+        return at_point
+
+
+class _GcpSampler:
     """The perturbed resultant q(s) = det M(s) / det M0(s) at integer
-    parameter points, for the Macaulay pair of :func:`perturbed_macaulay`.
+    parameter points, for the Macaulay pair of :func:`perturbed_macaulay`,
+    compiled once.
 
-    The pair is compiled once.  The returned ``sample(point, keep=None)``
-    takes a point (a list indexed like ``sys.vars``) and gives the
-    ascending s-coefficients of q from one packed determinant per matrix
-    (:func:`_det_in_s`) and an exact division (:func:`_udiv_exact`); it
-    raises _BadGrid where det M0(s) vanishes.  ``keep=1`` gives only
-    q(0) = det M(0) / det M0(0), taking the s-path where det M0(0) = 0.
+    ``sampler(point, keep=None)`` takes a point (a list indexed like
+    ``sys.vars``) and gives the ascending s-coefficients of q from one
+    packed determinant per matrix (:func:`_det_in_s`) and an exact
+    division (:func:`_udiv_exact`); it raises _BadGrid where det M0(s)
+    vanishes.  ``keep=1`` gives only q(0) = det M(0) / det M0(0), taking
+    the s-path where det M0(0) = 0.  ``sampler.slice(top, keep)`` gives
+    the same values as a function of the points of one slice: the points
+    that agree with ``top`` off the ``fast`` coordinates (variable
+    indices) and lie below it on them in absolute value.
     """
-    M, M0, wide, sname = perturbed_macaulay(sys, perturb_indices, shift)
-    s_idx = wide.index(sname)
-    compiled = _compile(M, s_idx)
-    compiled0 = _compile(M0, s_idx)
 
-    def sample(point, keep=None):
-        den = _det_in_s(compiled0, point, keep)
+    def __init__(self, sys, perturb_indices=None, shift=0, fast=()):
+        M, M0, wide, sname = perturbed_macaulay(sys, perturb_indices, shift)
+        s_idx = wide.index(sname)
+        self.num = _SlicedMatrix(M, s_idx, fast)
+        self.den = _SlicedMatrix(M0, s_idx, fast)
+
+    def __call__(self, point, keep=None):
+        den = _det_in_s(self.den.full, point, keep)
         if not den:
             if keep:
-                return sample(point)
+                return self(point)
             raise _BadGrid
-        return _udiv_exact(_det_in_s(compiled, point, keep), den)
+        return _udiv_exact(_det_in_s(self.num.full, point, keep), den)
 
-    return sample
+    def slice(self, top, keep=None):
+        den_at = self.den.slice(top, keep)
+        num_at = None
+        s_path = None
+
+        def sample(point):
+            nonlocal num_at, s_path
+            den = den_at(point)
+            if not den:
+                if keep:
+                    if s_path is None:
+                        s_path = self.slice(top)
+                    return s_path(point)
+                raise _BadGrid
+            if num_at is None:
+                num_at = self.num.slice(top, keep)
+            return _udiv_exact(num_at(point), den)
+
+        return sample
+
+
+def gcp_sampler(sys, perturb_indices=None, shift=0, fast=()):
+    """The compiled sampler of the perturbed resultant (:class:`_GcpSampler`)."""
+    return _GcpSampler(sys, perturb_indices, shift, fast)
 
 
 def _block_grid(blocks, degrees):
@@ -388,21 +492,30 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     degree the Bezout product of the other degrees.  Dramatically faster
     than the symbolic route: M and M0 are compiled once into integer
     structure (:func:`gcp_sampler`), every sample evaluates only their
-    nonconstant entries, takes one packed integer determinant per matrix
-    (:func:`det_packed`) and divides the two s-polynomials exactly over
-    the integers, and the sample count is the monomial-count bound
-    prod_b C(degrees[b] + len(block) - 1, len(block) - 1).
+    nonconstant entries and divides the two s-polynomials det M(s) and
+    det M0(s) exactly over the integers, and the sample count is the
+    monomial-count bound prod_b C(degrees[b] + len(block) - 1,
+    len(block) - 1).
+
+    The grid is walked one slice at a time: the points of a slice share
+    every coordinate but those of the last block, so the rows of M and M0
+    that do not involve that block are the same at all of them.  Each
+    slice reduces those rows once (:func:`det_slice`), and each of its
+    points then takes a small Schur-complement determinant on the other
+    rows; a matrix with no such row takes one determinant per slice.  Off
+    s = 0 the rows are packed at one shift per slice, taken from the row
+    norms at the slice's largest fast coordinates.
 
     The s-path is needed only until a sample has a nonzero constant
     term: that proves the valuation is 0, and every later grid point of
-    the attempt takes q(0) = det M(0) / det M0(0) from two plain integer
-    determinants, an exact division whose remainder marks a bad point.
-    A point where det M0(0) = 0 still takes the s-path, and so does every
+    the attempt takes q(0) = det M(0) / det M0(0) from plain integer
+    rows, an exact division whose remainder marks a bad point.  A slice
+    where det M0(0) = 0 still takes the (sliced) s-path, and so does every
     sample of an attempt with positive valuation.  The fresh-point check
-    always takes the s-path, so it certifies the s = 0 values against the
-    perturbed computation.  An attempt whose interpolant fails that check
-    is dropped like a bad grid; when every attempt is dropped the call
-    raises IndeterminateError.
+    always takes the unsliced s-path, so it certifies the sliced s = 0
+    values against the perturbed computation.  An attempt whose
+    interpolant fails that check is dropped like a bad grid; when every
+    attempt is dropped the call raises IndeterminateError.
 
     When the perturbed polynomials themselves carry block-homogeneous
     coefficients, every s-power displaces one coefficient slot, lowering
@@ -413,11 +526,13 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     Returns (trailing_coefficient, s_valuation) over a parameter table
     whose blocks are exactly ``blocks``.
     """
-    sample = gcp_sampler(sys, perturb_indices, shift)
     # Affine coordinates: first variable of each block is the
     # dehomogenizing one, pinned to 1 on the grid.
     out_vars, affine_names, block_sizes, alphas = _block_grid(blocks, degrees)
     dehom_names = [blk[0] for blk in blocks]
+    sample = gcp_sampler(sys, perturb_indices, shift,
+                         [sys.vars.index(n) for n in blocks[-1][1:]])
+    nslow = len(affine_names) - block_sizes[-1]
 
     def point_of(values):
         point = [0] * sys.vars.nvars
@@ -436,10 +551,21 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
         table = {}
         val = None
         all_bad = True
+        # alphas run through one slice (a fixed prefix of all blocks but
+        # the last) after the other; no fast coordinate exceeds its top.
+        top = [o + degrees[-1] for o in offsets[nslow:]]
+        prefix = None
         for alpha in alphas:
+            values = [o + a for o, a in zip(offsets, alpha)]
+            if alpha[:nslow] != prefix:
+                prefix = alpha[:nslow]
+                slices = {}
+            keep = 1 if val == 0 else None
+            if keep not in slices:
+                slices[keep] = sample.slice(point_of(values[:nslow] + top),
+                                            keep)
             try:
-                q = sample(point_of([o + a for o, a in zip(offsets, alpha)]),
-                           1 if val == 0 else None)
+                q = slices[keep](point_of(values))
             except _BadGrid:
                 table[alpha] = None
                 continue

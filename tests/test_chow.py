@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chowforms import MPoly, VarTable
+from chowforms import MPoly, VarTable, chow
 from chowforms.errors import UsageError
 from chowforms.mpoly import parse_poly
 from chowforms.dimension import ProjectiveVariety, RandomGrid
@@ -86,6 +86,27 @@ class TestGenericLc:
         lams = generic_lc(V, 1, GRID)
         assert len(lams) == 2
         assert all(len(lam.rows) == 2 and len(lam.rows[0]) == 3 for lam in lams)
+
+    def test_span_below_codimension_fails_within_the_draw_cap(self,
+                                                             monkeypatch):
+        # Three multiples of one form span 1 < n - r = 2 dimensions: every
+        # Lambda has coefficient rank 1, so each draw is rejected before
+        # any dimension check, and the draws stop at 8 * retries.
+        V = ProjectiveVariety(X4, [P("x0 + x1", X4), P("2*x0 + 2*x1", X4),
+                                   P("-x0 - x1", X4)])
+        grid = RandomGrid(seed=7, retries=2)
+        tags = []
+        inner = RandomGrid.rng
+
+        def rng(self, *tag):
+            tags.append(tag)
+            return inner(self, *tag)
+
+        monkeypatch.setattr(RandomGrid, "rng", rng)
+        monkeypatch.setattr(chow, "dim_leq", None)
+        with pytest.raises(UsageError, match="coefficient rank"):
+            generic_lc(V, 1, grid)
+        assert tags == [("glc", draw) for draw in range(16)]
 
     def test_unequal_degrees_rejected(self):
         V = ProjectiveVariety(X3, [P("x0", X3), P("x1^2", X3)])

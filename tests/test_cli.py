@@ -82,6 +82,23 @@ class TestCommands:
         out = capsys.readouterr().out.strip()
         assert out == "u00*u11 - u01*u10"
 
+    def test_chow_redundant_line_small_lambda_bound(self, tmp_path,
+                                                     capsys):
+        # Three linear forms spanning a 2-space: the combination bound is
+        # 8, and with this seed each of the first three draws holds a
+        # Lambda whose two combinations are proportional.  Those draws are
+        # redrawn without using up a retry.
+        text = ("ring x0 x1 x2 x3\n"
+                "poly -2*x0 + 2*x1 - x2 - x3\n"
+                "poly 3*x0 - 3*x1 + 3*x2 + 2*x3\n"
+                "poly 8*x0 - 8*x1 + 7*x2 + 5*x3\n"
+                "dim 1\n")
+        path = write(tmp_path, "p", text)
+        assert main(["chow", "--seed", "744342", path]) == 0
+        assert capsys.readouterr().out.strip() == (
+            "u00*u11 - u00*u12 + 3*u00*u13 - u01*u10 - u01*u12 + 3*u01*u13 "
+            "+ u02*u10 + u02*u11 - 3*u03*u10 - 3*u03*u11")
+
     def test_chow_ci_point(self, tmp_path, capsys):
         assert main(["chow-ci", write(tmp_path, "p", POINT_P2)]) == 0
         assert capsys.readouterr().out.strip() == "u00"

@@ -8,11 +8,11 @@ from chowforms import MPoly, VarTable
 from chowforms.dimension import RandomGrid
 from chowforms.errors import IndeterminateError, UsageError
 from chowforms.mixedres import (MultiResSystem, _BadLifting, _build_matrix,
-                                _CellWalk, _compile_lifting, _ff_solve,
+                                _CellWalk, _compile_lifting,
                                 _lattice_points, _quotient,
                                 resultant_multihomogeneous,
                                 resultant_multihomogeneous_interp)
-from chowforms.polydet import det_integer
+from chowforms.polydet import det_integer, ff_reduce
 from chowforms.resultant import (MacaulaySystem, _BadGrid, _det_in_s,
                                  bezout_bounds, resultant_dense)
 
@@ -135,13 +135,27 @@ def fraction_solve(a, b):
     return [m[r][n] for r in range(n)]
 
 
+def ff_solve(a, rhs):
+    """a X = rhs by ff_reduce on [a | rhs], as _CellWalk solves a basis:
+    (d, X) with d = |det a| > 0 and X = d a^-1 rhs, or None if a is
+    singular (then some rhs column is a pivot of [a | rhs], or none is
+    and the rank is short)."""
+    m = len(a)
+    red = ff_reduce([list(r) + list(q) for r, q in zip(a, rhs)])
+    if red is None or red[0] != list(range(m)):
+        return None
+    _, d, X = red
+    sign = 1 if d > 0 else -1
+    return sign * d, [[sign * v for v in row] for row in X]
+
+
 class TestFractionFreeSolve:
     def test_matches_fraction_solve(self, rng):
         for _ in range(200):
             m = rng.randint(1, 6)
             a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(m)]
             rhs = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(m)]
-            got = _ff_solve(a, rhs)
+            got = ff_solve(a, rhs)
             if det_integer(a) == 0:
                 assert got is None
                 continue
@@ -158,7 +172,7 @@ class TestFractionFreeSolve:
             coef = [rng.randint(-3, 3) for _ in range(m - 1)]
             a.insert(rng.randrange(m), [sum(c * r[j] for c, r in zip(coef, a))
                                         for j in range(m)])
-            assert _ff_solve(a, [[1]] * m) is None
+            assert ff_solve(a, [[1]] * m) is None
 
 
 def walk_systems():

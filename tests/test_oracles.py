@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowforms import MPoly, VarTable
-from chowforms.errors import UsageError
+from chowforms import polydet
+from chowforms.errors import InternalError, UsageError
 from chowforms.mpoly import divexact, gcd, square_free_part
-from chowforms.polydet import PolyMatrix, det_bareiss, det_integer, det_packed
+from chowforms.polydet import (PolyMatrix, det_bareiss, det_integer,
+                               det_packed, det_slice, ff_reduce, pack_rows,
+                               packing_shift, rank_integer, row_norms,
+                               unpack_digits)
 from chowforms.resultant import MacaulaySystem, resultant_dense
 
 sympy = pytest.importorskip("sympy")
@@ -77,6 +81,121 @@ def test_det_packed_matches_sympy(case):
 def test_det_packed_large_coefficients_match_sympy(case):
     base, entries, cells = case
     assert det_packed(base, entries) == sympy_coeffs(cells)
+
+
+@st.composite
+def row_splits(draw, m):
+    """Positions of the varying rows of an m x m matrix (0 to m of them)
+    and a count of leading columns to zero in the fixed rows, which forces
+    column pivots and, past m - k columns, a rank deficit."""
+    at = sorted(draw(st.sets(st.integers(0, m - 1))))
+    return at, draw(st.integers(0, m - 1))
+
+
+def split(rows, at):
+    fixed = [r for i, r in enumerate(rows) if i not in at]
+    return fixed, [rows[i] for i in at]
+
+
+def zero_leading(rows, at, count):
+    return [r if i in at else [0] * count + r[count:]
+            for i, r in enumerate(rows)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(integer_matrices().flatmap(
+    lambda rows: st.tuples(st.just(rows), row_splits(len(rows)),
+                           st.booleans())))
+def test_det_slice_matches_det_integer_and_sympy(case):
+    rows, (at, zeros), repeat = case
+    rows = zero_leading(rows, at, zeros)
+    fixed_at = [i for i in range(len(rows)) if i not in at]
+    if repeat and len(fixed_at) >= 2:
+        # A multiple of another fixed row: rank-deficient fixed rows.
+        rows[fixed_at[1]] = [-3 * v for v in rows[fixed_at[0]]]
+    fixed, vary = split(rows, at)
+    want = det_integer(rows)
+    assert want == sympy.Matrix(rows).det(method="bareiss")
+    assert det_slice(fixed, at)(vary) == want
+
+
+def test_det_slice_edge_splits(rng):
+    """D = 0, D = m, one varying row, rank-deficient fixed rows, zero
+    leading entries and negative entries, each against det_integer."""
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(m)]
+        splits = [[], list(range(m)), [rng.randrange(m)],
+                  sorted(rng.sample(range(m), rng.randint(0, m)))]
+        for at in splits:
+            for zeros in (0, rng.randrange(m), m - 1):
+                case = zero_leading(rows, at, zeros)
+                fixed, vary = split(case, at)
+                assert det_slice(fixed, at)(vary) == det_integer(case)
+                # Other varying rows on the same reduction.
+                vary = [[rng.randint(-9, 9) for _ in range(m)] for _ in at]
+                for i, r in zip(at, vary):
+                    case[i] = r
+                assert det_slice(fixed, at)(vary) == det_integer(case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.integers(k, 7).flatmap(
+    lambda m: st.lists(st.lists(st.integers(-5, 5), min_size=m, max_size=m),
+                       min_size=k, max_size=k))))
+def test_ff_reduce_matches_sympy(rows):
+    F = sympy.Matrix(rows)
+    k, m = F.shape
+    assert rank_integer(rows) == F.rank()
+    red = ff_reduce(rows)
+    if F.rank() < k:
+        assert red is None
+        return
+    pivots, d, X = red
+    assert pivots == list(F.rref()[1])
+    A = F[:, pivots]
+    assert d == A.det()
+    other = [c for c in range(m) if c not in pivots]
+    assert sympy.Matrix(k, len(other), sum(X, [])) == d * A.inv() * F[:, other]
+
+
+def test_det_slice_remainder_raises(rng, monkeypatch):
+    # A reduction with a corrupted entry breaks Sylvester's identity.
+    inner = polydet.ff_reduce
+
+    def corrupted(rows):
+        pivots, d, X = inner(rows)
+        X[0][0] += 1
+        return pivots, d, X
+
+    monkeypatch.setattr(polydet, "ff_reduce", corrupted)
+    raised = 0
+    for _ in range(20):
+        fixed = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(3)]
+        if rank_integer(fixed) < 3:
+            continue
+        vary = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(2)]
+        try:
+            det_slice(fixed, [3, 4])(vary)
+        except InternalError:
+            raised += 1
+    assert raised >= 10
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_matrices(max_dim=5).flatmap(
+    lambda case: st.tuples(st.just(case), row_splits(len(case[0])),
+                           st.integers(0, 9))))
+def test_det_slice_packed_matches_det_packed(case):
+    (base, entries, cells), (at, _), widen = case
+    want = det_packed(base, entries)
+    assert want == sympy_coeffs(cells)
+    rows = [list(r) for r in base]
+    # A wider K than the norms ask for reads the same digits.
+    shift = packing_shift(row_norms(base, entries)) + widen
+    pack_rows(rows, entries, shift)
+    fixed, vary = split(rows, at)
+    assert unpack_digits(det_slice(fixed, at)(vary), shift) == want
 
 
 XY = VarTable(("x", "y"))

@@ -8,7 +8,7 @@ from chowforms.dimension import ProjectiveVariety, RandomGrid
 from chowforms.errors import (DegenerateError, IndeterminateError,
                               InternalError, UsageError)
 from chowforms.mpoly import parse_poly
-from chowforms.polydet import det_integer
+from chowforms.polydet import PolyMatrix, det_integer
 from chowforms.resultant import (MacaulaySystem, _BadGrid, _compile,
                                  _det_in_s, _newton_assemble, _udiv_exact,
                                  bezout_bounds, gcp_block_interpolation,
@@ -222,6 +222,69 @@ class _DetLog:
         return sum(1 for _, k, _ in self.calls if k == keep)
 
 
+class _SliceLog:
+    """Records the slices that every _GcpSampler hands out, the samples
+    taken through them as (keep, point, q), and the unsliced samples.
+
+    Each sliced point must agree with its slice's top off the fast
+    coordinates (the last block but its first name) and lie below it on
+    them; with ``check`` it must also read the unsliced sampler's value.
+    """
+
+    def __init__(self, monkeypatch, sys, blocks, check=False):
+        self.slices = []
+        self.samples = []
+        self.unsliced = 0
+        self.checked = 0
+        fast = {sys.vars.index(n) for n in blocks[-1][1:]}
+        inner_slice = resultant._GcpSampler.slice
+        inner_call = resultant._GcpSampler.__call__
+        log = self
+
+        def slice_(sampler, top, keep=None):
+            at = inner_slice(sampler, top, keep)
+            log.slices.append((keep, top))
+
+            def sample(point):
+                for i, (p, t) in enumerate(zip(point, top)):
+                    assert abs(p) <= abs(t) if i in fast else p == t
+                q = at(point)
+                log.samples.append((keep, point, q))
+                if check:
+                    assert q == inner_call(sampler, point, keep)
+                    log.checked += 1
+                return q
+
+            return sample
+
+        def call(sampler, point, keep=None):
+            log.unsliced += 1
+            return inner_call(sampler, point, keep)
+
+        monkeypatch.setattr(resultant._GcpSampler, "slice", slice_)
+        monkeypatch.setattr(resultant._GcpSampler, "__call__", call)
+
+
+class TestSlicedMatrix:
+    def test_one_shift_reads_every_point_below_the_top(self):
+        # det = (1 + s)^2 (1 + y s) (1 - y s): its coefficients reach the
+        # product of the row norms, so the slice's shift must come from
+        # the largest |y|, not from the point it was built at.
+        YS = VarTable(("y", "s"))
+        one = MPoly.const(YS, 1)
+        zero = MPoly.zero(YS)
+        s, y = MPoly.var(YS, "s"), MPoly.var(YS, "y")
+        diag = [one + s, one + s, one + y * s, one - y * s]
+        M = PolyMatrix([[e if i == j else zero for j in range(4)]
+                        for i, e in enumerate(diag)])
+        sliced = resultant._SlicedMatrix(M, 1, [0])
+        assert sliced.at == [2, 3]
+        at = sliced.slice([50])
+        for v in range(-50, 51):
+            assert at([v]) == _det_in_s(sliced.full, [v])
+        assert sliced.slice([50], 1)([7]) == [1]
+
+
 class TestSampleAtZero:
     def test_s_zero_quotient_matches_full_path(self):
         rng = random.Random(5)
@@ -257,16 +320,17 @@ class TestSampleAtZero:
         sys, blocks = chow_ci_system([parse_poly("x0*x2 - x1^2", X3)], 1)
         ref, ref_val = gcp_block_interpolation(sys, range(1), blocks, [2, 2],
                                                RandomGrid(seed=3))
-        log = _DetLog(monkeypatch)
+        log = _SliceLog(monkeypatch, sys, blocks)
         got, val = gcp_block_interpolation(sys, range(3), blocks, [2, 2],
                                            RandomGrid(seed=17),
                                            tag="fallback")
-        fallbacks = sum(1 for dim, k, out in log.calls
-                        if dim == 1 and k == 1 and not out)
-        assert fallbacks >= 1
-        # One attempt: the first grid point, each fallback and the fresh
-        # check are the only s-path samples, two determinants each.
-        assert log.count(None) == 2 * (1 + fallbacks + 1)
+        u01 = sys.vars.index("u01")
+        zero = {tuple(p) for k, p, _ in log.samples if k == 1 and not p[u01]}
+        assert zero
+        # Every such point went on to a sliced s-path sample; the fresh
+        # check is the only unsliced one.
+        assert zero <= {tuple(p) for k, p, _ in log.samples if k is None}
+        assert log.unsliced == 1
         assert (got, val) == (ref, ref_val) and val == 0
 
     def test_valuation_one_discriminant_never_samples_at_zero(
@@ -288,14 +352,42 @@ class TestSampleAtZero:
         assert log.calls and log.count(1) == 0
 
     def test_conic_chow_ci_takes_one_full_grid_sample(self, monkeypatch):
-        # 36 grid points: the first proves valuation 0 on the s-path, the
-        # other 35 take det M(0) and det M0(0); the fresh check takes the
-        # s-path again.
-        log = _DetLog(monkeypatch)
+        # 36 grid points in 6 slices of the u1 block: the first point proves
+        # valuation 0 on a sliced s-path, the other 35 take det M(0) and
+        # det M0(0) from one reduction of M per slice (M0 has no u1 row, so
+        # its determinant is taken once per slice); the fresh check is the
+        # one unsliced sample.
+        reductions = []
+        inner = resultant.det_slice
+
+        def counted(fixed, at):
+            reductions.append(len(at))
+            return inner(fixed, at)
+
+        monkeypatch.setattr(resultant, "det_slice", counted)
         V = ProjectiveVariety(X3, [parse_poly("x0*x2 - x1^2", X3)])
+        sys, blocks = chow_ci_system(V.polys, 1)
+        log = _SliceLog(monkeypatch, sys, blocks)
         chow_form_ci(V, 1, RandomGrid(seed=0))
-        assert log.count(None) == 2 * (1 + 1)
-        assert log.count(1) == 2 * 35
+        assert [k for k, _ in log.slices] == [None] + [1] * 6
+        assert [k for k, _, _ in log.samples] == [None] + [1] * 35
+        assert reductions == [2] * 7
+        assert log.unsliced == 1
+
+    def test_sliced_samples_match_unsliced(self, monkeypatch):
+        # A quartic and a quadric surface: every grid point lies in its
+        # slice's box and reads the unsliced sampler's value.
+        rng = random.Random(7)
+        X4 = VarTable(("x0", "x1", "x2", "x3"))
+        for polys, r in (([random_form(rng, X3, 4)], 1),
+                         ([random_form(rng, X4, 2)], 2)):
+            sys, blocks = chow_ci_system(polys, r)
+            D = 4 if r == 1 else 2
+            with monkeypatch.context() as patch:
+                log = _SliceLog(patch, sys, blocks, check=True)
+                gcp_block_interpolation(sys, range(1), blocks, [D] * (r + 1),
+                                        RandomGrid(seed=1))
+            assert len(log.slices) >= 2 and log.checked > 10
 
     def test_failed_fresh_check_retries_then_indeterminate(self):
         # Degree 1 per block is below the true degree 2, so every

@@ -1,19 +1,17 @@
 """Exact Chow forms, Hurwitz forms and resultants over the integers."""
 
-from .chow import (ChowForm, chow_bounds, chow_form, chow_form_ci,
+from .chow import (Form, chow_bounds, chow_form, chow_form_ci,
                    evaluate_on_plane)
 from .dimension import ProjectiveVariety, RandomGrid, dim_projection
 from .errors import (ChowformsError, DegenerateError, IndeterminateError,
                      InternalError, ParseError, UsageError)
-from .hurwitz import HurwitzForm, hurwitz_form
+from .hurwitz import hurwitz_form
 from .mixedres import MultiResSystem, resultant_multihomogeneous
-from .mpoly import (DegreeProfile, MPoly, VarTable, divexact, gcd,
-                    kronecker_pack, kronecker_unpack, parse_poly,
-                    square_free_part)
-from .multiproj import (MultiChowForm, MultiprojVariety,
-                        chow_hypersurface_formats, dim_table,
-                        hurwitz_hypersurface_formats, multi_bounds,
-                        multi_chow_form, multi_chow_form_ci,
+from .mpoly import (MPoly, VarTable, divexact, gcd, kronecker_pack,
+                    kronecker_unpack, parse_poly, square_free_part)
+from .multiproj import (MultiprojVariety, chow_hypersurface_formats,
+                        dim_table, hurwitz_hypersurface_formats,
+                        multi_bounds, multi_chow_form, multi_chow_form_ci,
                         multi_degree_equalize, multidegree, support)
 from .polydet import (PolyMatrix, det_bareiss, det_cofactor, det_integer,
                       det_kronecker, det_univariate_interp)
@@ -21,16 +19,16 @@ from .polymatroid import Polymatroid, from_dim_table, is_submodular
 from .resultant import MacaulaySystem, gcp_resultant, resultant_dense
 
 __all__ = [
-    "ChowForm", "chow_bounds", "chow_form", "chow_form_ci",
+    "Form", "chow_bounds", "chow_form", "chow_form_ci",
     "evaluate_on_plane",
     "ProjectiveVariety", "RandomGrid", "dim_projection",
     "ChowformsError", "DegenerateError", "IndeterminateError",
     "InternalError", "ParseError", "UsageError",
-    "HurwitzForm", "hurwitz_form",
+    "hurwitz_form",
     "MultiResSystem", "resultant_multihomogeneous",
-    "DegreeProfile", "MPoly", "VarTable", "divexact", "gcd",
+    "MPoly", "VarTable", "divexact", "gcd",
     "kronecker_pack", "kronecker_unpack", "parse_poly", "square_free_part",
-    "MultiChowForm", "MultiprojVariety", "chow_hypersurface_formats",
+    "MultiprojVariety", "chow_hypersurface_formats",
     "dim_table", "hurwitz_hypersurface_formats", "multi_bounds",
     "multi_chow_form", "multi_chow_form_ci", "multi_degree_equalize",
     "multidegree", "support",

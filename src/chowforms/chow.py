@@ -11,32 +11,27 @@ from __future__ import annotations
 import math
 import operator
 
+from . import dimension
 from .dimension import ProjectiveVariety, RandomGrid, dim_leq
 from .errors import UsageError
 from .mpoly import MPoly, gcd, square_free_part
 from .polydet import rank_integer
-from .resultant import MacaulaySystem, gcp_block_interpolation, gcp_resultant
+from .resultant import MacaulaySystem, gcp_block_interpolation
 
 
-class ChowForm:
-    """Normalized square-free Chow form with its block layout."""
+class Form:
+    """Normalized square-free Chow or Hurwitz form; its variable blocks
+    are the coefficient blocks of the generic linear forms."""
 
-    def __init__(self, poly, n, r, provenance):
+    def __init__(self, poly):
         self.poly = poly
-        self.n = n
-        self.r = r
-        self.provenance = provenance
 
     @property
     def block_degrees(self):
         return self.poly.block_degrees()
 
-    @property
-    def bitsize(self):
-        return self.poly.bitsize()
-
     def __repr__(self):
-        return f"ChowForm({self.poly.to_text()})"
+        return f"Form({self.poly.to_text()})"
 
 
 class LambdaMatrix:
@@ -51,27 +46,26 @@ def u_block_names(i, n):
     return tuple(f"u{i}{j}" for j in range(n + 1))
 
 
-def attach_u_blocks(xvars, r, n):
-    """x-table extended by r+1 fresh u-blocks of n+1 variables each."""
-    wide = xvars
-    for i in range(r + 1):
-        wide = wide.extend(u_block_names(i, n))
-    return wide
+def with_linear_forms(polys, xnames, blocks):
+    """The polys over their table extended by one block per name tuple of
+    ``blocks``, followed by one linear form sum_k blk[k] * xnames[k] per
+    block."""
+    wide = polys[0].vars
+    for blk in blocks:
+        wide = wide.extend(blk)
+    forms = []
+    for blk in blocks:
+        U = MPoly.zero(wide)
+        for u, x in zip(blk, xnames):
+            U = U + MPoly.var(wide, u) * MPoly.var(wide, x)
+        forms.append(U)
+    return [f.rename_into(wide) for f in polys] + forms
 
 
 def degree_equalize(V):
-    """Replace each lower-degree f by {x_j^(d-deg f) * f}: same zero locus,
-    all degrees equal to the maximum."""
-    d = max(f.total_degree() for f in V.polys)
-    out = []
-    for f in V.polys:
-        gap = d - f.total_degree()
-        if gap == 0:
-            out.append(f)
-        else:
-            for name in V.vars.names:
-                out.append(f * MPoly.var(V.vars, name, gap))
-    return ProjectiveVariety(V.vars, out, dim=V.dim)
+    """V with every lower-degree f replaced by {x_j^(d-deg f) * f}."""
+    polys = dimension.degree_equalize(V.polys, V.vars)
+    return ProjectiveVariety(V.vars, polys, dim=V.dim)
 
 
 def chow_form_ci(V, r, grid=None):
@@ -89,23 +83,16 @@ def chow_form_ci(V, r, grid=None):
                          f"got {m}")
     if grid is None:
         grid = RandomGrid(seed=0)
-    wide = attach_u_blocks(V.vars, r, n)
-    polys = [f.rename_into(wide) for f in V.polys]
-    for i in range(r + 1):
-        U = MPoly.zero(wide)
-        for j, xname in enumerate(V.vars.names):
-            U = U + MPoly.var(wide, f"u{i}{j}") * MPoly.var(wide, xname)
-        polys.append(U)
-    sys = MacaulaySystem(polys, V.vars.names)
-    D = math.prod(f.total_degree() for f in V.polys)
     blocks = [u_block_names(i, n) for i in range(r + 1)]
+    sys = MacaulaySystem(with_linear_forms(V.polys, V.vars.names, blocks),
+                         V.vars.names)
+    D = math.prod(f.total_degree() for f in V.polys)
     R, _ = gcp_block_interpolation(sys, range(m), blocks, [D] * (r + 1), grid,
                                    tag="chow-ci")
     if R.is_zero() or R.is_constant():
         raise UsageError("not a complete intersection of expected dimension: "
                          "the elimination degenerated")
-    cf = square_free_part(R).normalized()
-    return ChowForm(cf, n, r, "ci")
+    return Form(square_free_part(R).normalized())
 
 
 def evaluate_on_plane(cf, plane):
@@ -117,87 +104,96 @@ def evaluate_on_plane(cf, plane):
     return cf.poly.evaluate(point)
 
 
-def _combo_variety(V, rows):
-    polys = []
+def combine(polys, rows):
+    """The combinations sum_j row[j] * polys[j], one per row."""
+    out = []
     for row in rows:
-        g = MPoly.zero(V.vars)
-        for c, f in zip(row, V.polys):
+        g = MPoly.zero(polys[0].vars)
+        for c, f in zip(row, polys):
             g = g + c * f
-        if g.is_zero():
-            raise UsageError("degenerate combination")
-        polys.append(g)
-    return ProjectiveVariety(V.vars, polys, dim=V.dim)
+        out.append(g)
+    return out
+
+
+def verified_lambdas(polys, k, bound, cuts_leq, grid, tag):
+    """N = ceil(m/k) verified random k x m combination matrices.
+
+    Entries are drawn from [1, bound] by ``grid.rng(tag, draw)``.  Each
+    Lambda must pass ``cuts_leq`` on its k combinations (the dimension
+    check) and the stack of all of them must have full column rank, so
+    the intersection of the combination varieties is V(polys) itself.
+    A Lambda whose combinations have coefficient rank < k (a vanishing
+    combination among them) fails the dimension check for certain: it is
+    redrawn without that check and without using up one of
+    ``grid.retries`` attempts, up to 8 * ``grid.retries`` draws in all.
+    """
+    m = len(polys)
+    N = math.ceil(m / k)
+    if m == k:
+        ident = [[int(i == j) for j in range(m)] for i in range(k)]
+        return [LambdaMatrix(ident, seed=None)]
+    # One column per monomial: the generators' coefficients on it.
+    cols = [[f.terms.get(exp, 0) for f in polys]
+            for exp in {exp for f in polys for exp in f.terms}]
+    last_err = "no attempt made"
+    attempts = 0
+    for draw in range(8 * grid.retries):
+        if attempts == grid.retries:
+            break
+        rng = grid.rng(tag, draw)
+        lambdas = [[[rng.randint(1, bound) for _ in range(m)] for _ in range(k)]
+                   for _ in range(N)]
+        if any(rank_integer([[sum(map(operator.mul, row, col))
+                              for col in cols] for row in lam]) < k
+               for lam in lambdas):
+            last_err = "a combination matrix has coefficient rank < k"
+            continue
+        attempts += 1
+        stacked = [row for lam in lambdas for row in lam]
+        if rank_integer(stacked) < min(m, N * k):
+            last_err = "stacked matrix not of full rank"
+            continue
+        if all(cuts_leq(combine(polys, lam)) for lam in lambdas):
+            return [LambdaMatrix(lam, seed=(grid.seed, draw))
+                    for lam in lambdas]
+        last_err = "a combination variety has dimension > r"
+    raise UsageError(f"{tag}: no verified combination after {attempts} "
+                     f"attempts: {last_err}")
 
 
 def generic_lc(V, r, grid):
-    """N = ceil(m/(n-r)) verified random combination matrices.
-
-    Each Lambda must cut a variety of dimension <= r and the stack of all
-    of them must have full column rank, so the intersection of the combo
-    varieties is V itself.  A Lambda whose n-r combinations have
-    coefficient rank < n-r cuts a variety of dimension > r for certain:
-    it is redrawn without a dimension check and without using up one of
-    ``grid.retries`` attempts, up to 8 * ``grid.retries`` draws in all.
-    """
+    """Verified combination matrices (:func:`verified_lambdas`) whose
+    n-r combinations cut varieties of dimension <= r."""
     m = len(V.polys)
-    n = V.n
-    nr = n - r
+    nr = V.n - r
     if nr < 1:
         raise UsageError("need r < n")
     degs = {f.total_degree() for f in V.polys}
     if len(degs) != 1:
         raise UsageError("generic_lc requires equalized degrees")
     d = degs.pop()
-    N = math.ceil(m / nr)
-    if m == nr:
-        ident = [[int(i == j) for j in range(m)] for i in range(nr)]
-        return [LambdaMatrix(ident, seed=None)]
-    bound = min(N * nr * d ** max(nr - 1, 0) + m + 1, 2 ** 15)
-    # One column per monomial: the generators' coefficients on it.
-    cols = [[f.terms.get(exp, 0) for f in V.polys]
-            for exp in {exp for f in V.polys for exp in f.terms}]
-    last_err = "no attempt made"
-    attempts = 0
-    for draw in range(8 * grid.retries):
-        if attempts == grid.retries:
-            break
-        rng = grid.rng("glc", draw)
-        lambdas = [[[rng.randint(1, bound) for _ in range(m)] for _ in range(nr)]
-                   for _ in range(N)]
-        if any(rank_integer([[sum(map(operator.mul, row, col))
-                              for col in cols] for row in lam]) < nr
-               for lam in lambdas):
-            last_err = "a combination matrix has coefficient rank < n - r"
-            continue
-        attempts += 1
-        stacked = [row for lam in lambdas for row in lam]
-        if rank_integer(stacked) < min(m, N * nr):
-            last_err = "stacked matrix not of full rank"
-            continue
-        ok = True
-        for lam in lambdas:
-            if not dim_leq(_combo_variety(V, lam), r, grid):
-                ok = False
-                last_err = "a combination variety has dimension > r"
-                break
-        if ok:
-            return [LambdaMatrix(lam, seed=(grid.seed, draw))
-                    for lam in lambdas]
-    raise UsageError(f"generic_lc failed after {attempts} attempts: "
-                     f"{last_err}")
+    bound = min(math.ceil(m / nr) * nr * d ** max(nr - 1, 0) + m + 1, 2 ** 15)
+    return verified_lambdas(
+        V.polys, nr, bound,
+        lambda combos: dim_leq(ProjectiveVariety(V.vars, combos), r, grid),
+        grid, "glc")
+
+
+def gcd_fold(polys):
+    """Square-free part of the gcd of the polys, as a :class:`Form`."""
+    result = None
+    for f in polys:
+        result = f if result is None else gcd(result, f)
+    return Form(square_free_part(result).normalized())
 
 
 def chow_form(V, r, grid):
     """General-case Chow form: equalize, combine, intersect via gcd."""
     Veq = degree_equalize(V)
-    lambdas = generic_lc(Veq, r, grid)
-    result = None
-    for lam in lambdas:
-        W = _combo_variety(Veq, lam.rows)
-        cf = chow_form_ci(W, r, grid)
-        result = cf.poly if result is None else gcd(result, cf.poly)
-    cf = square_free_part(result).normalized()
-    return ChowForm(cf, V.n, r, f"gcd-of-{len(lambdas)}")
+    return gcd_fold(
+        chow_form_ci(ProjectiveVariety(V.vars, combine(Veq.polys, lam.rows)),
+                     r, grid).poly
+        for lam in generic_lc(Veq, r, grid))
 
 
 def chow_bounds(V, r):
@@ -205,16 +201,8 @@ def chow_bounds(V, r):
     n = V.n
     d = max(f.total_degree() for f in V.polys)
     nr = n - r
-    degree_bound = d ** nr
-    macaulay_dim = math.comb(nr * (d - 1) + 1 + n, n)
     degs = [d] * nr + [1] * (r + 1)
-    bez = []
-    for k in range(len(degs)):
-        p = 1
-        for i, di in enumerate(degs):
-            if i != k:
-                p *= di
-        bez.append(p)
-    return {"degree_bound": degree_bound,
-            "macaulay_dim": macaulay_dim,
-            "bezout_bounds": bez}
+    return {"degree_bound": d ** nr,
+            "macaulay_dim": math.comb(nr * (d - 1) + 1 + n, n),
+            "bezout_bounds": [math.prod(degs[:k] + degs[k + 1:])
+                              for k in range(len(degs))]}

@@ -16,11 +16,11 @@ choices, so those are re-derived with fresh randomness.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from math import lcm, prod
+from math import gcd, prod
 
 from .errors import InternalError, UsageError
 from .mpoly import MPoly, VarTable
+from .polydet import gauss_jordan
 from .resultant import MacaulaySystem, _BadGrid, gcp_sampler
 
 
@@ -59,56 +59,32 @@ class RandomGrid:
         return random.Random(f"{self.seed}|" + "|".join(map(str, tag)))
 
 
-# -- exact linear algebra over the rationals ---------------------------
-
-def _row_reduce(rows):
-    """In-place RREF over Fraction rows; returns pivot column list."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    del rows[r:]
-    return pivots
-
+# -- exact linear algebra over the integers ----------------------------
 
 def solve_affine_linear(eqs, nvars):
     """Solve a . x + c = 0 exactly; eqs are (coeff list, constant) pairs.
 
-    Returns (x0, basis) with a particular rational solution and a basis of
-    the homogeneous null space, or None if inconsistent.
+    Returns (x0, basis, den): x0 / den is a particular solution and the
+    vectors of basis / den span the homogeneous null space, all read off
+    the reduced row echelon form (:func:`gauss_jordan`), with x0 and the
+    basis integer and den > 0.  Returns None if inconsistent.
     """
-    rows = [[Fraction(v) for v in a] + [Fraction(c)] for a, c in eqs]
-    pivots = _row_reduce(rows)
+    pivots, _, den, t = gauss_jordan([list(a) + [c] for a, c in eqs])
     if nvars in pivots:
         return None  # pivot in the constants column: inconsistent
-    x0 = [Fraction(0)] * nvars
-    for row, p in zip(rows, pivots):
+    if den < 0:
+        den, t = -den, [[-v for v in row] for row in t]
+    x0 = [0] * nvars
+    for row, p in zip(t, pivots):
         x0[p] = -row[nvars]
-    free = [c for c in range(nvars) if c not in pivots]
     basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * nvars
-        vec[fcol] = Fraction(1)
-        for row, p in zip(rows, pivots):
+    for fcol in (c for c in range(nvars) if c not in pivots):
+        vec = [0] * nvars
+        vec[fcol] = den
+        for row, p in zip(t, pivots):
             vec[p] = -row[fcol]
         basis.append(vec)
-    return x0, basis
+    return x0, basis, den
 
 
 def _linear_parts(f, idx):
@@ -129,54 +105,38 @@ def _is_affine_linear(f):
     return f.total_degree() <= 1
 
 
-def substitute_affine(polys, x0, basis, tvars):
-    """Substitute x = x0 + basis . t into integer polynomials.
+def substitute_affine(polys, x0, basis, den, tvars):
+    """Substitute x = (x0 + basis . t) / den into integer polynomials.
 
-    Denominators are cleared by evaluating the degree-d homogenization at
-    w = D, so the results are integer polynomials in t (each taken
-    primitive); the zero sets correspond exactly.
+    x0 and the basis vectors are integer and den > 0.  The denominator is
+    cleared by evaluating the degree-d homogenization at w = den, so the
+    results are integer polynomials in t (each taken primitive); the zero
+    sets correspond exactly.
     """
-    nvars = len(x0)
-    dens = [v.denominator for v in x0]
-    for vec in basis:
-        dens.extend(v.denominator for v in vec)
-    D = lcm(*dens) if dens else 1
     images = []
-    for i in range(nvars):
+    for i, c0 in enumerate(x0):
         terms = {}
         ze = (0,) * tvars.nvars
-        c0 = int(x0[i] * D)
         if c0:
             terms[ze] = c0
         for j, vec in enumerate(basis):
-            cj = int(vec[i] * D)
-            if cj:
+            if vec[i]:
                 e = [0] * tvars.nvars
                 e[j] = 1
-                terms[tuple(e)] = cj
+                terms[tuple(e)] = vec[i]
         images.append(MPoly(tvars, terms))
     out = []
     for f in polys:
         d = f.total_degree()
         acc = MPoly.zero(tvars)
         for exp, c in f.terms.items():
-            t = MPoly.const(tvars, c * D ** (d - sum(exp)))
+            t = MPoly.const(tvars, c * den ** (d - sum(exp)))
             for i, e in enumerate(exp):
                 if e:
                     t = t * images[i] ** e
             acc = acc + t
         out.append(acc.primitive())
     return out
-
-
-def substitute_projective(polys, basis, zvars):
-    """Substitute x = basis . z (homogeneous case, columns integer-scaled)."""
-    x0 = [Fraction(0)] * (len(basis[0]) if basis else 0)
-    scaled = []
-    for vec in basis:
-        D = lcm(*(v.denominator for v in vec))
-        scaled.append([v * D for v in vec])
-    return substitute_affine(polys, x0, scaled, zvars)
 
 
 # -- projective solvability and dimension ------------------------------
@@ -229,7 +189,9 @@ def _fresh(base, vars):
     return name
 
 
-def _degree_equalize_list(polys, vars):
+def degree_equalize(polys, vars):
+    """Replace each lower-degree f by {x_j^(d-deg f) * f}: same zero
+    locus, all degrees equal to the maximum."""
     d = max(f.total_degree() for f in polys)
     out = []
     for f in polys:
@@ -254,12 +216,15 @@ def _proj_round(polys, vars, rng, bound):
     rest = [f for f in polys if f.total_degree() > 1]
     if linear:
         eqs = [_linear_parts(f, range(vars.nvars)) for f in linear]
-        sol = solve_affine_linear([(a, 0) for a, _ in eqs], vars.nvars)
-        x0, basis = sol  # homogeneous system: always consistent
+        # A homogeneous system is always consistent.
+        x0, basis, _ = solve_affine_linear([(a, 0) for a, _ in eqs],
+                                           vars.nvars)
         if not basis:
             return False  # only the trivial zero of the cone
+        # Each spanning vector scaled to its primitive integer vector.
+        basis = [[v // gcd(*vec) for v in vec] for vec in basis]
         zvars = _fresh_table("z", len(basis))
-        polys = [f for f in substitute_projective(rest, basis, zvars)
+        polys = [f for f in substitute_affine(rest, x0, basis, 1, zvars)
                  if not f.is_zero()]
         if any(f.is_constant() for f in polys):
             return False
@@ -272,7 +237,7 @@ def _proj_round(polys, vars, rng, bound):
     if k == 1:
         return False  # nonzero forms in one variable have no zero in P^0
     if len(polys) > k:
-        polys = _degree_equalize_list(polys, vars)
+        polys = degree_equalize(polys, vars)
         combos = []
         for _ in range(k):
             g = MPoly.zero(vars)
@@ -337,9 +302,9 @@ def _affine_round(polys, vars, rng, bound):
             sol = solve_affine_linear(eqs, vars.nvars)
             if sol is None:
                 return False
-            x0, basis = sol
+            x0, basis, den = sol
             tvars = _fresh_table("t", max(len(basis), 1))
-            polys = [f for f in substitute_affine(rest, x0, basis, tvars)
+            polys = [f for f in substitute_affine(rest, x0, basis, den, tvars)
                      if not f.is_zero()]
             if not basis:
                 # Unique solution of the linear part; the rest reduced to

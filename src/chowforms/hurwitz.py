@@ -12,32 +12,11 @@ from __future__ import annotations
 
 import math
 
-from .chow import u_block_names
+from .chow import Form, u_block_names, with_linear_forms
 from .dimension import RandomGrid
 from .errors import InternalError, UsageError
-from .mpoly import MPoly, VarTable, divexact, gcd, square_free_part
+from .mpoly import MPoly, divexact, gcd, square_free_part
 from .resultant import MacaulaySystem, gcp_block_interpolation, gcp_resultant
-
-
-class HurwitzForm:
-    """Normalized square-free Hurwitz form with its block layout."""
-
-    def __init__(self, poly, n, r, provenance):
-        self.poly = poly
-        self.n = n
-        self.r = r
-        self.provenance = provenance
-
-    @property
-    def block_degrees(self):
-        return self.poly.block_degrees()
-
-    @property
-    def bitsize(self):
-        return self.poly.bitsize()
-
-    def __repr__(self):
-        return f"HurwitzForm({self.poly.to_text()})"
 
 
 def m_block_names(n):
@@ -67,26 +46,12 @@ def u_resultant(V, r, grid=None):
     if grid is None:
         grid = RandomGrid(seed=0)
     n = V.n
-    m = len(V.polys)
-    wide = V.vars
-    for i in range(1, r + 1):
-        wide = wide.extend(u_block_names(i, n))
-    wide = wide.extend(m_block_names(n))
-    polys = [f.rename_into(wide) for f in V.polys]
-    for i in range(1, r + 1):
-        U = MPoly.zero(wide)
-        for j, xname in enumerate(V.vars.names):
-            U = U + MPoly.var(wide, f"u{i}{j}") * MPoly.var(wide, xname)
-        polys.append(U)
-    M = MPoly.zero(wide)
-    for j, xname in enumerate(V.vars.names):
-        M = M + MPoly.var(wide, f"m{j}") * MPoly.var(wide, xname)
-    polys.append(M)
-    sys = MacaulaySystem(polys, V.vars.names)
     blocks = [u_block_names(i, n) for i in range(1, r + 1)]
     blocks.append(m_block_names(n))
-    R1, _ = gcp_block_interpolation(sys, range(m), blocks, [deg] * (r + 1),
-                                    grid, tag="hurwitz-u")
+    sys = MacaulaySystem(with_linear_forms(V.polys, V.vars.names, blocks),
+                         V.vars.names)
+    R1, _ = gcp_block_interpolation(sys, range(len(V.polys)), blocks,
+                                    [deg] * (r + 1), grid, tag="hurwitz-u")
     if R1.is_zero() or R1.is_constant():
         raise UsageError("u-resultant degenerated; the input is not a "
                          "complete intersection of the expected dimension")
@@ -147,26 +112,15 @@ def _incidence_factor(V, r, grid):
     generic-incidence locus in the same u-blocks, used to strip extraneous
     factors from the discriminant."""
     deg = math.prod(f.total_degree() for f in V.polys)
-    n = V.n
-    m = len(V.polys)
     rng = grid.rng("hurwitz-incidence")
-    wide = V.vars
-    for i in range(1, r + 1):
-        wide = wide.extend(u_block_names(i, n))
-    polys = [f.rename_into(wide) for f in V.polys]
-    for i in range(1, r + 1):
-        U = MPoly.zero(wide)
-        for j, xname in enumerate(V.vars.names):
-            U = U + MPoly.var(wide, f"u{i}{j}") * MPoly.var(wide, xname)
-        polys.append(U)
-    H = MPoly.zero(wide)
+    blocks = [u_block_names(i, V.n) for i in range(1, r + 1)]
+    polys = with_linear_forms(V.polys, V.vars.names, blocks)
+    H = MPoly.zero(polys[0].vars)
     for xname in V.vars.names:
-        H = H + rng.randint(1, grid.bound) * MPoly.var(wide, xname)
-    polys.append(H)
-    sys = MacaulaySystem(polys, V.vars.names)
-    blocks = [u_block_names(i, n) for i in range(1, r + 1)]
-    C, _ = gcp_block_interpolation(sys, range(m), blocks, [deg] * r, grid,
-                                   tag="hurwitz-chowfactor")
+        H = H + rng.randint(1, grid.bound) * MPoly.var(H.vars, xname)
+    sys = MacaulaySystem(polys + [H], V.vars.names)
+    C, _ = gcp_block_interpolation(sys, range(len(V.polys)), blocks,
+                                   [deg] * r, grid, tag="hurwitz-chowfactor")
     if C.is_zero():
         raise InternalError("incidence factor vanished identically")
     return square_free_part(C).normalized()
@@ -213,4 +167,4 @@ def hurwitz_form(V, r, grid=None):
                             "extraneous-factor removal")
     if not gcd(H, C).is_constant():
         raise InternalError("extraneous incidence factor survived removal")
-    return HurwitzForm(H, V.n, r, "discriminant-of-u-resultant")
+    return Form(H)

@@ -23,7 +23,7 @@ MAX_EXPONENT = 2**31
 class VarTable:
     """Ordered variable names partitioned into ordered blocks."""
 
-    __slots__ = ("names", "blocks", "_index", "_block_of")
+    __slots__ = ("names", "blocks", "_index")
 
     def __init__(self, names, blocks=None):
         names = tuple(names)
@@ -39,10 +39,6 @@ class VarTable:
         self.names = names
         self.blocks = blocks
         self._index = {n: i for i, n in enumerate(names)}
-        self._block_of = [0] * len(names)
-        for bi, b in enumerate(blocks):
-            for i in b:
-                self._block_of[i] = bi
 
     @property
     def nvars(self):
@@ -57,9 +53,6 @@ class VarTable:
             return self._index[name]
         except KeyError:
             raise UsageError(f"unknown variable {name!r}") from None
-
-    def block_of(self, i):
-        return self._block_of[i]
 
     def block_names(self, bi):
         return tuple(self.names[i] for i in self.blocks[bi])
@@ -89,26 +82,6 @@ class VarTable:
     def __repr__(self):
         inner = ")(".join(" ".join(self.block_names(b)) for b in range(self.nblocks))
         return f"VarTable(({inner}))"
-
-
-class DegreeProfile:
-    """Per-variable, per-block and total degrees of a polynomial."""
-
-    __slots__ = ("partial", "block", "total")
-
-    def __init__(self, partial, block, total):
-        self.partial = tuple(partial)
-        self.block = tuple(block)
-        self.total = total
-
-    def __repr__(self):
-        return f"DegreeProfile(partial={self.partial}, block={self.block}, total={self.total})"
-
-    def __eq__(self, other):
-        return (isinstance(other, DegreeProfile)
-                and self.partial == other.partial
-                and self.block == other.block
-                and self.total == other.total)
 
 
 class MPoly:
@@ -152,18 +125,6 @@ class MPoly:
         exp[vars.index(name)] = power
         return cls(vars, {tuple(exp): 1})
 
-    @classmethod
-    def from_dict(cls, vars, d):
-        """Build from {name: exponent} term dicts: [({'x':2,'y':1}, -3), ...]."""
-        terms = {}
-        for mono, c in d:
-            exp = [0] * vars.nvars
-            for name, e in mono.items():
-                exp[vars.index(name)] = e
-            key = tuple(exp)
-            terms[key] = terms.get(key, 0) + c
-        return cls(vars, terms)
-
     # -- predicates and degrees ---------------------------------------
 
     def is_zero(self):
@@ -198,12 +159,6 @@ class MPoly:
         if exp is not None:
             return tuple(sum(exp[i] for i in b) for b in self.vars.blocks)
         return tuple(self.block_degree(b) for b in range(self.vars.nblocks))
-
-    def profile(self):
-        block = self.block_degrees()
-        return DegreeProfile(
-            [self.partial_degree(i) for i in range(self.vars.nvars)],
-            block, self.total_degree())
 
     def mdeg(self):
         """Per-block degree vector (the multidegree for multihomogeneous input)."""
@@ -682,15 +637,6 @@ def _univ_coeffs(f, v):
         d = out.setdefault(e, {})
         d[nexp] = d.get(nexp, 0) + c
     return {e: MPoly(f.vars, d) for e, d in out.items()}
-
-
-def _from_univ(coeffs, v, vars):
-    out = {}
-    for e, p in coeffs.items():
-        for exp, c in p.terms.items():
-            key = exp[:v] + (e,) + exp[v + 1:]
-            out[key] = out.get(key, 0) + c
-    return MPoly(vars, out)
 
 
 def _content_wrt(f, v):

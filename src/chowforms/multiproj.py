@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 
+from .chow import Form, combine, gcd_fold, verified_lambdas, with_linear_forms
 from .dimension import RandomGrid, dim_projection
-from .errors import UsageError
+from .errors import IndeterminateError, UsageError
 from .mixedres import MultiResSystem, resultant_multihomogeneous_interp
-from .mpoly import MPoly, VarTable, gcd, square_free_part
-from .polydet import det_integer, rank_integer
-from .chow import LambdaMatrix
+from .mpoly import MPoly, square_free_part
+from .polydet import det_integer
 
 
 class MultiprojVariety:
@@ -164,52 +164,6 @@ def multi_degree_equalize(V):
     return MultiprojVariety(V.vars, out, dim=V.dim)
 
 
-def u_form_names(i, j, n):
-    """Coefficient names of the j-th generic linear form on block i."""
-    return tuple(f"u{i}_{j}_{k}" for k in range(n + 1))
-
-
-def _attach_forms(V, alpha):
-    """Extend the table by one coefficient block per generic linear form
-    (n_i - alpha_i forms on block i) and return (wide, forms, u_blocks)."""
-    wide = V.vars
-    u_blocks = []
-    for i, (n, a) in enumerate(zip(V.nvec, alpha), start=1):
-        for j in range(n - a):
-            names = u_form_names(i, j, n)
-            wide = wide.extend(names)
-            u_blocks.append(names)
-    forms = []
-    for i, (n, a) in enumerate(zip(V.nvec, alpha), start=1):
-        for j in range(n - a):
-            U = MPoly.zero(wide)
-            for k, xname in enumerate(V.x_blocks[i - 1]):
-                U = U + MPoly.var(wide, f"u{i}_{j}_{k}") * \
-                    MPoly.var(wide, xname)
-            forms.append(U)
-    return wide, forms, u_blocks
-
-
-class MultiChowForm:
-    """Normalized square-free multigraded Chow form with its format."""
-
-    def __init__(self, poly, alpha, provenance):
-        self.poly = poly
-        self.alpha = tuple(alpha)
-        self.provenance = provenance
-
-    @property
-    def block_degrees(self):
-        return self.poly.block_degrees()
-
-    @property
-    def bitsize(self):
-        return self.poly.bitsize()
-
-    def __repr__(self):
-        return f"MultiChowForm({self.poly.to_text()})"
-
-
 def multi_chow_form_ci(V, alpha, grid=None, table=None):
     """Chow form of a multiprojective complete intersection for format
     alpha: eliminate all x-blocks from the system extended by n_i - alpha_i
@@ -229,8 +183,15 @@ def multi_chow_form_ci(V, alpha, grid=None, table=None):
     if len(V.polys) != need:
         raise UsageError(f"complete intersection for this format needs "
                          f"{need} polynomials, got {len(V.polys)}")
-    wide, forms, u_blocks = _attach_forms(V, alpha)
-    polys = [f.rename_into(wide) for f in V.polys] + forms
+    # n_i - alpha_i generic linear forms on block i, coefficient names
+    # u<i>_<j>_<k> with i counted from 1.
+    polys = list(V.polys)
+    u_blocks = []
+    for i, (xs, n, a) in enumerate(zip(V.x_blocks, V.nvec, alpha), start=1):
+        blocks = [tuple(f"u{i}_{j}_{k}" for k in range(n + 1))
+                  for j in range(n - a)]
+        polys = with_linear_forms(polys, xs, blocks)
+        u_blocks += blocks
     sys = MultiResSystem(polys, V.x_blocks)
     degrees = sys.bezout_bounds()[len(V.polys):]
     R = resultant_multihomogeneous_interp(sys, u_blocks, degrees, grid,
@@ -238,8 +199,7 @@ def multi_chow_form_ci(V, alpha, grid=None, table=None):
     if R.is_zero() or R.is_constant():
         raise UsageError("the multigraded elimination degenerated; the "
                          "incidence variety is not a hypersurface here")
-    cf = square_free_part(R).normalized()
-    return MultiChowForm(cf, alpha, "ci")
+    return Form(square_free_part(R).normalized())
 
 
 def multidegree(V, alpha, grid, table=None):
@@ -256,6 +216,7 @@ def multidegree(V, alpha, grid, table=None):
     if alpha not in support(V, table):
         raise UsageError(f"format {alpha} is not in the support")
     answers = []
+    indeterminate = 0
     for trial in range(2 * grid.retries):
         rng = grid.rng("mdeg", alpha, trial)
         wide = V.vars.extend(("t0_", "t1_"))
@@ -293,93 +254,54 @@ def multidegree(V, alpha, grid, table=None):
             M = M + m
         polys.append(M)
         sys = MultiResSystem(polys, V.x_blocks)
-        R = resultant_multihomogeneous_interp(
-            sys, [("t0_", "t1_")], sys.bezout_bounds()[-1:], grid,
-            tag=("mdeg", alpha, trial))
+        try:
+            R = resultant_multihomogeneous_interp(
+                sys, [("t0_", "t1_")], sys.bezout_bounds()[-1:], grid,
+                tag=("mdeg", alpha, trial))
+        except IndeterminateError:
+            # No two liftings agreed on this slice; a fresh one may.
+            indeterminate += 1
+            continue
         if R.is_zero():
             continue
         count = square_free_part(R).total_degree()
         if count in answers:
             return count
         answers.append(count)
+    if indeterminate:
+        raise IndeterminateError(f"multidegree: {indeterminate} slices found "
+                                 f"no resultant, the others did not agree")
     raise UsageError("multidegree slices kept disagreeing; the format may "
                      "be degenerate for this variety")
 
 
-def _multi_dim_leq(V, r, grid):
-    return dim_projection(list(V.polys), V.x_blocks, list(range(V.l)),
-                          grid) <= r
-
-
-def _combo(V, rows):
-    polys = []
-    for row in rows:
-        g = MPoly.zero(V.vars)
-        for c, f in zip(row, V.polys):
-            g = g + c * f
-        if g.is_zero():
-            raise UsageError("degenerate combination")
-        polys.append(g)
-    return MultiprojVariety(V.vars, polys, dim=V.dim)
-
-
 def multi_generic_lc(V, r, grid):
-    """Verified random combination matrices cutting dimension-r varieties
-    whose intersection is V, as in the projective case but with the
-    multihomogeneous degree bound and block-wise dimension checks."""
+    """Verified combination matrices (:func:`chow.verified_lambdas`) as
+    in the projective case, with the multihomogeneous degree bound and
+    block-wise dimension checks."""
     m = len(V.polys)
     k = V.total_dim - r
     if k < 1:
         raise UsageError("need r < total dimension")
     if len({d for d in V.mdegs}) != 1:
         raise UsageError("multi_generic_lc requires equalized multidegrees")
-    dtot = sum(V.mdegs[0])
-    N = math.ceil(m / k)
-    if m == k:
-        ident = [[int(i == j) for j in range(m)] for i in range(k)]
-        return [LambdaMatrix(ident, seed=None)]
-    bound = min(N * k * dtot ** k + m + 1, 2 ** 15)
-    last_err = "no attempt made"
-    for attempt in range(grid.retries):
-        rng = grid.rng("mglc", attempt)
-        lambdas = [[[rng.randint(1, bound) for _ in range(m)]
-                    for _ in range(k)] for _ in range(N)]
-        stacked = [row for lam in lambdas for row in lam]
-        if rank_integer(stacked) < min(m, N * k):
-            last_err = "stacked matrix not of full rank"
-            continue
-        ok = True
-        for lam in lambdas:
-            try:
-                W = _combo(V, lam)
-            except UsageError:
-                ok = False
-                last_err = "a combination vanished identically"
-                break
-            if not _multi_dim_leq(W, r, grid):
-                ok = False
-                last_err = "a combination variety has dimension > r"
-                break
-        if ok:
-            return [LambdaMatrix(lam, seed=(grid.seed, attempt))
-                    for lam in lambdas]
-    raise UsageError(f"multi_generic_lc failed after {grid.retries} "
-                     f"attempts: {last_err}")
+    bound = min(math.ceil(m / k) * k * sum(V.mdegs[0]) ** k + m + 1, 2 ** 15)
+    return verified_lambdas(
+        V.polys, k, bound,
+        lambda combos: dim_projection(combos, V.x_blocks, range(V.l),
+                                      grid) <= r,
+        grid, "mglc")
 
 
 def multi_chow_form(V, r, alpha, grid):
     """General-case multigraded Chow form: equalize multidegrees, reduce to
     complete intersections by verified combinations, fold with gcd."""
     Veq = multi_degree_equalize(V)
-    Veq.dim = r
-    lambdas = multi_generic_lc(Veq, r, grid)
-    result = None
-    for lam in lambdas:
-        W = _combo(Veq, lam.rows)
-        cf = multi_chow_form_ci(W, alpha, grid)
-        result = cf.poly if result is None else gcd(result, cf.poly)
-    cf = square_free_part(result).normalized()
-    return MultiChowForm(cf, alpha, f"gcd-of-{len(lambdas)}")
+    return gcd_fold(
+        multi_chow_form_ci(MultiprojVariety(V.vars, combine(Veq.polys,
+                                                             lam.rows)),
+                           alpha, grid).poly
+        for lam in multi_generic_lc(Veq, r, grid))
 
 
 def multi_bounds(V, alpha):

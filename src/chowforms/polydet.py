@@ -110,7 +110,7 @@ def det_integer(rows):
     return sign * a[m - 1][m - 1]
 
 
-def _gauss_jordan(rows):
+def gauss_jordan(rows):
     """Fraction-free Gauss–Jordan elimination with column pivoting.
 
     Columns are scanned left to right; column c becomes a pivot when some
@@ -118,7 +118,10 @@ def _gauss_jordan(rows):
     independent of the pivot columns before it.  Every division is exact
     (Bareiss).  Returns (pivots, sign, prev, tableau); at full row rank
     the tableau is prev * A^-1 F with A = F[:, pivots] and
-    prev = sign * det A, ``sign`` recording the row swaps.
+    prev = sign * det A, ``sign`` recording the row swaps.  At rank
+    r = len(pivots) the last rows are zero and the first r rows are prev
+    times the reduced row echelon form of F: row i holds prev at
+    pivots[i] and 0 at every other pivot column.
     """
     t = [list(r) for r in rows]
     k = len(t)
@@ -164,7 +167,7 @@ def ff_reduce(rows):
     over the other columns Q, ascending.  Returns None when rank F < k.
     An empty F gives ([], 1, []).
     """
-    pivots, sign, prev, t = _gauss_jordan(rows)
+    pivots, sign, prev, t = gauss_jordan(rows)
     if len(pivots) < len(t):
         return None
     pset = set(pivots)
@@ -175,7 +178,7 @@ def ff_reduce(rows):
 def rank_integer(rows):
     """Rank over Q of an integer matrix: the pivot count of
     :func:`ff_reduce`'s elimination."""
-    return len(_gauss_jordan(rows)[0])
+    return len(gauss_jordan(rows)[0])
 
 
 def det_slice(fixed, at):

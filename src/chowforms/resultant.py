@@ -703,20 +703,7 @@ def bezout_bounds(sys):
     For multihomogeneous systems the product is the multihomogeneous Bezout
     count: the coefficient of prod y_j^{n_j} in prod_{i != k} (sum_j d_ij y_j).
     """
-    from .mixedres import MultiResSystem  # local import to avoid a cycle
-    if isinstance(sys, MultiResSystem):
+    if not isinstance(sys, MacaulaySystem):
         return sys.bezout_bounds()
-    out = []
-    for k in range(len(sys.degrees)):
-        p = 1
-        for i, d in enumerate(sys.degrees):
-            if i != k:
-                p *= d
-        out.append(p)
-    return out
-
-
-def resultant_multihomogeneous(sys, seed=0, retries=8):
-    """Multihomogeneous (toric) resultant; see the mixedres module."""
-    from .mixedres import resultant_multihomogeneous as impl
-    return impl(sys, seed=seed, retries=retries)
+    p = math.prod(sys.degrees)
+    return [p // d for d in sys.degrees]

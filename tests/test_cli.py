@@ -99,6 +99,22 @@ class TestCommands:
             "u00*u11 - u00*u12 + 3*u00*u13 - u01*u10 - u01*u12 + 3*u01*u13 "
             "+ u02*u10 + u02*u11 - 3*u03*u10 - 3*u03*u11")
 
+    def test_formats_two_bilinear_forms_retry_indeterminate_slice(
+            self, tmp_path, capsys):
+        # With this seed the first multidegree slice of format (1, 1)
+        # finds no two agreeing liftings; the next slices answer.
+        text = ("ring x0 x1 x2 y0 y1 y2\n"
+                "blocks (x0 x1 x2)(y0 y1 y2)\n"
+                "poly -x0*y0 + 2*x0*y1 - x0*y2 + 3*x1*y0 + x1*y1 - 3*x1*y2 "
+                "+ 2*x2*y0 + 2*x2*y1 + 3*x2*y2\n"
+                "poly x0*y0 - 2*x0*y1 - 3*x0*y2 - 3*x1*y0 + 2*x1*y1 "
+                "- 3*x1*y2 - 3*x2*y0 - x2*y1 - 3*x2*y2\n"
+                "dim 2\n"
+                "format 1 0\n")
+        path = write(tmp_path, "p", text)
+        assert main(["formats", "--seed", "1", path]) == 0
+        assert capsys.readouterr().out == "chow 0 1\nchow 1 0\nhurwitz 1 1\n"
+
     def test_chow_ci_point(self, tmp_path, capsys):
         assert main(["chow-ci", write(tmp_path, "p", POINT_P2)]) == 0
         assert capsys.readouterr().out.strip() == "u00"

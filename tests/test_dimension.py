@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -7,7 +9,8 @@ from chowforms.errors import InternalError, UsageError
 from chowforms.mpoly import parse_poly
 from chowforms.dimension import (ProjectiveVariety, RandomGrid, affine_solvable,
                                  dim_leq, dim_projection, find_dimension,
-                                 has_projective_zero)
+                                 has_projective_zero, solve_affine_linear,
+                                 substitute_affine)
 from chowforms.resultant import (MacaulaySystem, _BadGrid, gcp_resultant,
                                  perturbed_macaulay)
 
@@ -287,3 +290,167 @@ class TestSampledVerdicts:
         monkeypatch.setattr(dimension, "gcp_sampler", lambda *args: sample)
         val, values = dimension._gcp_trailing(sys, None, m, 3)
         assert val == 0 and values == [0, 0, 0, 6]
+
+
+# -- the integer affine solve against a rational oracle -----------------
+
+def rref_solve(eqs, nvars):
+    """Oracle: (x0, basis) over Fraction from the reduced row echelon form
+    of [a | c], or None when a . x + c = 0 is inconsistent."""
+    rows = [[Fraction(v) for v in a] + [Fraction(c)] for a, c in eqs]
+    pivots = []
+    for c in range(nvars + 1):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if nvars in pivots:
+        return None
+    x0 = [Fraction(0)] * nvars
+    for row, p in zip(rows, pivots):
+        x0[p] = -row[nvars]
+    basis = []
+    for fcol in range(nvars):
+        if fcol not in pivots:
+            vec = [Fraction(int(i == fcol)) for i in range(nvars)]
+            for row, p in zip(rows, pivots):
+                vec[p] = -row[fcol]
+            basis.append(vec)
+    return x0, basis
+
+
+def fraction_substitute(polys, x0, basis, tvars):
+    """Oracle: x = x0 + basis . t over Fraction, denominators cleared by
+    their lcm D through the homogenization at w = D, each result
+    primitive."""
+    dens = [v.denominator for v in x0] + [v.denominator for vec in basis
+                                         for v in vec]
+    D = lcm(*dens) if dens else 1
+    images = []
+    for i in range(len(x0)):
+        terms = {(0,) * tvars.nvars: int(x0[i] * D)}
+        for j, vec in enumerate(basis):
+            terms[tuple(int(k == j) for k in range(tvars.nvars))] = \
+                int(vec[i] * D)
+        images.append(MPoly(tvars, terms))
+    out = []
+    for f in polys:
+        d = f.total_degree()
+        acc = MPoly.zero(tvars)
+        for exp, c in f.terms.items():
+            t = MPoly.const(tvars, c * D ** (d - sum(exp)))
+            for img, e in zip(images, exp):
+                t = t * img ** e
+            acc = acc + t
+        out.append(acc.primitive())
+    return out
+
+
+def random_system(rng):
+    """Random (eqs, nvars), often rank deficient or inconsistent."""
+    nvars = rng.randint(0, 5)
+    eqs = [([rng.choice((0, 0, 1, -1, 2, -3, 7)) for _ in range(nvars)],
+            rng.choice((0, 0, 1, -5))) for _ in range(rng.randint(0, 5))]
+    if eqs and rng.random() < 0.5:
+        # A combination of the others, its constant kept or moved.
+        k = [rng.randint(-3, 3) for _ in eqs]
+        a = [sum(c * e[0][j] for c, e in zip(k, eqs)) for j in range(nvars)]
+        const = sum(c * e[1] for c, e in zip(k, eqs))
+        eqs.append((a, const + rng.choice((0, 0, 1))))
+        rng.shuffle(eqs)
+    return eqs, nvars
+
+
+def check_solve(eqs, nvars):
+    got = solve_affine_linear(eqs, nvars)
+    want = rref_solve(eqs, nvars)
+    if want is None:
+        assert got is None
+        return None
+    x0, basis, den = got
+    assert den > 0
+    assert [Fraction(v, den) for v in x0] == want[0]
+    assert [[Fraction(v, den) for v in vec] for vec in basis] == want[1]
+    return got
+
+
+class TestSolveAffineLinear:
+    def test_unique_solution(self):
+        # 2x - 1 = 0, 3y + x = 0: x = 1/2, y = -1/6.
+        x0, basis, den = check_solve([([2, 0], -1), ([1, 3], 0)], 2)
+        assert basis == [] and den == 6 and x0 == [3, -1]
+
+    def test_inconsistent(self):
+        assert check_solve([([1, 1], -1), ([2, 2], -3)], 2) is None
+        assert check_solve([([], 4)], 0) is None
+
+    def test_rank_deficient(self):
+        # x + 2y = 3 twice over: x0 = (3, 0), basis (-2, 1).
+        x0, basis, den = check_solve([([2, 4], -6), ([1, 2], -3)], 2)
+        assert [Fraction(v, den) for v in x0] == [3, 0]
+        assert [[Fraction(v, den) for v in vec] for vec in basis] == \
+            [[-2, 1]]
+
+    def test_empty_system(self):
+        assert check_solve([], 3) == ([0, 0, 0],
+                                      [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
+        assert check_solve([([0, 0], 0)], 2)[1] == [[1, 0], [0, 1]]
+
+    def test_random_against_fraction_rref(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(400):
+            eqs, nvars = random_system(rng)
+            got = check_solve(eqs, nvars)
+            outcomes.add("none" if got is None
+                         else "unique" if not got[1] else "family")
+        assert outcomes == {"none", "unique", "family"}
+
+    def test_primitive_basis_is_the_per_vector_lcm_scaling(self):
+        # _proj_round scales each spanning vector of a homogeneous system
+        # to its primitive integer vector.
+        rng = random.Random(6)
+        for _ in range(200):
+            eqs, nvars = random_system(rng)
+            eqs = [(a, 0) for a, _ in eqs]
+            _, basis, _ = solve_affine_linear(eqs, nvars)
+            _, want = rref_solve(eqs, nvars)
+            assert [[v // gcd(*vec) for v in vec] for vec in basis] == \
+                [[v * lcm(*(w.denominator for w in vec)) for v in vec]
+                 for vec in want]
+
+
+class TestSubstituteAffine:
+    def test_random_against_fraction_substitution(self):
+        rng = random.Random(8)
+        checked = 0
+        while checked < 150:
+            eqs, nvars = random_system(rng)
+            sol = solve_affine_linear(eqs, nvars)
+            if sol is None or nvars == 0:
+                continue
+            x0, basis, den = sol
+            X = VarTable(tuple(f"x{i}" for i in range(nvars)))
+            tvars = VarTable(tuple(f"t{i}" for i in range(max(len(basis),
+                                                                  1))))
+            polys = [MPoly(X, {tuple(rng.randint(0, 2) for _ in range(nvars)):
+                               rng.randint(-9, 9) for _ in range(4)})
+                     for _ in range(3)]
+            got = substitute_affine(polys, x0, basis, den, tvars)
+            want = fraction_substitute(polys, *rref_solve(eqs, nvars), tvars)
+            assert got == want
+            checked += 1
+
+    def test_denominator_cleared_by_homogenization(self):
+        # x = (1 + 2t) / 3 in x^2 - x: (1 + 2t)^2 - 3 (1 + 2t), primitive.
+        X, T = VarTable(("x",)), VarTable(("t",))
+        f = P("x^2 - x", X)
+        got, = substitute_affine([f], [1], [[2]], 3, T)
+        assert got == P("4*t^2 - 2*t - 2", T).primitive()

@@ -123,9 +123,9 @@ class TestDegreesAndBlocks:
         assert P("x0^2*y1", vars).mdeg() == (2, 1)
 
     def test_profile(self, xy):
-        p = P("x^2*y + 3", xy).profile()
-        assert p.partial == (2, 1)
-        assert p.total == 3
+        p = P("x^2*y + 3", xy)
+        assert (p.partial_degree(0), p.partial_degree(1)) == (2, 1)
+        assert p.total_degree() == 3
 
 
 class TestBitsize:

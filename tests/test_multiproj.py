@@ -1,15 +1,16 @@
 import pytest
 
+from chowforms import multiproj
 from chowforms.chow import chow_form, chow_form_ci
 from chowforms.dimension import ProjectiveVariety, RandomGrid
-from chowforms.errors import UsageError
+from chowforms.errors import IndeterminateError, UsageError
 from chowforms.mpoly import VarTable, parse_poly
 from chowforms.multiproj import (MultiprojVariety, chow_hypersurface_formats,
                                  dim_table, formats_of_size,
                                  hurwitz_hypersurface_formats,
                                  multi_bounds, multi_chow_form,
                                  multi_chow_form_ci, multi_degree_equalize,
-                                 multidegree, support)
+                                 multi_generic_lc, multidegree, support)
 from chowforms.polymatroid import from_dim_table
 
 GRID = RandomGrid(seed=2)
@@ -143,6 +144,42 @@ class TestMultidegree:
         with pytest.raises(UsageError):
             multidegree(product, (4, 0), GRID, product_dims)
 
+    def test_indeterminate_slice_goes_on_to_the_next_trial(self,
+                                                           monkeypatch):
+        # A slice on which no two liftings agree is dropped like any other
+        # failed trial; the next slices still give the answer.
+        V = point_pair()
+        table = dim_table(V, GRID)
+        inner = multiproj.resultant_multihomogeneous_interp
+        tags = []
+
+        def interp(sys, blocks, degrees, grid, tag):
+            tags.append(tag)
+            if len(tags) == 1:
+                raise IndeterminateError("no two liftings agreed")
+            return inner(sys, blocks, degrees, grid, tag=tag)
+
+        monkeypatch.setattr(multiproj, "resultant_multihomogeneous_interp",
+                            interp)
+        assert multidegree(V, (1, 1), GRID, table) == 1
+        assert tags == [("mdeg", (1, 1), trial) for trial in range(3)]
+
+    def test_indeterminate_on_every_slice_raises_indeterminate(self,
+                                                               monkeypatch):
+        V = point_pair()
+        table = dim_table(V, GRID)
+        calls = []
+
+        def interp(*args, **kwargs):
+            calls.append(1)
+            raise IndeterminateError("no two liftings agreed")
+
+        monkeypatch.setattr(multiproj, "resultant_multihomogeneous_interp",
+                            interp)
+        with pytest.raises(IndeterminateError, match="6 slices"):
+            multidegree(V, (1, 1), GRID, table)
+        assert len(calls) == 2 * GRID.retries
+
 
 class TestChowFormCI:
     def test_bilinear_hypersurface(self):
@@ -227,6 +264,31 @@ class TestEqualizeAndGeneralCase:
         V = MultiprojVariety(P1P1, polys, dim=0)
         cf = multi_chow_form(V, 0, (1, 0), GRID)
         assert cf.poly == P("3*u2_0_0 + 5*u2_0_1", cf.poly.vars).normalized()
+
+
+class TestMultiGenericLc:
+    def test_span_below_codimension_fails_within_the_draw_cap(self,
+                                                             monkeypatch):
+        # Three multiples of one form span 1 < k = 2 dimensions: every
+        # Lambda has coefficient rank 1 (some of its combinations may
+        # vanish), so each draw is rejected before any dimension check,
+        # and the draws stop at 8 * retries.
+        V = MultiprojVariety(P1P1, [P("x0*y0 + x1*y1", P1P1),
+                                    P("2*x0*y0 + 2*x1*y1", P1P1),
+                                    P("-x0*y0 - x1*y1", P1P1)], dim=0)
+        grid = RandomGrid(seed=7, retries=2)
+        tags = []
+        inner = RandomGrid.rng
+
+        def rng(self, *tag):
+            tags.append(tag)
+            return inner(self, *tag)
+
+        monkeypatch.setattr(RandomGrid, "rng", rng)
+        monkeypatch.setattr(multiproj, "dim_projection", None)
+        with pytest.raises(UsageError, match="coefficient rank"):
+            multi_generic_lc(V, 0, grid)
+        assert tags == [("mglc", draw) for draw in range(16)]
 
 
 class TestBounds:

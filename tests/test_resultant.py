@@ -3,7 +3,7 @@ import random
 import pytest
 
 from chowforms import MPoly, VarTable, hurwitz, resultant
-from chowforms.chow import attach_u_blocks, chow_form_ci, u_block_names
+from chowforms.chow import chow_form_ci, u_block_names, with_linear_forms
 from chowforms.dimension import ProjectiveVariety, RandomGrid
 from chowforms.errors import (DegenerateError, IndeterminateError,
                               InternalError, UsageError)
@@ -186,17 +186,10 @@ class TestGcp:
 
 def chow_ci_system(polys, r):
     """The chow-ci elimination system: polys plus r+1 generic u-forms."""
-    xvars = polys[0].vars
-    n = xvars.nvars - 1
-    wide = attach_u_blocks(xvars, r, n)
-    out = [f.rename_into(wide) for f in polys]
-    for i in range(r + 1):
-        U = MPoly.zero(wide)
-        for j, x in enumerate(xvars.names):
-            U = U + MPoly.var(wide, f"u{i}{j}") * MPoly.var(wide, x)
-        out.append(U)
-    return (MacaulaySystem(out, xvars.names),
-            [u_block_names(i, n) for i in range(r + 1)])
+    xnames = polys[0].vars.names
+    blocks = [u_block_names(i, len(xnames) - 1) for i in range(r + 1)]
+    return (MacaulaySystem(with_linear_forms(polys, xnames, blocks), xnames),
+            blocks)
 
 
 def random_form(rng, vars, d, bound=3):

@@ -6,7 +6,7 @@ from .dimension import ProjectiveVariety, RandomGrid, dim_projection
 from .errors import (ChowformsError, DegenerateError, IndeterminateError,
                      InternalError, ParseError, UsageError)
 from .hurwitz import hurwitz_form
-from .mixedres import MultiResSystem, resultant_multihomogeneous
+from .mixedres import MultiResSystem
 from .mpoly import (MPoly, VarTable, divexact, gcd, kronecker_pack,
                     kronecker_unpack, parse_poly, square_free_part)
 from .multiproj import (MultiprojVariety, chow_hypersurface_formats,
@@ -25,7 +25,7 @@ __all__ = [
     "ChowformsError", "DegenerateError", "IndeterminateError",
     "InternalError", "ParseError", "UsageError",
     "hurwitz_form",
-    "MultiResSystem", "resultant_multihomogeneous",
+    "MultiResSystem",
     "MPoly", "VarTable", "divexact", "gcd",
     "kronecker_pack", "kronecker_unpack", "parse_poly", "square_free_part",
     "MultiprojVariety", "chow_hypersurface_formats",

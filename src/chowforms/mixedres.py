@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 
 from .errors import IndeterminateError, UsageError
-from .mpoly import MPoly, VarTable, divexact
-from .polydet import PolyMatrix, det_bareiss, det_integer, ff_reduce
-from .resultant import (_BadGrid, _block_grid, _compile, _det_in_s,
-                        _newton_assemble, drop_variables)
+from .mpoly import MPoly, VarTable
+from .polydet import PolyMatrix, ff_reduce
+from .resultant import (_BadGrid, _compile, _det_in_s, block_interpolation,
+                        drop_variables)
 
 
 class _BadLifting(Exception):
@@ -264,83 +263,33 @@ def _build_matrix(sys, rng):
     return rows, sub
 
 
-def resultant_multihomogeneous(sys, seed=0, retries=8):
-    """Sparse multihomogeneous resultant, up to sign and integer content.
+class _LiftingSampler:
+    """det H / det E for one lifting's Canny-Emiris matrix H and its
+    non-mixed principal minor E, compiled once (:func:`resultant._compile`)
+    and sampled at integer points (lists indexed like the system's
+    variables) by :func:`resultant.block_interpolation`.
 
-    Symbolic in whatever parameter variables the coefficients carry; a
-    purely numeric system yields an integer constant (zero iff the system
-    has a common root in the product of projective spaces, for generic
-    vanishing patterns).
-
-    The resultant always divides the matrix determinant, but the quotient
-    by the non-mixed minor equals the resultant only for sufficiently
-    well-behaved liftings, so a quotient is accepted only once two
-    independent liftings agree on it (up to sign).
+    A sample is ``[q]``, or ``[]`` for zero; it raises _BadGrid where
+    det E vanishes and _BadLifting on a remainder.  Nothing is shared
+    across a slice, so ``slice`` hands out the sampler itself.
     """
-    rng = random.Random(seed)
-    symbolic = any(any(idx not in sys.x_idx and f.partial_degree(idx) > 0
-                       for idx in range(sys.vars.nvars)) for f in sys.polys)
-    seen = []
-    for _ in range(2 * retries):
-        try:
-            rows, sub = _build_matrix(sys, rng)
-        except _BadLifting:
-            continue
-        try:
-            if symbolic:
-                det = det_bareiss(PolyMatrix(rows))
-                if not sub:
-                    minor = MPoly.const(sys.vars, 1)
-                else:
-                    minor = det_bareiss(PolyMatrix([[rows[i][j] for j in sub]
-                                                    for i in sub]))
-                if minor.is_zero():
-                    continue
-                if det.is_zero():
-                    cand = sys.param_project(MPoly.zero(sys.vars))
-                else:
-                    cand = sys.param_project(divexact(det, minor)).normalized()
-            else:
-                irows = [[e.constant_value() for e in r] for r in rows]
-                det = det_integer(irows)
-                minor = det_integer([[irows[i][j] for j in sub] for i in sub]) \
-                    if sub else 1
-                if minor == 0:
-                    continue
-                if det % minor:
-                    continue
-                cand = abs(det // minor)
-        except UsageError:
-            continue
-        if cand in seen:
-            if symbolic:
-                return cand
-            return sys.param_project(MPoly.const(sys.vars, cand))
-        seen.append(cand)
-    raise IndeterminateError("no two liftings agreed on the "
-                             "multihomogeneous resultant")
 
+    def __init__(self, rows, sub):
+        self.full = _compile(PolyMatrix(rows), None)
+        self.minor = _compile(PolyMatrix([[rows[i][j] for j in sub]
+                                          for i in sub]), None) if sub else None
 
-def _compile_lifting(rows, sub):
-    """One lifting's Canny-Emiris matrix and its non-mixed principal minor
-    (None when ``sub`` is empty), compiled once for :func:`_quotient`."""
-    minor = [[rows[i][j] for j in sub] for i in sub]
-    return (_compile(PolyMatrix(rows), None),
-            _compile(PolyMatrix(minor), None) if sub else None)
+    def __call__(self, point):
+        den = _det_in_s(self.minor, point) if self.minor else [1]
+        if not den:
+            raise _BadGrid
+        q, r = divmod((_det_in_s(self.full, point) or [0])[0], den[0])
+        if r:
+            raise _BadLifting
+        return [q] if q else []
 
-
-def _quotient(compiled, values):
-    """det M / det M_sub at the parameter values (a list indexed like the
-    system's variables): _BadGrid on a zero minor, _BadLifting on a
-    remainder."""
-    full, minor = compiled
-    den = (_det_in_s(minor, values) or [0])[0] if minor else 1
-    if den == 0:
-        raise _BadGrid
-    q, r = divmod((_det_in_s(full, values) or [0])[0], den)
-    if r:
-        raise _BadLifting
-    return q
+    def slice(self, top, keep=None):
+        return self
 
 
 def resultant_multihomogeneous_interp(sys, param_blocks, degrees, grid,
@@ -350,33 +299,24 @@ def resultant_multihomogeneous_interp(sys, param_blocks, degrees, grid,
     Avoids the symbolic determinant: each lifting's Canny-Emiris matrix
     is built once, its cells walked by an exact dual simplex from one
     LP-seeded cell, and it is compiled with its non-mixed minor into
-    integer structure (:func:`resultant._compile`), so every sample
+    integer structure (:class:`_LiftingSampler`), so every sample
     evaluates only the nonconstant entries and takes one integer
     determinant quotient at a numeric parameter point.
 
     Each ``param_blocks`` entry is the coefficient vector of one
     polynomial of the system (or a linear reparametrization of it), so
     the resultant is homogeneous in it of degree exactly ``degrees[b]``,
-    its Bezout number.  The polynomial is interpolated homogeneously at
-    those degrees: the first name of each block is pinned to 1 on a
-    product of lattice simplices in the others, and the result is
-    rehomogenized.  The fresh-point check draws every coordinate at
-    random, pinned ones included, so a quotient of another degree fails
-    it and rejects the lifting.  A result is accepted once two independent
-    liftings agree on the normalized polynomial.
+    its Bezout number.  The samples feed the one interpolation engine
+    (:func:`resultant.block_interpolation`), as the GCP samples do: the
+    first name of each block is pinned to 1 on a product of lattice
+    simplices in the others, the result is rehomogenized, and the
+    fresh-point check draws every coordinate at random, pinned ones
+    included, so a quotient of another degree fails it.  A remainder
+    rejects the lifting at once; a lifting whose ``grid.retries``
+    attempts all fail is dropped too.  A result is accepted once two
+    independent liftings agree on the normalized polynomial (zero when
+    det H vanishes identically).
     """
-    out_vars, affine_names, block_sizes, alphas = _block_grid(param_blocks,
-                                                              degrees)
-    pinned = [sys.vars.index(blk[0]) for blk in param_blocks]
-
-    def point_of(names, vals):
-        point = [0] * sys.vars.nvars
-        for i in pinned:
-            point[i] = 1
-        for n, v in zip(names, vals):
-            point[sys.vars.index(n)] = v
-        return point
-
     rng = grid.rng(tag)
     seen = []
     # Bad liftings are detected cheaply (first sample), so a generous
@@ -384,32 +324,15 @@ def resultant_multihomogeneous_interp(sys, param_blocks, degrees, grid,
     # the per-lifting success rate well below one half.
     for lift_try in range(8 * grid.retries):
         try:
-            compiled = _compile_lifting(*_build_matrix(sys, rng))
+            out = block_interpolation(
+                _LiftingSampler(*_build_matrix(sys, rng)), sys.vars,
+                param_blocks, degrees, itertools.repeat(rng, grid.retries))
         except _BadLifting:
             continue
-        cand = None
-        for attempt in range(grid.retries):
-            offsets = [rng.randint(0, 64 * (attempt + 1)) for _ in affine_names]
-            try:
-                values = {alpha: _quotient(compiled, point_of(
-                    affine_names, (o + a for o, a in zip(offsets, alpha))))
-                    for alpha in alphas}
-                poly = _newton_assemble(values, alphas, block_sizes, degrees,
-                                        offsets, out_vars)
-                fresh = [rng.randint(100, 10 ** 4) for _ in out_vars.names]
-                if poly.evaluate(dict(zip(out_vars.names, fresh))) != \
-                        _quotient(compiled, point_of(out_vars.names, fresh)):
-                    raise _BadLifting
-                cand = poly.normalized()
-                break
-            except _BadGrid:
-                continue
-            except _BadLifting:
-                cand = None
-                break
-        if cand is None:
+        if out is None:
             continue
-        if any(cand == s for s in seen):
+        cand = out[0].normalized()
+        if cand in seen:
             return cand
         seen.append(cand)
     raise IndeterminateError("no two liftings agreed on the interpolated "

@@ -481,6 +481,110 @@ def _block_grid(blocks, degrees):
             alphas)
 
 
+def block_interpolation(sampler, vars, blocks, degrees, rngs,
+                        s_profile=None):
+    """The one sample-and-interpolate loop, for the GCP pair
+    (:func:`gcp_block_interpolation`) and for Canny-Emiris quotients
+    (:func:`mixedres.resultant_multihomogeneous_interp`).
+
+    ``sampler(point)`` gives the ascending s-coefficients of a quantity at
+    an integer point (a list indexed like ``vars``).  Its s^val
+    coefficient, val being the lowest s-valuation on the grid, must be
+    homogeneous of degree ``degrees[b]`` - val * ``s_profile[b]`` in each
+    name tuple ``blocks[b]``.  ``sampler.slice(top, keep)`` gives the same
+    values as a function of the points that agree with ``top`` off the
+    last block and lie below it there in absolute value; ``keep=1`` asks
+    for the s^0 coefficient only.  Both raise _BadGrid at a bad point;
+    any other exception goes up to the caller.
+
+    Each random generator in ``rngs`` drives one attempt: it draws the
+    grid offsets, then the fresh point.  The grid (:func:`_block_grid`,
+    first name of each block pinned to 1) is walked one slice at a time.
+    The first sample is unsliced; once a sample has a nonzero constant
+    term the valuation is 0, and every later slice is sampled at s = 0
+    only.  A bad point ends the attempt, at once without ``s_profile``
+    (every point is needed), otherwise only if the interpolation needs
+    it.  The interpolant (:func:`_newton_assemble`) is checked against
+    the unsliced sampler at one fresh point, random in every coordinate,
+    pinned ones included, so a quantity of higher degree than
+    ``degrees`` fails the check.  A grid on which every sample is zero
+    interpolates to the zero polynomial, checked the same way.
+
+    Returns (polynomial over a table whose blocks are ``blocks``,
+    valuation), or None when every attempt failed.
+    """
+    out_vars, affine_names, block_sizes, alphas = _block_grid(blocks, degrees)
+    affine_idx = [vars.index(n) for n in affine_names]
+    out_idx = [vars.index(n) for n in out_vars.names]
+    pinned = [vars.index(blk[0]) for blk in blocks]
+    nslow = len(affine_names) - block_sizes[-1]
+
+    def point_of(idx, values):
+        point = [0] * vars.nvars
+        for i in pinned:
+            point[i] = 1
+        for i, v in zip(idx, values):
+            point[i] = v
+        return point
+
+    for attempt, rng in enumerate(rngs):
+        offsets = [rng.randint(0, 64 * (attempt + 1)) for _ in affine_names]
+        top = [o + degrees[-1] for o in offsets[nslow:]]
+        table = {}
+        val = None
+        at_key = None
+        for alpha in alphas:
+            values = [o + a for o, a in zip(offsets, alpha)]
+            key = (alpha[:nslow], 1 if val == 0 else None)
+            try:
+                if not table:
+                    q = sampler(point_of(affine_idx, values))
+                else:
+                    if key != at_key:
+                        at_key = key
+                        at = sampler.slice(
+                            point_of(affine_idx, values[:nslow] + top), key[1])
+                    q = at(point_of(affine_idx, values))
+            except _BadGrid:
+                table[alpha] = None
+                if s_profile is None:
+                    break  # every grid point is needed
+                continue
+            table[alpha] = q
+            v = next((i for i, c in enumerate(q) if c), None)
+            if v is not None and (val is None or v < val):
+                val = v
+        val = val or 0
+        adj_degrees = list(degrees)
+        if s_profile is not None:
+            adj_degrees = [d - val * p for d, p in zip(degrees, s_profile)]
+            if any(d < 0 for d in adj_degrees):
+                raise InternalError("valuation exceeds the degree budget")
+        use_alphas = [a for a in alphas if all(
+            sum(a[pos:pos + nb]) <= d for pos, nb, d in
+            zip(itertools.accumulate([0] + block_sizes), block_sizes,
+                adj_degrees))]
+        if any(table.get(a) is None for a in use_alphas):
+            continue
+        poly = _newton_assemble(
+            {a: (table[a][val] if val < len(table[a]) else 0)
+             for a in use_alphas},
+            use_alphas, block_sizes, adj_degrees, offsets, out_vars)
+        for _ in range(4):
+            fresh = [rng.randint(100, 10 ** 4) for _ in out_vars.names]
+            try:
+                q = sampler(point_of(out_idx, fresh))
+                break
+            except _BadGrid:
+                continue
+        else:
+            continue
+        if poly.evaluate(dict(zip(out_vars.names, fresh))) == \
+                (q[val] if val < len(q) else 0):
+            return poly, val
+    return None
+
+
 def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
                             tag="gcp-interp", s_profile=None, shift=0):
     """GCP trailing coefficient by evaluation and interpolation.
@@ -497,25 +601,18 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     monomial-count bound prod_b C(degrees[b] + len(block) - 1,
     len(block) - 1).
 
-    The grid is walked one slice at a time: the points of a slice share
-    every coordinate but those of the last block, so the rows of M and M0
-    that do not involve that block are the same at all of them.  Each
-    slice reduces those rows once (:func:`det_slice`), and each of its
-    points then takes a small Schur-complement determinant on the other
-    rows; a matrix with no such row takes one determinant per slice.  Off
-    s = 0 the rows are packed at one shift per slice, taken from the row
-    norms at the slice's largest fast coordinates.
-
-    The s-path is needed only until a sample has a nonzero constant
-    term: that proves the valuation is 0, and every later grid point of
-    the attempt takes q(0) = det M(0) / det M0(0) from plain integer
-    rows, an exact division whose remainder marks a bad point.  A slice
-    where det M0(0) = 0 still takes the (sliced) s-path, and so does every
-    sample of an attempt with positive valuation.  The fresh-point check
-    always takes the unsliced s-path, so it certifies the sliced s = 0
-    values against the perturbed computation.  An attempt whose
-    interpolant fails that check is dropped like a bad grid; when every
-    attempt is dropped the call raises IndeterminateError.
+    The samples feed the one interpolation engine
+    (:func:`block_interpolation`).  The points of a slice share every
+    coordinate but those of the last block, so each slice reduces the
+    rows of M and M0 that do not involve that block once
+    (:meth:`_SlicedMatrix.slice`).  Once a sample proves the valuation is
+    0, every later grid point takes q(0) = det M(0) / det M0(0) from plain
+    integer rows, an exact division whose remainder marks a bad point; a
+    point where det M0(0) = 0 still takes the s-path.  The fresh-point
+    check takes the unsliced s-path, so it certifies the s = 0 values
+    against the perturbed computation.  When every attempt of
+    ``grid.retries`` fails the call raises IndeterminateError; when the
+    checked interpolant is zero, UsageError.
 
     When the perturbed polynomials themselves carry block-homogeneous
     coefficients, every s-power displaces one coefficient slot, lowering
@@ -526,100 +623,17 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     Returns (trailing_coefficient, s_valuation) over a parameter table
     whose blocks are exactly ``blocks``.
     """
-    # Affine coordinates: first variable of each block is the
-    # dehomogenizing one, pinned to 1 on the grid.
-    out_vars, affine_names, block_sizes, alphas = _block_grid(blocks, degrees)
-    dehom_names = [blk[0] for blk in blocks]
-    sample = gcp_sampler(sys, perturb_indices, shift,
-                         [sys.vars.index(n) for n in blocks[-1][1:]])
-    nslow = len(affine_names) - block_sizes[-1]
-
-    def point_of(values):
-        point = [0] * sys.vars.nvars
-        for n in dehom_names:
-            point[sys.vars.index(n)] = 1
-        for n, v in zip(affine_names, values):
-            point[sys.vars.index(n)] = v
-        return point
-
-    for attempt in range(grid.retries):
-        rng = grid.rng(tag, attempt)
-        offsets = [rng.randint(0, 64 * (attempt + 1)) for _ in affine_names]
-        # Individual grid points may hit the degenerate locus of the minor;
-        # mark them and fail only if one lands in the sub-simplex that the
-        # interpolation ends up needing.
-        table = {}
-        val = None
-        all_bad = True
-        # alphas run through one slice (a fixed prefix of all blocks but
-        # the last) after the other; no fast coordinate exceeds its top.
-        top = [o + degrees[-1] for o in offsets[nslow:]]
-        prefix = None
-        for alpha in alphas:
-            values = [o + a for o, a in zip(offsets, alpha)]
-            if alpha[:nslow] != prefix:
-                prefix = alpha[:nslow]
-                slices = {}
-            keep = 1 if val == 0 else None
-            if keep not in slices:
-                slices[keep] = sample.slice(point_of(values[:nslow] + top),
-                                            keep)
-            try:
-                q = slices[keep](point_of(values))
-            except _BadGrid:
-                table[alpha] = None
-                continue
-            all_bad = False
-            table[alpha] = q
-            v = next((i for i, c in enumerate(q) if c), None)
-            if v is not None and (val is None or v < val):
-                val = v
-        if all_bad:
-            continue
-        if val is None:
-            raise UsageError("resultant vanishes identically on the system")
-        if s_profile is None:
-            adj_degrees = list(degrees)
-            use_alphas = alphas
-        else:
-            adj_degrees = [d - val * p for d, p in zip(degrees, s_profile)]
-            if any(d < 0 for d in adj_degrees):
-                raise InternalError("valuation exceeds the degree budget")
-            use_alphas = []
-            for alpha in alphas:
-                pos = 0
-                ok = True
-                for nb, d in zip(block_sizes, adj_degrees):
-                    if sum(alpha[pos:pos + nb]) > d:
-                        ok = False
-                        break
-                    pos += nb
-                if ok:
-                    use_alphas.append(alpha)
-        if any(table[a] is None for a in use_alphas):
-            continue
-        use_set = set(use_alphas)
-        values = {a: (q[val] if val < len(q) else 0)
-                  for a, q in table.items() if a in use_set and q is not None}
-        poly = _newton_assemble(values, use_alphas, block_sizes, adj_degrees,
-                                offsets, out_vars)
-        # Verify at a fresh random point: guards the degree bounds.
-        for _ in range(4):
-            fresh = [rng.randint(100, 10 ** 4) for _ in affine_names]
-            try:
-                q = sample(point_of(fresh))
-                break
-            except _BadGrid:
-                continue
-        else:
-            continue
-        got = q[val] if val < len(q) else 0
-        point = {n: 1 for n in dehom_names}
-        point.update(zip(affine_names, fresh))
-        if poly.evaluate(point) == got:
-            return poly, val
-    raise IndeterminateError(f"gcp_block_interpolation found no usable grid "
-                             f"in {grid.retries} attempts")
+    sampler = gcp_sampler(sys, perturb_indices, shift,
+                          [sys.vars.index(n) for n in blocks[-1][1:]])
+    out = block_interpolation(sampler, sys.vars, blocks, degrees,
+                              (grid.rng(tag, a) for a in range(grid.retries)),
+                              s_profile)
+    if out is None:
+        raise IndeterminateError(f"gcp_block_interpolation found no usable "
+                                 f"grid in {grid.retries} attempts")
+    if out[0].is_zero():
+        raise UsageError("resultant vanishes identically on the system")
+    return out
 
 
 def _newton_assemble(values, alphas, block_sizes, degrees, offsets, out_vars):

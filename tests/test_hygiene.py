@@ -1,6 +1,6 @@
-"""Static checks on the library sources: no rational arithmetic, and no
-imported name left unused.  ``__init__.py`` is exempt from the second
-check, since its imports are re-exports."""
+"""Static checks on the library sources: no rational arithmetic, no
+imported name left unused, and one interpolation loop.  ``__init__.py``
+is exempt from the second check, since its imports are re-exports."""
 
 import ast
 import pathlib
@@ -41,3 +41,35 @@ def test_no_unused_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for _, name in _imports(tree) if name not in used] == []
+
+
+def _callers(name):
+    """``module.function`` of every function in the sources whose own body
+    (nested functions excluded) calls ``name``."""
+    out = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            todo = list(ast.iter_child_nodes(fn))
+            while todo:
+                node = todo.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                    continue
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and name in (
+                        getattr(func, "id", None), getattr(func, "attr", None)):
+                    out.append(f"{path.stem}.{fn.name}")
+                    break
+                todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_one_interpolation_engine():
+    # The GCP and Canny-Emiris paths share one sample-and-interpolate
+    # loop: one function builds the grid and runs the interpolation.
+    callers = _callers("_newton_assemble")
+    assert len(callers) == 1
+    assert _callers("_block_grid") == callers

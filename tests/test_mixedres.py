@@ -8,15 +8,72 @@ from chowforms import MPoly, VarTable
 from chowforms.dimension import RandomGrid
 from chowforms.errors import IndeterminateError, UsageError
 from chowforms.mixedres import (MultiResSystem, _BadLifting, _build_matrix,
-                                _CellWalk, _compile_lifting,
-                                _lattice_points, _quotient,
-                                resultant_multihomogeneous,
+                                _CellWalk, _lattice_points, _LiftingSampler,
                                 resultant_multihomogeneous_interp)
-from chowforms.polydet import det_integer, ff_reduce
+from chowforms.mpoly import divexact, parse_poly
+from chowforms.polydet import PolyMatrix, det_bareiss, det_integer, ff_reduce
 from chowforms.resultant import (MacaulaySystem, _BadGrid, _det_in_s,
                                  bezout_bounds, resultant_dense)
 
 X3 = VarTable(("x0", "x1", "x2"))
+
+
+def resultant_multihomogeneous(sys, seed=0, retries=8):
+    """Oracle: the sparse multihomogeneous resultant from symbolic
+    Canny-Emiris determinants, up to sign and integer content.
+
+    Symbolic in whatever parameter variables the coefficients carry; a
+    purely numeric system yields an integer constant (zero iff the system
+    has a common root in the product of projective spaces, for generic
+    vanishing patterns).
+
+    The resultant always divides the matrix determinant, but the quotient
+    by the non-mixed minor equals the resultant only for sufficiently
+    well-behaved liftings, so a quotient is accepted only once two
+    independent liftings agree on it (up to sign).
+    """
+    rng = random.Random(seed)
+    symbolic = any(any(idx not in sys.x_idx and f.partial_degree(idx) > 0
+                       for idx in range(sys.vars.nvars)) for f in sys.polys)
+    seen = []
+    for _ in range(2 * retries):
+        try:
+            rows, sub = _build_matrix(sys, rng)
+        except _BadLifting:
+            continue
+        try:
+            if symbolic:
+                det = det_bareiss(PolyMatrix(rows))
+                if not sub:
+                    minor = MPoly.const(sys.vars, 1)
+                else:
+                    minor = det_bareiss(PolyMatrix([[rows[i][j] for j in sub]
+                                                    for i in sub]))
+                if minor.is_zero():
+                    continue
+                if det.is_zero():
+                    cand = sys.param_project(MPoly.zero(sys.vars))
+                else:
+                    cand = sys.param_project(divexact(det, minor)).normalized()
+            else:
+                irows = [[e.constant_value() for e in r] for r in rows]
+                det = det_integer(irows)
+                minor = det_integer([[irows[i][j] for j in sub] for i in sub]) \
+                    if sub else 1
+                if minor == 0:
+                    continue
+                if det % minor:
+                    continue
+                cand = abs(det // minor)
+        except UsageError:
+            continue
+        if cand in seen:
+            if symbolic:
+                return cand
+            return sys.param_project(MPoly.const(sys.vars, cand))
+        seen.append(cand)
+    raise IndeterminateError("no two liftings agreed on the "
+                             "multihomogeneous resultant")
 
 
 def bilinear(vars, coeffs):
@@ -293,7 +350,7 @@ class TestCellWalk:
 
 
 class TestCompiledSampler:
-    """The compiled matrix and minor against per-entry evaluation."""
+    """The lifting sampler against per-entry evaluation."""
 
     def test_matches_per_entry_evaluation(self):
         vars = VarTable(("x0", "x1", "y0", "y1", "u0", "u1", "u2", "u3"),
@@ -309,13 +366,14 @@ class TestCompiledSampler:
                           (0, 2, 1, 0, 0, 0, 0, 0): -2})
         f3 = f3 + u[0] * MPoly(vars, {(0, 2, 0, 1, 0, 0, 0, 0): 1})
         sys = MultiResSystem([f1, f2, f3], [("x0", "x1"), ("y0", "y1")])
-        samples = 0
+        outcomes = []
         for seed in range(6):
             try:
                 rows, sub = _build_matrix(sys, random.Random(seed))
             except _BadLifting:
                 continue
-            compiled = _compile_lifting(rows, sub)
+            sampler = _LiftingSampler(rows, sub)
+            assert sampler.slice(None) is sampler
             for _ in range(5):
                 values = [0] * 4 + [rng.randint(-50, 50) for _ in range(4)]
                 point = dict(zip(vars.names, values))
@@ -323,19 +381,23 @@ class TestCompiledSampler:
                 det = det_integer(irows)
                 minor = det_integer([[irows[i][j] for j in sub] for i in sub]) \
                     if sub else 1
-                assert (_det_in_s(compiled[0], values) or [0])[0] == det
+                assert (_det_in_s(sampler.full, values) or [0])[0] == det
                 if sub:
-                    assert (_det_in_s(compiled[1], values) or [0])[0] == minor
+                    assert (_det_in_s(sampler.minor, values)
+                            or [0])[0] == minor
                 if minor == 0:
                     with pytest.raises(_BadGrid):
-                        _quotient(compiled, values)
+                        sampler(values)
+                    outcomes.append("zero minor")
                 elif det % minor:
                     with pytest.raises(_BadLifting):
-                        _quotient(compiled, values)
+                        sampler(values)
+                    outcomes.append("remainder")
                 else:
-                    assert _quotient(compiled, values) == det // minor
-                samples += 1
-        assert samples >= 10
+                    assert sampler(values) == ([det // minor] if det else [])
+                    outcomes.append("quotient")
+        assert len(outcomes) >= 10
+        assert set(outcomes) == {"zero minor", "remainder", "quotient"}
 
 
 def incidence_system(rng, n, degrees):
@@ -392,3 +454,17 @@ class TestHomogeneousInterpolation:
         with pytest.raises(IndeterminateError):
             resultant_multihomogeneous_interp(sys, blocks, degrees,
                                               RandomGrid(seed=1, retries=1))
+
+    def test_vanishing_resultant_interpolates_to_zero(self):
+        # Every polynomial vanishes at x = (0:1), y = (0:1) for all t, so
+        # every sample is zero; the result is the zero polynomial, which
+        # multidegree skips.
+        vars = VarTable(("x0", "x1", "y0", "y1", "t0", "t1"),
+                        blocks=((0, 1), (2, 3), (4, 5)))
+        polys = [parse_poly(text, vars) for text in (
+            "x0*y0 + 2*x0*y1 + 3*x1*y0", "x0*y1 - x1*y0 + 5*x0*y0",
+            "t0*x0*y0 + t1*x0*y1 + 7*t1*x1*y0")]
+        sys = MultiResSystem(polys, [("x0", "x1"), ("y0", "y1")])
+        got = resultant_multihomogeneous_interp(
+            sys, [("t0", "t1")], sys.bezout_bounds()[-1:], RandomGrid(seed=1))
+        assert got.is_zero()

@@ -216,8 +216,9 @@ class _DetLog:
 
 
 class _SliceLog:
-    """Records the slices that every _GcpSampler hands out, the samples
-    taken through them as (keep, point, q), and the unsliced samples.
+    """Records the slices that every _GcpSampler hands out to the
+    interpolation engine, the samples taken through them as
+    (keep, point, q), and the unsliced samples as (keep, point, q).
 
     Each sliced point must agree with its slice's top off the fast
     coordinates (the last block but its first name) and lie below it on
@@ -227,7 +228,7 @@ class _SliceLog:
     def __init__(self, monkeypatch, sys, blocks, check=False):
         self.slices = []
         self.samples = []
-        self.unsliced = 0
+        self.unsliced = []
         self.checked = 0
         fast = {sys.vars.index(n) for n in blocks[-1][1:]}
         inner_slice = resultant._GcpSampler.slice
@@ -251,8 +252,9 @@ class _SliceLog:
             return sample
 
         def call(sampler, point, keep=None):
-            log.unsliced += 1
-            return inner_call(sampler, point, keep)
+            q = inner_call(sampler, point, keep)
+            log.unsliced.append((keep, point, q))
+            return q
 
         monkeypatch.setattr(resultant._GcpSampler, "slice", slice_)
         monkeypatch.setattr(resultant._GcpSampler, "__call__", call)
@@ -320,10 +322,10 @@ class TestSampleAtZero:
         u01 = sys.vars.index("u01")
         zero = {tuple(p) for k, p, _ in log.samples if k == 1 and not p[u01]}
         assert zero
-        # Every such point went on to a sliced s-path sample; the fresh
-        # check is the only unsliced one.
+        # Every such point went on to a sliced s-path sample; the first
+        # sample and the fresh check are the only unsliced ones.
         assert zero <= {tuple(p) for k, p, _ in log.samples if k is None}
-        assert log.unsliced == 1
+        assert [k for k, _, _ in log.unsliced] == [None, None]
         assert (got, val) == (ref, ref_val) and val == 0
 
     def test_valuation_one_discriminant_never_samples_at_zero(
@@ -346,10 +348,10 @@ class TestSampleAtZero:
 
     def test_conic_chow_ci_takes_one_full_grid_sample(self, monkeypatch):
         # 36 grid points in 6 slices of the u1 block: the first point proves
-        # valuation 0 on a sliced s-path, the other 35 take det M(0) and
-        # det M0(0) from one reduction of M per slice (M0 has no u1 row, so
-        # its determinant is taken once per slice); the fresh check is the
-        # one unsliced sample.
+        # valuation 0 on the unsliced s-path, the other 35 take det M(0)
+        # and det M0(0) from one reduction of M per slice (M0 has no u1
+        # row, so its determinant is taken once per slice); the fresh check
+        # is the other unsliced sample, drawn in every coordinate.
         reductions = []
         inner = resultant.det_slice
 
@@ -362,10 +364,13 @@ class TestSampleAtZero:
         sys, blocks = chow_ci_system(V.polys, 1)
         log = _SliceLog(monkeypatch, sys, blocks)
         chow_form_ci(V, 1, RandomGrid(seed=0))
-        assert [k for k, _ in log.slices] == [None] + [1] * 6
-        assert [k for k, _, _ in log.samples] == [None] + [1] * 35
-        assert reductions == [2] * 7
-        assert log.unsliced == 1
+        assert [k for k, _ in log.slices] == [1] * 6
+        assert [k for k, _, _ in log.samples] == [1] * 35
+        assert reductions == [2] * 6
+        assert [k for k, _, _ in log.unsliced] == [None, None]
+        first, fresh = log.unsliced
+        assert first[2][0] != 0
+        assert all(fresh[1][sys.vars.index(blk[0])] != 1 for blk in blocks)
 
     def test_sliced_samples_match_unsliced(self, monkeypatch):
         # A quartic and a quadric surface: every grid point lies in its
@@ -382,13 +387,27 @@ class TestSampleAtZero:
                                         RandomGrid(seed=1))
             assert len(log.slices) >= 2 and log.checked > 10
 
+    def test_all_zero_grid_is_usage_error(self):
+        # Unperturbed, x1*(x0 + x1) and (u0 + u1)*x1 share the root
+        # (1:0) for every u: the resultant vanishes identically.
+        X = VarTable(("x0", "x1", "u0", "u1"), blocks=((0, 1), (2, 3)))
+        sys = MacaulaySystem([parse_poly("x1*x0 + x1^2", X),
+                              parse_poly("u0*x1 + u1*x1", X)], ("x0", "x1"))
+        with pytest.raises(UsageError, match="vanishes identically"):
+            gcp_block_interpolation(sys, [], [("u0", "u1")], [1],
+                                    RandomGrid(seed=1))
+
     def test_failed_fresh_check_retries_then_indeterminate(self):
         # Degree 1 per block is below the true degree 2, so every
-        # interpolant fails its fresh-point check.
+        # interpolant fails its fresh-point check.  One above it in a
+        # block, the interpolant is the true form times that block's
+        # pinned coordinate, which only a fresh point drawing the pinned
+        # coordinates too tells apart.
         sys, blocks = chow_ci_system([parse_poly("x0*x2 - x1^2", X3)], 1)
-        with pytest.raises(IndeterminateError):
-            gcp_block_interpolation(sys, range(1), blocks, [1, 1],
-                                    RandomGrid(seed=0))
+        for degrees in ([1, 1], [3, 2], [2, 3]):
+            with pytest.raises(IndeterminateError):
+                gcp_block_interpolation(sys, range(1), blocks, degrees,
+                                        RandomGrid(seed=0))
 
 
 class TestBezout:

@@ -128,7 +128,7 @@ def verified_lambdas(polys, k, bound, cuts_leq, grid, tag):
     ``grid.retries`` attempts, up to 8 * ``grid.retries`` draws in all.
     """
     m = len(polys)
-    N = math.ceil(m / k)
+    N = -(-m // k)
     if m == k:
         ident = [[int(i == j) for j in range(m)] for i in range(k)]
         return [LambdaMatrix(ident, seed=None)]
@@ -172,7 +172,7 @@ def generic_lc(V, r, grid):
     if len(degs) != 1:
         raise UsageError("generic_lc requires equalized degrees")
     d = degs.pop()
-    bound = min(math.ceil(m / nr) * nr * d ** max(nr - 1, 0) + m + 1, 2 ** 15)
+    bound = min(-(-m // nr) * nr * d ** max(nr - 1, 0) + m + 1, 2 ** 15)
     return verified_lambdas(
         V.polys, nr, bound,
         lambda combos: dim_leq(ProjectiveVariety(V.vars, combos), r, grid),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -193,7 +194,7 @@ def run(command, problem, grid):
         return _poly_result(res.normalized(), algorithm)
     if command == "det":
         m = len(problem.polys)
-        k = int(round(m ** 0.5))
+        k = math.isqrt(m)
         if k * k != m:
             raise UsageError("det needs a square number of poly lines "
                              "(row-major matrix entries)")

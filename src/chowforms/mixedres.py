@@ -2,9 +2,9 @@
 
 The supports are products of dilated simplices (one per projective block);
 a random integer lifting induces a regular fine mixed subdivision of the
-Minkowski sum, queried one point at a time through its lower envelope:
-one float LP seeds the cell of the first point, and an exact integer dual
-simplex walks from each certified cell to the next (:class:`_CellWalk`).
+Minkowski sum, queried one point at a time through its lower envelope by
+an exact integer dual simplex, which starts from a surplus basis and then
+walks from each certified cell to the next (:class:`_CellWalk`).
 Rows of the resultant matrix are indexed by the lattice points of the
 shifted Minkowski sum; the resultant is the matrix determinant divided by
 the principal minor on the points in non-mixed cells.  For interpolation
@@ -125,40 +125,35 @@ class _CellWalk:
     The cell containing x is the optimal basis of the LP: minimize
     sum_i,a w_i(a) lambda_{i,a} over lambda >= 0 with
     sum lambda_{i,a} (a, e_i) = (x, 1, ..., 1), one Cayley column (a, e_i)
-    per support point.  ``locate`` takes b = D (x, 1, ..., 1) in integers.
-    The first point is seeded by a float LP; every later point starts an
-    exact dual simplex (Bland's rule) from the previous cell, which stays
-    dual feasible since only b changes.  Each basis is solved once, fraction
-    free: d > 0 and d B^-1, so lambda, reduced costs and pivot rows are
-    integer dot products scaled by d.  A cell is certified only when every
-    lambda > 0 and every off-cell reduced cost is > 0 (x strictly inside a
-    fine cell, which is then the unique optimum); anything else raises
+    per support point.  ``locate`` takes b = D (x, 1, ..., 1) in integers
+    and walks an exact dual simplex (Bland's rule) from the previous cell,
+    which stays dual feasible since only b changes.  The first walk starts
+    on m surplus columns -e_r priced at ``price``, dual feasible since each
+    Cayley column is >= 0 and nonzero; ``price`` exceeds |y| of every
+    certified cell, so no cell keeps one; they are dropped after the first.
+    Each basis is solved once, fraction free: d > 0 and d B^-1, so lambda,
+    reduced costs and pivot rows are integer dot products scaled by d.  A
+    cell is certified only when every lambda > 0, every off-cell reduced
+    cost is > 0 (x strictly inside a fine cell, which is then the unique
+    optimum) and every polytope is present; anything else raises
     ``_BadLifting`` for a retry.
     """
 
     def __init__(self, supports, liftings, N):
         self.k = len(supports)
-        self.m = N + self.k
+        self.m = m = N + self.k
         self.idx = [(i, a) for i, sup in enumerate(supports) for a in sup]
         self.cols = [list(a) + [int(j == i) for j in range(self.k)]
                      for i, a in self.idx]
         self.costs = [liftings[i][a] for i, a in self.idx]
-        self.basis = None
+        # |y_r| <= m max(w) max|adj B| as |det B| >= 1, and Hadamard's
+        # bound caps each adjugate entry by (1 + max sum(a)) ** (m - 1).
+        self.price = m * max(self.costs) * max(map(sum, self.cols)) ** (m - 1) + 1
+        n = len(self.idx)
+        self.cols += [[-int(r == c) for r in range(m)] for c in range(m)]
+        self.costs += [self.price] * m
+        self.basis = tuple(range(n, n + m))
         self.facts = {}
-
-    def _seed(self, b):
-        from scipy.optimize import linprog
-
-        A = [[float(col[r]) for col in self.cols] for r in range(self.m)]
-        res = linprog([float(w) for w in self.costs], A_eq=A,
-                      b_eq=[v / b[-1] for v in b], bounds=(0, None),
-                      method="highs")
-        if not res.success:
-            raise _BadLifting
-        basis = tuple(j for j, lam in enumerate(res.x) if lam > 1e-9)
-        if len(basis) != self.m:
-            raise _BadLifting
-        return basis
 
     def _factor(self, basis):
         """(d B^-1, d * reduced costs, strict) of a basis, d = |det B|;
@@ -184,13 +179,12 @@ class _CellWalk:
 
     def locate(self, b):
         """Sorted column indices of the cell containing b / D."""
-        seeded = self.basis is None
-        basis = self._seed(b) if seeded else self.basis
+        basis = self.basis
         for _ in range(16 * len(self.cols)):
             inv, red, strict = self._factor(basis)
             lam = [sum(map(operator.mul, row, b)) for row in inv]
             out = next((r for r, v in enumerate(lam) if v < 0), None)
-            if out is None or seeded:
+            if out is None:
                 break
             # Entering column: least ratio red_j / -alpha_j, lowest index
             # on ties; alpha is row ``out`` of d B^-1 A.
@@ -205,9 +199,13 @@ class _CellWalk:
             basis = tuple(sorted(basis[:out] + basis[out + 1:] + (enter,)))
         else:
             raise _BadLifting
-        if not strict or min(lam) <= 0 or \
+        n = len(self.idx)
+        if not strict or min(lam) <= 0 or basis[-1] >= n or \
                 len({self.idx[j][0] for j in basis}) != self.k:
             raise _BadLifting
+        if len(self.cols) > n:
+            del self.cols[n:], self.costs[n:]
+            self.facts = {basis: (inv, red[:n], strict)}
         self.basis = basis
         return basis
 
@@ -297,8 +295,8 @@ def resultant_multihomogeneous_interp(sys, param_blocks, degrees, grid,
     """Sparse multihomogeneous resultant by evaluation and interpolation.
 
     Avoids the symbolic determinant: each lifting's Canny-Emiris matrix
-    is built once, its cells walked by an exact dual simplex from one
-    LP-seeded cell, and it is compiled with its non-mixed minor into
+    is built once, its cells walked by an exact integer dual simplex
+    (:class:`_CellWalk`), and it is compiled with its non-mixed minor into
     integer structure (:class:`_LiftingSampler`), so every sample
     evaluates only the nonconstant entries and takes one integer
     determinant quotient at a numeric parameter point.

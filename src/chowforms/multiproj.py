@@ -285,7 +285,7 @@ def multi_generic_lc(V, r, grid):
         raise UsageError("need r < total dimension")
     if len({d for d in V.mdegs}) != 1:
         raise UsageError("multi_generic_lc requires equalized multidegrees")
-    bound = min(math.ceil(m / k) * k * sum(V.mdegs[0]) ** k + m + 1, 2 ** 15)
+    bound = min(-(-m // k) * k * sum(V.mdegs[0]) ** k + m + 1, 2 ** 15)
     return verified_lambdas(
         V.polys, k, bound,
         lambda combos: dim_projection(combos, V.x_blocks, range(V.l),

@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import chowforms
 from chowforms.cli import main, parse_problem
 from chowforms.errors import ParseError, UsageError
 from chowforms.mpoly import parse_poly
@@ -17,6 +22,8 @@ def write(tmp_path, name, text):
 LINE_P3 = "ring x0 x1 x2 x3\npoly x2\npoly x3\ndim 1\n"
 POINT_P2 = "ring x0 x1 x2\npoly x1\npoly x2\ndim 0\n"
 CONIC = "ring x0 x1 x2\npoly x0*x2 - x1^2\ndim 1\n"
+POINT_PAIR = ("ring x0 x1 y0 y1\nblocks (x0 x1)(y0 y1)\n"
+              "poly 2*x0 - x1\npoly 5*y0 - 3*y1\ndim 0\nformat 1 0\n")
 PRODUCT = ("ring x0 x1 x2 x3 y0 y1 y2 y3\n"
            "blocks (x0 x1 x2 x3)(y0 y1 y2 y3)\n"
            "poly x3\npoly x0*x2 - x1^2\n"
@@ -155,10 +162,26 @@ class TestCommands:
         assert report["degree_bound"] == 2
 
     def test_multichow_point_pair(self, tmp_path, capsys):
-        text = ("ring x0 x1 y0 y1\nblocks (x0 x1)(y0 y1)\n"
-                "poly 2*x0 - x1\npoly 5*y0 - 3*y1\ndim 0\nformat 1 0\n")
-        assert main(["multichow", write(tmp_path, "p", text)]) == 0
+        assert main(["multichow", write(tmp_path, "p", POINT_PAIR)]) == 0
         assert capsys.readouterr().out.strip() == "3*u2_0_0 + 5*u2_0_1"
+
+    def test_standard_library_only(self, tmp_path, capsys):
+        # A fresh interpreter in which scipy and numpy cannot be imported
+        # runs the Canny-Emiris path and prints what this process prints.
+        path = write(tmp_path, "p", POINT_PAIR)
+        assert main(["multichow", path]) == 0
+        want = capsys.readouterr().out
+        code = ("import sys\n"
+                "sys.modules['scipy'] = sys.modules['numpy'] = None\n"
+                "from chowforms.cli import main\n"
+                f"sys.exit(main(['multichow', {path!r}]))\n")
+        src = str(pathlib.Path(chowforms.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == want
 
 
 class TestPolymatroidCommand:

@@ -1,9 +1,11 @@
-"""Static checks on the library sources: no rational arithmetic, no
-imported name left unused, and one interpolation loop.  ``__init__.py``
-is exempt from the second check, since its imports are re-exports."""
+"""Static checks on the library sources: standard-library imports only,
+no rational or floating-point arithmetic, no imported name left unused,
+and one interpolation loop.  ``__init__.py`` is exempt from the unused
+import check, since its imports are re-exports."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -32,6 +34,31 @@ def test_no_fractions_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [m for m, _ in _imports(tree)
             if m.split(".")[0] == "fractions"] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_standard_library_only(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [m for m, _ in _imports(tree) if not m.startswith(".")
+            and m.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_floating_point(path):
+    # No float literal, no float() call and no true division.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and \
+                isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.Div):
+            found.append((node.lineno, "/"))
+        elif isinstance(node, ast.Call) and \
+                getattr(node.func, "id", None) == "float":
+            found.append((node.lineno, "float()"))
+    assert found == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES

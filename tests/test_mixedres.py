@@ -252,9 +252,11 @@ class TestCellWalk:
 
     @staticmethod
     def certified_subsets(cells):
-        """Bases whose dual certificate holds: (basis, B) pairs."""
+        """Bases of Cayley columns whose dual certificate holds:
+        (basis, B, y) triples, y the dual solution."""
+        n = len(cells.idx)
         out = []
-        for basis in itertools.combinations(range(len(cells.cols)), cells.m):
+        for basis in itertools.combinations(range(n), cells.m):
             if len({cells.idx[j][0] for j in basis}) != cells.k:
                 continue
             B = [[cells.cols[j][r] for j in basis] for r in range(cells.m)]
@@ -263,18 +265,20 @@ class TestCellWalk:
             if y is None:
                 continue
             if all(w - sum(u * v for u, v in zip(y, col)) > 0
-                   for j, (w, col) in enumerate(zip(cells.costs, cells.cols))
+                   for j, (w, col) in enumerate(zip(cells.costs[:n],
+                                                    cells.cols[:n]))
                    if j not in basis):
-                out.append((basis, B))
+                out.append((basis, B, y))
         return out
 
     @staticmethod
     def brute(certified, b):
-        return [basis for basis, B in certified
+        return [basis for basis, B, _ in certified
                 if all(v > 0 for v in fraction_solve(B, b))]
 
     @staticmethod
-    def lifting(sys, rng):
+    def walk_inputs(sys, rng):
+        """(supports, liftings, scaled points b) as _build_matrix draws them."""
         supports = [sys.affine_support(i) for i in range(len(sys.polys))]
         liftings = [{a: rng.randint(1, 2 ** 16) for a in sup}
                     for sup in supports]
@@ -283,26 +287,47 @@ class TestCellWalk:
         sums = [sum(d[j] for d in sys.mdegs) for j in range(sys.l)]
         bs = [[D * pi - di for pi, di in zip(p, delta)] + [D] * len(supports)
               for p in _lattice_points(sys.nsizes, sums)]
+        return supports, liftings, bs
+
+    def lifting(self, sys, rng):
+        supports, liftings, bs = self.walk_inputs(sys, rng)
         return _CellWalk(supports, liftings, sys.N), bs
 
     def test_walk_matches_brute_force(self):
+        # Each point is located twice: by the walk from the previous cell
+        # and by a fresh walk from the surplus basis.
         rng = random.Random(5)
         checked = 0
         for sys in walk_systems():
             for _ in range(3):
-                cells, bs = self.lifting(sys, rng)
+                supports, liftings, bs = self.walk_inputs(sys, rng)
+                cells = _CellWalk(supports, liftings, sys.N)
                 certified = self.certified_subsets(cells)
                 for b in bs:
                     want = self.brute(certified, b)
                     assert len(want) <= 1
+                    fresh = _CellWalk(supports, liftings, sys.N)
                     if want:
                         assert cells.locate(b) == want[0]
+                        assert fresh.locate(b) == want[0]
                         checked += 1
                     else:
-                        with pytest.raises(_BadLifting):
-                            cells.locate(b)
+                        for walk in (cells, fresh):
+                            with pytest.raises(_BadLifting):
+                                walk.locate(b)
                         break
         assert checked >= 20
+
+    def test_price_exceeds_every_certified_dual(self):
+        rng = random.Random(13)
+        cells_seen = 0
+        for sys in walk_systems():
+            for _ in range(3):
+                cells, _ = self.lifting(sys, rng)
+                for _, _, y in self.certified_subsets(cells):
+                    assert all(abs(v) < cells.price for v in y)
+                    cells_seen += 1
+        assert cells_seen >= 20
 
     def test_lattice_point_on_boundary_raises(self):
         rng = random.Random(7)
@@ -321,6 +346,20 @@ class TestCellWalk:
                     cells.locate(b)
         assert hits >= 2
 
+    def test_point_outside_the_sum_raises(self):
+        # Only surplus columns reach a point beyond the Minkowski sum, and
+        # a basis that keeps one is no cell.
+        rng = random.Random(17)
+        for sys in walk_systems():
+            cells, bs = self.lifting(sys, rng)
+            D = bs[0][-1]
+            far = [4 * D * sum(map(sum, sys.mdegs))] * sys.N + [D] * cells.k
+            for start in (None, bs[0]):
+                if start is not None:
+                    cells.locate(start)
+                with pytest.raises(_BadLifting):
+                    cells.locate(far)
+
     def test_coarse_lifting_raises(self):
         # An affine lifting puts every support point on the lower envelope:
         # each basis is dual feasible, none strictly.
@@ -331,9 +370,9 @@ class TestCellWalk:
             supports = [sys.affine_support(i) for i in range(len(sys.polys))]
             affine = [{a: 3 * sum(a) + i for a in sup}
                       for i, sup in enumerate(supports)]
-            for seeded in (True, False):
+            for fresh in (True, False):
                 cells = _CellWalk(supports, affine, sys.N)
-                if not seeded:
+                if not fresh:
                     cells.basis = start
                 with pytest.raises(_BadLifting):
                     cells.locate(bs[0])

@@ -7,14 +7,13 @@ from .errors import (ChowformsError, DegenerateError, IndeterminateError,
                      InternalError, ParseError, UsageError)
 from .hurwitz import hurwitz_form
 from .mixedres import MultiResSystem
-from .mpoly import (MPoly, VarTable, divexact, gcd, kronecker_pack,
-                    kronecker_unpack, parse_poly, square_free_part)
+from .mpoly import (MPoly, VarTable, divexact, gcd, parse_poly,
+                    square_free_part)
 from .multiproj import (MultiprojVariety, chow_hypersurface_formats,
                         dim_table, hurwitz_hypersurface_formats,
                         multi_bounds, multi_chow_form, multi_chow_form_ci,
                         multi_degree_equalize, multidegree, support)
-from .polydet import (PolyMatrix, det_bareiss, det_cofactor, det_integer,
-                      det_kronecker, det_univariate_interp)
+from .polydet import PolyMatrix, det_bareiss, det_cofactor, det_integer
 from .polymatroid import Polymatroid, from_dim_table, is_submodular
 from .resultant import MacaulaySystem, gcp_resultant, resultant_dense
 
@@ -27,13 +26,12 @@ __all__ = [
     "hurwitz_form",
     "MultiResSystem",
     "MPoly", "VarTable", "divexact", "gcd",
-    "kronecker_pack", "kronecker_unpack", "parse_poly", "square_free_part",
+    "parse_poly", "square_free_part",
     "MultiprojVariety", "chow_hypersurface_formats",
     "dim_table", "hurwitz_hypersurface_formats", "multi_bounds",
     "multi_chow_form", "multi_chow_form_ci", "multi_degree_equalize",
     "multidegree", "support",
     "PolyMatrix", "det_bareiss", "det_cofactor", "det_integer",
-    "det_kronecker", "det_univariate_interp",
     "Polymatroid", "from_dim_table", "is_submodular",
     "MacaulaySystem", "gcp_resultant", "resultant_dense",
 ]

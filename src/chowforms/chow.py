@@ -34,14 +34,6 @@ class Form:
         return f"Form({self.poly.to_text()})"
 
 
-class LambdaMatrix:
-    """Integer combination matrix with the seed that produced it."""
-
-    def __init__(self, rows, seed):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.seed = seed
-
-
 def u_block_names(i, n):
     return tuple(f"u{i}{j}" for j in range(n + 1))
 
@@ -116,7 +108,8 @@ def combine(polys, rows):
 
 
 def verified_lambdas(polys, k, bound, cuts_leq, grid, tag):
-    """N = ceil(m/k) verified random k x m combination matrices.
+    """N = ceil(m/k) verified random k x m combination matrices, each a
+    list of rows.
 
     Entries are drawn from [1, bound] by ``grid.rng(tag, draw)``.  Each
     Lambda must pass ``cuts_leq`` on its k combinations (the dimension
@@ -130,8 +123,7 @@ def verified_lambdas(polys, k, bound, cuts_leq, grid, tag):
     m = len(polys)
     N = -(-m // k)
     if m == k:
-        ident = [[int(i == j) for j in range(m)] for i in range(k)]
-        return [LambdaMatrix(ident, seed=None)]
+        return [[[int(i == j) for j in range(m)] for i in range(k)]]
     # One column per monomial: the generators' coefficients on it.
     cols = [[f.terms.get(exp, 0) for f in polys]
             for exp in {exp for f in polys for exp in f.terms}]
@@ -154,8 +146,7 @@ def verified_lambdas(polys, k, bound, cuts_leq, grid, tag):
             last_err = "stacked matrix not of full rank"
             continue
         if all(cuts_leq(combine(polys, lam)) for lam in lambdas):
-            return [LambdaMatrix(lam, seed=(grid.seed, draw))
-                    for lam in lambdas]
+            return lambdas
         last_err = "a combination variety has dimension > r"
     raise UsageError(f"{tag}: no verified combination after {attempts} "
                      f"attempts: {last_err}")
@@ -191,7 +182,7 @@ def chow_form(V, r, grid):
     """General-case Chow form: equalize, combine, intersect via gcd."""
     Veq = degree_equalize(V)
     return gcd_fold(
-        chow_form_ci(ProjectiveVariety(V.vars, combine(Veq.polys, lam.rows)),
+        chow_form_ci(ProjectiveVariety(V.vars, combine(Veq.polys, lam)),
                      r, grid).poly
         for lam in generic_lc(Veq, r, grid))
 

@@ -189,7 +189,7 @@ def run(command, problem, grid):
             res = resultant_dense(sys_)
             algorithm = "macaulay"
         except DegenerateError:
-            res = gcp_resultant(sys_)
+            res = gcp_resultant(sys_)[0]
             algorithm = "gcp"
         return _poly_result(res.normalized(), algorithm)
     if command == "det":

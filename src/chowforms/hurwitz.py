@@ -1,11 +1,19 @@
 """Hurwitz forms of complete-intersection projective varieties.
 
-Two elimination stages: first the u-resultant R1 of the system
-{f_1..f_{n-r}, U_1..U_r, M} with M = m_0 x_0 + ... + m_n x_n (a form whose
-m-linear factors enumerate the intersection points), then the discriminant
-of R1 with respect to the m-block, whose square-free part cut down by the
-generic-incidence factor vanishes exactly on the (n-r)-planes meeting the
-variety non-transversally.
+Two elimination stages.  The first is the u-resultant R1 of the system
+{f_1..f_{n-r}, U_1..U_r, M} with M = m_0 x_0 + ... + m_n x_n; over the
+algebraic closure R1 = c * prod_j (m . p_j), one m-linear factor per point
+p_j where the plane {U_1 = ... = U_r = 0} meets the variety.  The second
+restricts R1 to a pencil m = a + t b and takes the discriminant in t:
+
+    Disc_t = c^(2D-2) * prod_{j<k} Delta_jk^2,
+    Delta_jk = (a ^ b) . (p_j ^ p_k),
+
+with D = deg V.  It vanishes where two points collide, which is the
+Hurwitz form, and where the line through two points meets the axis
+{a . x = b . x = 0} of the pencil, which depends on the pencil.  A gcd over
+pencils strips the latter, so no other factor has to be divided out
+(Sturmfels, "The Hurwitz form of a projective variety", Math. Ann. 2017).
 """
 
 from __future__ import annotations
@@ -14,9 +22,16 @@ import math
 
 from .chow import Form, u_block_names, with_linear_forms
 from .dimension import RandomGrid
-from .errors import InternalError, UsageError
-from .mpoly import MPoly, divexact, gcd, square_free_part
-from .resultant import MacaulaySystem, gcp_block_interpolation, gcp_resultant
+from .errors import IndeterminateError, InternalError, UsageError
+from .mpoly import gcd, square_free_part
+from .polydet import det_integer
+from .resultant import (MacaulaySystem, _BadGrid, block_interpolation,
+                        gcp_block_interpolation)
+
+# Pencil coordinates are drawn from [1, PENCIL_BOUND]: nonzero, so that
+# the end point b of the pencil lies on no coordinate hyperplane, and small,
+# so that the discriminants keep small coefficients.
+PENCIL_BOUND = 2 ** 5
 
 
 def m_block_names(n):
@@ -58,113 +73,131 @@ def u_resultant(V, r, grid=None):
     return R1
 
 
-def discriminant_via_partials(R1, grid=None, shift=0):
-    """R2: m eliminated from the partial derivatives of R1.
+class _PencilSampler:
+    """Res(p, p') / p[D] at integer points, p(t) = R1(u, a + t b) being R1
+    restricted to the pencil ``(a, b)`` of its last variable block (the
+    m-block), of degree D in t; up to the sign (-1)^(D(D-1)/2) this is the
+    discriminant of p.
 
-    Vanishes when R1 has a repeated m-linear factor, i.e. when two of the
-    intersection points collide (tangency) or escape (non-transversality).
-    The result also carries factors depending on the perturbation variant
-    ``shift``; the tangency locus itself divides R2 for every shift.
+    The t-coefficients of p are compiled once into integer polynomials in
+    the other variables, over one shared list of monomials.  A sample
+    evaluates them, takes one (2D-1) x (2D-1) Sylvester determinant of p
+    and p' and divides it by p[D] = R1(u, b), which divides its first
+    column; it raises _BadGrid where p[D] = 0.  A sample is ``[value]``,
+    or ``[]`` for zero.  Nothing is shared across a slice, so ``slice``
+    hands out the sampler itself.
     """
-    if grid is None:
-        grid = RandomGrid(seed=0)
+
+    def __init__(self, R1, pencil):
+        vars = R1.vars
+        m_idx = vars.blocks[-1]
+        a, b = pencil
+        if len(a) != len(m_idx) or len(b) != len(m_idx):
+            raise UsageError("a pencil needs two points of the m-block")
+        self.D = max(sum(exp[i] for i in m_idx) for exp in R1.terms)
+        if self.D < 2:
+            raise UsageError("R1 must be at least quadratic in the m-block")
+        # lines[e]: ascending t-coefficients of prod_k (a_k + t b_k)^e_k.
+        lines = {}
+        monos = {}
+        coeffs = [{} for _ in range(self.D + 1)]
+        for exp, c in R1.terms.items():
+            e = tuple(exp[i] for i in m_idx)
+            if e not in lines:
+                line = [1]
+                for ak, bk, ek in zip(a, b, e):
+                    for _ in range(ek):
+                        line = [x * ak + y * bk
+                                for x, y in zip(line + [0], [0] + line)]
+                lines[e] = line
+            mono = tuple((v, k) for v, k in enumerate(exp)
+                         if k and v not in m_idx)
+            t = monos.setdefault(mono, len(monos))
+            for j, lc in enumerate(lines[e]):
+                coeffs[j][t] = coeffs[j].get(t, 0) + c * lc
+        self.monos = list(monos)
+        self.coeffs = [[(t, c) for t, c in cj.items() if c] for cj in coeffs]
+
+    def __call__(self, point):
+        mv = [math.prod(point[v] ** k for v, k in mono) for mono in self.monos]
+        p = [sum(c * mv[t] for t, c in cj) for cj in self.coeffs]
+        lead = p[-1]
+        if not lead:
+            raise _BadGrid
+        D = self.D
+        top = p[::-1]
+        dtop = [c * (D - i) for i, c in enumerate(top[:-1])]
+        rows = [[0] * i + top + [0] * (D - 2 - i) for i in range(D - 1)]
+        rows += [[0] * i + dtop + [0] * (D - 1 - i) for i in range(D)]
+        q, rem = divmod(det_integer(rows), lead)
+        if rem:
+            raise InternalError("p[D] does not divide the Sylvester "
+                                "determinant of p and p'")
+        return [q] if q else []
+
+    def slice(self, top, keep=None):
+        return self
+
+
+def discriminant_via_partials(R1, grid, pencil):
+    """R2: the resultant of R1(u, a + t b) and its t-partial, divided by
+    R1(u, b), as a polynomial in the u-blocks (every block of R1 but the
+    last, the m-block), for the pencil ``pencil = (a, b)``.
+
+    R2 vanishes where R1 has a repeated m-linear factor, i.e. where two of
+    the intersection points collide, and on factors that depend on the
+    pencil.  With D the m-degree of R1 and d_b its degree in u-block b, R2
+    is homogeneous of degree d_b (2D - 2) in block b; it is interpolated at
+    exactly those degrees from :class:`_PencilSampler`'s samples.
+    """
     vars = R1.vars
-    m_names = vars.blocks[-1]
-    m_names = tuple(vars.names[i] for i in m_names)
-    if not all(n.startswith("m") for n in m_names):
-        raise UsageError("expected the m-block as the last variable block")
-    m_idx = [vars.index(n) for n in m_names]
-    dm = max(sum(exp[i] for i in m_idx) for exp in R1.terms)
-    if dm < 2:
-        raise UsageError("R1 must be at least quadratic in the m-block")
-    partials = [R1.derivative(n) for n in m_names]
-    if any(p.is_zero() for p in partials):
-        raise UsageError("R1 is independent of one of the m-variables")
-    sys = MacaulaySystem(partials, m_names)
-    u_blocks = []
-    for blk in vars.blocks[:-1]:
-        names = tuple(vars.names[i] for i in blk)
-        if names and names[0].startswith("u"):
-            u_blocks.append(names)
-    nm = len(m_names)
+    u_blocks = [tuple(vars.names[i] for i in blk) for blk in vars.blocks[:-1]]
     if not u_blocks:
-        # Constant coefficients: the classical discriminant, zero exactly
-        # when the resultant of the partials vanishes.
-        res, val = gcp_resultant(sys, range(nm), with_valuation=True)
-        if val > 0:
-            return MPoly.zero(res.vars)
-        return res
-    profile = []
-    degrees = []
-    for blk in u_blocks:
-        idx = [vars.index(n) for n in blk]
-        db = max(sum(exp[i] for i in idx) for exp in R1.terms)
-        profile.append(db)
-        degrees.append(db * nm * (dm - 1) ** (nm - 1))
-    R2, _ = gcp_block_interpolation(sys, range(nm), u_blocks, degrees, grid,
-                                    tag=f"hurwitz-disc-{shift}",
-                                    s_profile=profile, shift=shift)
-    return R2
-
-
-def _incidence_factor(V, r, grid):
-    """Square-free resultant of {f_i, U_1..U_r, random hyperplane}: the
-    generic-incidence locus in the same u-blocks, used to strip extraneous
-    factors from the discriminant."""
-    deg = math.prod(f.total_degree() for f in V.polys)
-    rng = grid.rng("hurwitz-incidence")
-    blocks = [u_block_names(i, V.n) for i in range(1, r + 1)]
-    polys = with_linear_forms(V.polys, V.vars.names, blocks)
-    H = MPoly.zero(polys[0].vars)
-    for xname in V.vars.names:
-        H = H + rng.randint(1, grid.bound) * MPoly.var(H.vars, xname)
-    sys = MacaulaySystem(polys + [H], V.vars.names)
-    C, _ = gcp_block_interpolation(sys, range(len(V.polys)), blocks,
-                                   [deg] * r, grid, tag="hurwitz-chowfactor")
-    if C.is_zero():
-        raise InternalError("incidence factor vanished identically")
-    return square_free_part(C).normalized()
+        raise UsageError("R1 has no u-block to interpolate in")
+    sampler = _PencilSampler(R1, pencil)
+    degrees = [R1.block_degree(b) * (2 * sampler.D - 2)
+               for b in range(len(u_blocks))]
+    out = block_interpolation(
+        sampler, vars, u_blocks, degrees,
+        (grid.rng("hurwitz-disc", pencil, a) for a in range(grid.retries)))
+    if out is None:
+        raise IndeterminateError(f"discriminant_via_partials found no usable "
+                                 f"grid in {grid.retries} attempts")
+    return out[0]
 
 
 def hurwitz_form(V, r, grid=None):
-    """Square-free Hurwitz form: discriminant of the u-resultant, with
-    perturbation-dependent and generic-incidence factors divided out.
+    """Square-free Hurwitz form: the gcd of the discriminants of the
+    u-resultant on random pencils (:func:`discriminant_via_partials`).
 
-    The tangency locus divides the discriminant for every perturbation
-    variant, so a gcd over two variants strips the variant-dependent
-    artifacts; the remaining generic-incidence component is removed via
-    the Chow-style resultant with an extra random hyperplane.
+    Every discriminant is divisible by the tangency locus; the other
+    factors depend on the pencil.  The raw discriminants of up to n + 1
+    pencils are gcd-folded, stopping once another pencil no longer shrinks
+    the fold, and the square-free part of the fold is the Hurwitz form.
     """
+    if r < 1:
+        raise UsageError("Hurwitz forms need dim >= 1: a finite set of "
+                         "points has no tangent planes")
     if grid is None:
         grid = RandomGrid(seed=0)
     R1 = u_resultant(V, r, grid)
-    n_m = len(m_block_names(V.n))
     H = None
-    for shift in range(n_m):
-        R2 = discriminant_via_partials(R1, grid, shift=shift)
+    for k in range(V.n + 1):
+        rng = grid.rng("hurwitz-pencil", k)
+        pencil = tuple(tuple(rng.randint(1, PENCIL_BOUND)
+                             for _ in range(V.n + 1)) for _ in range(2))
+        R2 = discriminant_via_partials(R1, grid, pencil)
         if R2.is_zero():
-            raise UsageError("discriminant vanished identically; the sweep "
-                             "is degenerate")
-        part = square_free_part(R2).normalized()
+            raise UsageError("discriminant vanished identically; the "
+                             "variety is not reduced")
+        R2 = R2.normalized()
         if H is None:
-            H = part
+            H = R2
             continue
-        folded = gcd(H, part).normalized()
-        # Accept once an extra variant stops shrinking the common factor.
+        folded = gcd(H, R2).normalized()
         if folded == H:
             break
         H = folded
     if H.is_constant():
-        raise InternalError("discriminant variants share no common factor")
-    C = _incidence_factor(V, r, grid)
-    if H.vars != C.vars:
-        C = C.rename_into(H.vars)
-    g = gcd(H, C)
-    if not g.is_constant():
-        H = divexact(H, g).normalized()
-    if H.is_constant():
-        raise InternalError("Hurwitz form reduced to a constant after "
-                            "extraneous-factor removal")
-    if not gcd(H, C).is_constant():
-        raise InternalError("extraneous incidence factor survived removal")
-    return Form(H)
+        raise InternalError("the pencil discriminants share no common factor")
+    return Form(square_free_part(H).normalized())

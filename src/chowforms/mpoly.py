@@ -164,18 +164,6 @@ class MPoly:
         """Per-block degree vector (the multidegree for multihomogeneous input)."""
         return self.block_degrees()
 
-    def is_multihomogeneous(self):
-        if not self.terms:
-            return True
-        seen = None
-        for exp in self.terms:
-            bd = self.block_degrees(exp)
-            if seen is None:
-                seen = bd
-            elif bd != seen:
-                return False
-        return True
-
     def is_homogeneous_in(self, var_indices):
         """Homogeneous when grading only the given variables."""
         degs = {sum(exp[i] for i in var_indices) for exp in self.terms}
@@ -691,6 +679,21 @@ def _balanced_digit(p, xi):
     return MPoly(p.vars, rterms), MPoly(p.vars, qterms)
 
 
+def _digits_in(p, v, xi):
+    """The polynomial whose coefficients in variable v are the balanced
+    base-xi digits (:func:`_balanced_digit`) of the coefficients of p:
+    the inverse of :func:`_eval_one_var` at xi on polynomials whose
+    coefficients all lie in (-xi/2, xi/2]."""
+    terms = {}
+    j = 0
+    while not p.is_zero():
+        r, p = _balanced_digit(p, xi)
+        for exp, c in r.terms.items():
+            terms[exp[:v] + (j,) + exp[v + 1:]] = c
+        j += 1
+    return MPoly(p.vars, terms)
+
+
 def _heu_gcd_inner(f, g, tries):
     """Heuristic gcd with integer content included (evaluate the main
     variable at a huge integer, recurse, read the candidate back off the
@@ -718,16 +721,7 @@ def _heu_gcd_inner(f, g, tries):
         h_sub = _heu_gcd_inner(fv, gv, tries=2)
         if h_sub is None:
             return None
-        digits = []
-        p = h_sub
-        while not p.is_zero():
-            r, p = _balanced_digit(p, xi)
-            digits.append(r)
-        terms = {}
-        for j, d in enumerate(digits):
-            for exp, c in d.terms.items():
-                terms[exp[:v] + (j,) + exp[v + 1:]] = c
-        h = MPoly(f.vars, terms)
+        h = _digits_in(h_sub, v, xi)
         if not h.is_zero():
             # The digits may carry a spurious integer factor from the
             # evaluated cofactors; rescale to the true integer content.
@@ -797,50 +791,3 @@ def square_free_part(f):
     h = gcd(f, g)
     return divexact(f.normalized(), h).normalized()
 
-
-# -- Kronecker substitution -------------------------------------------
-
-def kronecker_pack(f, bounds, zvars=None):
-    """Pack f into a univariate polynomial via mixed-radix substitution.
-
-    ``bounds[i]`` caps the partial degree of variable i; the substitution is
-    y_1 -> z, y_2 -> z^(D_1+1), ..., with weights multiplying up the caps.
-    """
-    if len(bounds) != f.vars.nvars:
-        raise UsageError("need one degree cap per variable")
-    for i, cap in enumerate(bounds):
-        if f.partial_degree(i) > cap:
-            raise UsageError(
-                f"partial degree of {f.vars.names[i]} exceeds its cap {cap}")
-    if zvars is None:
-        zvars = VarTable(("z",))
-    weights = []
-    w = 1
-    for cap in bounds:
-        weights.append(w)
-        w *= cap + 1
-    out = {}
-    for exp, c in f.terms.items():
-        packed = sum(e * wt for e, wt in zip(exp, weights))
-        out[(packed,)] = out.get((packed,), 0) + c
-    return MPoly(zvars, out)
-
-
-def kronecker_unpack(g, bounds, vars):
-    """Inverse of :func:`kronecker_pack` by mixed-radix digit decomposition."""
-    if g.vars.nvars != 1:
-        raise UsageError("packed polynomial must be univariate")
-    radix = 1
-    for cap in bounds:
-        radix *= cap + 1
-    out = {}
-    for (packed,), c in g.terms.items():
-        if packed >= radix:
-            raise UsageError("packed exponent out of radix range; caps too small")
-        exp = []
-        rest = packed
-        for cap in bounds:
-            exp.append(rest % (cap + 1))
-            rest //= cap + 1
-        out[tuple(exp)] = c
-    return MPoly(vars, out)

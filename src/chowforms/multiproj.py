@@ -298,8 +298,7 @@ def multi_chow_form(V, r, alpha, grid):
     complete intersections by verified combinations, fold with gcd."""
     Veq = multi_degree_equalize(V)
     return gcd_fold(
-        multi_chow_form_ci(MultiprojVariety(V.vars, combine(Veq.polys,
-                                                             lam.rows)),
+        multi_chow_form_ci(MultiprojVariety(V.vars, combine(Veq.polys, lam)),
                            alpha, grid).poly
         for lam in multi_generic_lc(Veq, r, grid))
 

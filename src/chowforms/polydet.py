@@ -14,10 +14,6 @@ Engines, in increasing sophistication:
   rows (:func:`ff_reduce`), then a small Schur-complement determinant per
   matrix (Sylvester's identity).  :func:`rank_integer` counts the pivots
   of the same elimination.
-* :func:`det_univariate_interp` — :func:`det_packed` on a univariate
-  PolyMatrix, with a degree cap check.
-* :func:`det_kronecker` — pack multivariate entries to univariates,
-  take :func:`det_univariate_interp`, unpack by mixed-radix digits.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .errors import InternalError, UsageError
-from .mpoly import MPoly, VarTable, divexact, kronecker_pack, kronecker_unpack
+from .mpoly import MPoly, divexact
 
 
 class PolyMatrix:
@@ -46,14 +42,6 @@ class PolyMatrix:
         self.dim = m
         self.vars = vars
         self.entries = rows
-
-    @classmethod
-    def from_ints(cls, vars, rows):
-        return cls([[MPoly.const(vars, c) for c in r] for r in rows])
-
-    def max_partial_degrees(self):
-        return [max(e.partial_degree(i) for r in self.entries for e in r)
-                for i in range(self.vars.nvars)]
 
     def evaluate(self, point):
         """Integer matrix (list of lists) at the given {name: int} point."""
@@ -332,41 +320,3 @@ def unpack_digits(det, shift):
         det = (det - r) >> shift
     return out
 
-
-def det_univariate_interp(M, D):
-    """Determinant of a univariate PolyMatrix via :func:`det_packed`.
-
-    ``D`` must be at least the degree of the determinant; a larger degree
-    raises UsageError.
-    """
-    if M.vars.nvars != 1:
-        raise UsageError("det_univariate_interp needs a single-variable matrix")
-    base = [[0] * M.dim for _ in range(M.dim)]
-    entries = [(i, j, [e.terms.get((k,), 0)
-                       for k in range(e.partial_degree(0) + 1)])
-               for i, row in enumerate(M.entries) for j, e in enumerate(row)]
-    coeffs = det_packed(base, entries)
-    if len(coeffs) > D + 1:
-        raise UsageError("degree cap D too small for det_univariate_interp")
-    return MPoly(M.vars, {(i,): c for i, c in enumerate(coeffs)})
-
-
-def det_kronecker(M, bounds):
-    """Determinant via Kronecker packing of the entries.
-
-    ``bounds[i]`` must be at least the row-sum bound
-    sum_r max_j deg_i(M[r][j]), which dominates the determinant's partial
-    degree in variable i, so no packed digit overflows into the next
-    variable's place; a smaller cap raises UsageError.
-    """
-    if len(bounds) != M.vars.nvars:
-        raise UsageError("need one degree cap per variable")
-    for i, cap in enumerate(bounds):
-        if cap < sum(max(e.partial_degree(i) for e in r) for r in M.entries):
-            raise UsageError("degree cap below the row-sum degree bound")
-    zvars = VarTable(("z",))
-    packed = PolyMatrix([[kronecker_pack(e, bounds, zvars) for e in r]
-                         for r in M.entries])
-    radix = math.prod(cap + 1 for cap in bounds)
-    return kronecker_unpack(det_univariate_interp(packed, radix - 1), bounds,
-                            M.vars)

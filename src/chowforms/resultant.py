@@ -181,13 +181,11 @@ def _fresh_name(vars, base):
     return f"{base}{i}"
 
 
-def perturbed_macaulay(sys, perturb_indices=None, shift=0):
-    """Macaulay pair of the s-perturbed system f_i + s * x_{i mod n+1}^{d_i}.
+def perturbed_macaulay(sys, perturb_indices=None):
+    """Macaulay pair of the s-perturbed system f_i + s * x_i^{d_i}.
 
-    ``shift`` rotates which variable perturbs which polynomial; different
-    shifts give independent perturbations, useful for gcd-folding away
-    perturbation-dependent factors.  Returns (M, M0, wide, sname) where
-    wide is the table extended by the fresh perturbation variable sname.
+    Returns (M, M0, wide, sname) where wide is the table extended by the
+    fresh perturbation variable sname.
     """
     if perturb_indices is None:
         perturb_indices = range(len(sys.polys))
@@ -195,27 +193,25 @@ def perturbed_macaulay(sys, perturb_indices=None, shift=0):
     sname = _fresh_name(sys.vars, "s")
     wide = sys.vars.extend((sname,))
     s = MPoly.var(wide, sname)
-    k = len(sys.elim_idx)
     polys = []
     for i, f in enumerate(sys.polys):
         g = f.rename_into(wide)
         if i in perturb:
-            xi = sys.elim_names[(i + shift) % k]
-            g = g + s * MPoly.var(wide, xi, sys.degrees[i])
+            g = g + s * MPoly.var(wide, sys.elim_names[i], sys.degrees[i])
         polys.append(g)
     psys = MacaulaySystem(polys, sys.elim_names)
     M, M0 = macaulay_matrix(psys)
     return M, M0, wide, sname
 
 
-def gcp_resultant(sys, perturb_indices=None, with_valuation=False):
+def gcp_resultant(sys, perturb_indices=None):
     """Generalized characteristic polynomial rescue.
 
-    Perturbs the selected polynomials to f_i + s * x_i^{d_i} (index taken
-    modulo n+1), computes the resultant exactly in ZZ[params][s], and
-    returns the lowest-s-degree nonzero coefficient.  With
-    ``with_valuation`` returns (coefficient, s-valuation); a positive
-    valuation means the unperturbed resultant vanishes identically.
+    Perturbs the selected polynomials to f_i + s * x_i^{d_i}, computes the
+    resultant exactly in ZZ[params][s], and
+    returns (coefficient, s-valuation): the lowest-s-degree nonzero
+    coefficient and its s-degree.  A positive valuation means the
+    unperturbed resultant vanishes identically.
     """
     M, M0, wide, sname = perturbed_macaulay(sys, perturb_indices)
     d0 = det_bareiss(M0)
@@ -231,9 +227,7 @@ def gcp_resultant(sys, perturb_indices=None, with_valuation=False):
     trailing = {exp[:s_idx] + (0,) + exp[s_idx + 1:]: c
                 for exp, c in rhat.terms.items() if exp[s_idx] == low}
     result, _ = drop_variables(MPoly(wide, trailing), list(sys.elim_idx) + [s_idx])
-    if with_valuation:
-        return result, low
-    return result
+    return result, low
 
 
 class _BadGrid(Exception):
@@ -417,8 +411,8 @@ class _GcpSampler:
     indices) and lie below it on them in absolute value.
     """
 
-    def __init__(self, sys, perturb_indices=None, shift=0, fast=()):
-        M, M0, wide, sname = perturbed_macaulay(sys, perturb_indices, shift)
+    def __init__(self, sys, perturb_indices=None, fast=()):
+        M, M0, wide, sname = perturbed_macaulay(sys, perturb_indices)
         s_idx = wide.index(sname)
         self.num = _SlicedMatrix(M, s_idx, fast)
         self.den = _SlicedMatrix(M0, s_idx, fast)
@@ -452,9 +446,9 @@ class _GcpSampler:
         return sample
 
 
-def gcp_sampler(sys, perturb_indices=None, shift=0, fast=()):
+def gcp_sampler(sys, perturb_indices=None, fast=()):
     """The compiled sampler of the perturbed resultant (:class:`_GcpSampler`)."""
-    return _GcpSampler(sys, perturb_indices, shift, fast)
+    return _GcpSampler(sys, perturb_indices, fast)
 
 
 def _block_grid(blocks, degrees):
@@ -481,34 +475,33 @@ def _block_grid(blocks, degrees):
             alphas)
 
 
-def block_interpolation(sampler, vars, blocks, degrees, rngs,
-                        s_profile=None):
+def block_interpolation(sampler, vars, blocks, degrees, rngs):
     """The one sample-and-interpolate loop, for the GCP pair
-    (:func:`gcp_block_interpolation`) and for Canny-Emiris quotients
-    (:func:`mixedres.resultant_multihomogeneous_interp`).
+    (:func:`gcp_block_interpolation`), for Canny-Emiris quotients
+    (:func:`mixedres.resultant_multihomogeneous_interp`) and for pencil
+    discriminants (:func:`hurwitz.discriminant_via_partials`).
 
     ``sampler(point)`` gives the ascending s-coefficients of a quantity at
     an integer point (a list indexed like ``vars``).  Its s^val
     coefficient, val being the lowest s-valuation on the grid, must be
-    homogeneous of degree ``degrees[b]`` - val * ``s_profile[b]`` in each
-    name tuple ``blocks[b]``.  ``sampler.slice(top, keep)`` gives the same
-    values as a function of the points that agree with ``top`` off the
-    last block and lie below it there in absolute value; ``keep=1`` asks
-    for the s^0 coefficient only.  Both raise _BadGrid at a bad point;
-    any other exception goes up to the caller.
+    homogeneous of degree ``degrees[b]`` in each name tuple ``blocks[b]``.
+    ``sampler.slice(top, keep)`` gives the same values as a function of
+    the points that agree with ``top`` off the last block and lie below it
+    there in absolute value; ``keep=1`` asks for the s^0 coefficient only.
+    Both raise _BadGrid at a bad point; any other exception goes up to the
+    caller.
 
     Each random generator in ``rngs`` drives one attempt: it draws the
     grid offsets, then the fresh point.  The grid (:func:`_block_grid`,
     first name of each block pinned to 1) is walked one slice at a time.
     The first sample is unsliced; once a sample has a nonzero constant
     term the valuation is 0, and every later slice is sampled at s = 0
-    only.  A bad point ends the attempt, at once without ``s_profile``
-    (every point is needed), otherwise only if the interpolation needs
-    it.  The interpolant (:func:`_newton_assemble`) is checked against
-    the unsliced sampler at one fresh point, random in every coordinate,
-    pinned ones included, so a quantity of higher degree than
-    ``degrees`` fails the check.  A grid on which every sample is zero
-    interpolates to the zero polynomial, checked the same way.
+    only.  Every grid point is needed, so a bad point ends the attempt.
+    The interpolant (:func:`_newton_assemble`) is checked against the
+    unsliced sampler at one fresh point, random in every coordinate,
+    pinned ones included, so a quantity of higher degree than ``degrees``
+    fails the check.  A grid on which every sample is zero interpolates to
+    the zero polynomial, checked the same way.
 
     Returns (polynomial over a table whose blocks are ``blocks``,
     valuation), or None when every attempt failed.
@@ -533,10 +526,10 @@ def block_interpolation(sampler, vars, blocks, degrees, rngs,
         table = {}
         val = None
         at_key = None
-        for alpha in alphas:
-            values = [o + a for o, a in zip(offsets, alpha)]
-            key = (alpha[:nslow], 1 if val == 0 else None)
-            try:
+        try:
+            for alpha in alphas:
+                values = [o + a for o, a in zip(offsets, alpha)]
+                key = (alpha[:nslow], 1 if val == 0 else None)
                 if not table:
                     q = sampler(point_of(affine_idx, values))
                 else:
@@ -545,31 +538,16 @@ def block_interpolation(sampler, vars, blocks, degrees, rngs,
                         at = sampler.slice(
                             point_of(affine_idx, values[:nslow] + top), key[1])
                     q = at(point_of(affine_idx, values))
-            except _BadGrid:
-                table[alpha] = None
-                if s_profile is None:
-                    break  # every grid point is needed
-                continue
-            table[alpha] = q
-            v = next((i for i, c in enumerate(q) if c), None)
-            if v is not None and (val is None or v < val):
-                val = v
-        val = val or 0
-        adj_degrees = list(degrees)
-        if s_profile is not None:
-            adj_degrees = [d - val * p for d, p in zip(degrees, s_profile)]
-            if any(d < 0 for d in adj_degrees):
-                raise InternalError("valuation exceeds the degree budget")
-        use_alphas = [a for a in alphas if all(
-            sum(a[pos:pos + nb]) <= d for pos, nb, d in
-            zip(itertools.accumulate([0] + block_sizes), block_sizes,
-                adj_degrees))]
-        if any(table.get(a) is None for a in use_alphas):
+                table[alpha] = q
+                v = next((i for i, c in enumerate(q) if c), None)
+                if v is not None and (val is None or v < val):
+                    val = v
+        except _BadGrid:
             continue
+        val = val or 0
         poly = _newton_assemble(
-            {a: (table[a][val] if val < len(table[a]) else 0)
-             for a in use_alphas},
-            use_alphas, block_sizes, adj_degrees, offsets, out_vars)
+            {a: (q[val] if val < len(q) else 0) for a, q in table.items()},
+            alphas, block_sizes, degrees, offsets, out_vars)
         for _ in range(4):
             fresh = [rng.randint(100, 10 ** 4) for _ in out_vars.names]
             try:
@@ -586,7 +564,7 @@ def block_interpolation(sampler, vars, blocks, degrees, rngs,
 
 
 def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
-                            tag="gcp-interp", s_profile=None, shift=0):
+                            tag="gcp-interp"):
     """GCP trailing coefficient by evaluation and interpolation.
 
     Requires the parameters of ``sys`` to be exactly the names in
@@ -614,20 +592,13 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     ``grid.retries`` fails the call raises IndeterminateError; when the
     checked interpolant is zero, UsageError.
 
-    When the perturbed polynomials themselves carry block-homogeneous
-    coefficients, every s-power displaces one coefficient slot, lowering
-    the block degrees of the trailing coefficient by ``s_profile`` per
-    unit of valuation (all perturbed polynomials must share that profile);
-    ``degrees`` then bounds the valuation-0 coefficient.
-
     Returns (trailing_coefficient, s_valuation) over a parameter table
     whose blocks are exactly ``blocks``.
     """
-    sampler = gcp_sampler(sys, perturb_indices, shift,
+    sampler = gcp_sampler(sys, perturb_indices,
                           [sys.vars.index(n) for n in blocks[-1][1:]])
     out = block_interpolation(sampler, sys.vars, blocks, degrees,
-                              (grid.rng(tag, a) for a in range(grid.retries)),
-                              s_profile)
+                              (grid.rng(tag, a) for a in range(grid.retries)))
     if out is None:
         raise IndeterminateError(f"gcp_block_interpolation found no usable "
                                  f"grid in {grid.retries} attempts")

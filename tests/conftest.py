@@ -28,6 +28,33 @@ def rand_poly(rng, vars, max_deg=3, max_coeff_bits=8, max_terms=6, nonzero=False
     return f
 
 
+def kronecker_coeffs(f, caps):
+    """Ascending coefficients of f under the Kronecker substitution
+    x_i -> z^(w_i), w_i = prod_{k<i} (caps[k] + 1), high zeros dropped."""
+    weights = [1]
+    for cap in caps[:-1]:
+        weights.append(weights[-1] * (cap + 1))
+    out = {}
+    for exp, c in f.terms.items():
+        k = sum(e * w for e, w in zip(exp, weights))
+        out[k] = out.get(k, 0) + c
+    coeffs = [out.get(k, 0) for k in range(max(out, default=-1) + 1)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def kronecker_matrix(M, caps):
+    """(base, entries) of det_packed for the Kronecker-substituted PolyMatrix
+    M: every entry listed by its :func:`kronecker_coeffs`.  The
+    substitution is a ring map, so det_packed gives the substituted
+    determinant; with caps at least its partial degrees, that determines
+    the determinant."""
+    base = [[0] * M.dim for _ in range(M.dim)]
+    return base, [(i, j, kronecker_coeffs(e, caps))
+                  for i, row in enumerate(M.entries) for j, e in enumerate(row)]
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

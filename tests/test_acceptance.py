@@ -21,9 +21,10 @@ from chowforms.multiproj import (MultiprojVariety, chow_hypersurface_formats,
                                  dim_table, hurwitz_hypersurface_formats,
                                  multi_bounds, multi_chow_form_ci,
                                  multidegree, support)
-from chowforms.polydet import det_cofactor, det_integer, det_kronecker
+from chowforms.polydet import det_cofactor, det_integer, det_packed
 from chowforms.polymatroid import Polymatroid, from_dim_table
 from chowforms.resultant import MacaulaySystem, gcp_resultant, resultant_dense
+from conftest import kronecker_coeffs, kronecker_matrix
 
 X2 = VarTable(("x0", "x1"))
 X3 = VarTable(("x0", "x1", "x2"))
@@ -143,8 +144,9 @@ class TestKroneckerDeterminant:
             rows = [[rand_poly(rng, xyz, 2, 4, 4) for _ in range(4)]
                     for _ in range(4)]
             M = PolyMatrix(rows)
-            bounds = [8, 8, 8]  # 4 factors of per-variable degree <= 2
-            assert det_kronecker(M, bounds) == det_cofactor(M)
+            caps = [8, 8, 8]  # 4 factors of per-variable degree <= 2
+            assert det_packed(*kronecker_matrix(M, caps)) == \
+                kronecker_coeffs(det_cofactor(M), caps)
 
 
 class TestChowGroundTruths:
@@ -442,7 +444,7 @@ class TestDegenerateRescue:
         sys = MacaulaySystem(fs, ("x0", "x1", "x2"))
         with pytest.raises(DegenerateError):
             resultant_dense(sys)
-        g = gcp_resultant(sys, [0, 1])
+        g, _ = gcp_resultant(sys, [0, 1])
         assert not g.is_zero()
         # The perturbed system degenerates to four limit points; the rescued
         # resultant vanishes exactly when U0 does at one of them.

@@ -79,13 +79,13 @@ class TestGenericLc:
         V = ProjectiveVariety(X4, [P("x2", X4), P("x3", X4)])
         lams = generic_lc(V, 1, GRID)
         assert len(lams) == 1
-        assert lams[0].rows == ((1, 0), (0, 1))
+        assert lams[0] == [[1, 0], [0, 1]]
 
     def test_twisted_cubic_two_matrices(self):
         V = degree_equalize(twisted_cubic())
         lams = generic_lc(V, 1, GRID)
         assert len(lams) == 2
-        assert all(len(lam.rows) == 2 and len(lam.rows[0]) == 3 for lam in lams)
+        assert all(len(lam) == 2 and len(lam[0]) == 3 for lam in lams)
 
     def test_span_below_codimension_fails_within_the_draw_cap(self,
                                                              monkeypatch):

@@ -135,6 +135,11 @@ class TestCommands:
         expected = parse_poly("v11^2 - 4*v10*v12", got.vars)
         assert got == expected.normalized()
 
+    def test_hurwitz_triangle(self, tmp_path, capsys):
+        text = "ring x0 x1 x2\npoly x0*x1*x2\ndim 1\n"
+        assert main(["hurwitz", write(tmp_path, "p", text)]) == 0
+        assert capsys.readouterr().out.strip() == "u10*u11*u12"
+
     def test_support_product(self, tmp_path, capsys):
         assert main(["support", write(tmp_path, "p", PRODUCT)]) == 0
         assert capsys.readouterr().out.strip() == "2 2"
@@ -231,6 +236,11 @@ class TestExitCodes:
     def test_linear_hurwitz_is_2(self, tmp_path, capsys):
         text = "ring x0 x1 x2\npoly x0\ndim 1\n"
         assert main(["hurwitz", write(tmp_path, "p", text)]) == 2
+
+    def test_points_hurwitz_is_2(self, tmp_path, capsys):
+        text = "ring x0 x1\npoly x0^2 + 3*x0*x1 - x1^2\ndim 0\n"
+        assert main(["hurwitz", write(tmp_path, "p", text)]) == 2
+        assert "dim >= 1" in capsys.readouterr().err
 
     def test_oversized_power_is_2_within_seconds(self, tmp_path, capsys):
         text = "ring x0 x1 x2\npoly (x0+x1+x2)^400\ndim 1\n"

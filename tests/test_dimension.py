@@ -221,7 +221,7 @@ class TestSampledVerdicts:
             # so the minor does not involve it.
             _, M0, _, _ = perturbed_macaulay(sys, perturb)
             assert not any(e.partial_degree(var) for r in M0.entries for e in r)
-            trailing, low = gcp_resultant(sys, perturb, with_valuation=True)
+            trailing, low = gcp_resultant(sys, perturb)
             oracle = trailing.partial_degree(trailing.vars.index("m0")) > 0
             assert got == oracle == solvable
             assert val == low
@@ -252,7 +252,7 @@ class TestSampledVerdicts:
             dimension._proj_round(fs, X3, rng, 50)
             (sys, (val, values)), = calls
             calls.clear()
-            _, low = gcp_resultant(sys, with_valuation=True)
+            _, low = gcp_resultant(sys)
             assert val == low
             vals.add(val > 0)
         assert vals == {True, False}

@@ -4,8 +4,8 @@ from chowforms import MPoly, VarTable, gcd
 from chowforms.errors import UsageError
 from chowforms.mpoly import parse_poly
 from chowforms.dimension import ProjectiveVariety, RandomGrid
-from chowforms.hurwitz import (discriminant_via_partials, hurwitz_form,
-                               u_resultant)
+from chowforms.hurwitz import (_PencilSampler, discriminant_via_partials,
+                               hurwitz_form, u_resultant)
 
 X3 = VarTable(("x0", "x1", "x2"))
 X4 = VarTable(("x0", "x1", "x2", "x3"))
@@ -103,34 +103,57 @@ class TestUResultant:
             u_resultant(parabola(), 0, GRID)
 
 
+def pencil_value(f, pencil):
+    """The pencil sampler on a form in the m-block alone: one point."""
+    q = _PencilSampler(f, pencil)([0] * f.vars.nvars)
+    return q[0] if q else 0
+
+
 class TestDiscriminant:
+    # The sampler gives Res(p, p') / p[D] = (-1)^(D(D-1)/2) Disc(p) for
+    # p(t) = f(a + t b): the sign is -1 for D = 2 and D = 3.
+
     def test_quadratic_form_gives_det(self, rng):
-        for _ in range(5):
+        done = 0
+        while done < 5:
             A = rand_symmetric(rng, 3)
-            R2 = discriminant_via_partials(quadratic_form(M3, A))
-            assert R2.constant_value() == 8 * det3(A)  # det(2A)
+            a, b = ([rng.randint(-9, 9) for _ in range(3)] for _ in range(2))
+
+            def form(v, w):
+                return sum(v[i] * A[i][j] * w[j]
+                           for i in range(3) for j in range(3))
+
+            if form(b, b) == 0:
+                continue  # p[D] = f(b) = 0: a bad point
+            gram = form(a, a) * form(b, b) - form(a, b) ** 2
+            disc = -pencil_value(quadratic_form(M3, A), (a, b))
+            assert disc == -4 * gram
+            done += 1
 
     def test_binary_cubic_matches_classical_discriminant(self, rng):
         for _ in range(8):
             a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
-            if a == 0 and d == 0:
+            if d == 0:
                 continue
             f = MPoly(M2, {k: v for k, v in
                            {(3, 0): a, (2, 1): b, (1, 2): c, (0, 3): d}.items()
                            if v})
             disc = (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
                     - 27 * a * a * d * d + 18 * a * b * c * d)
-            R2 = discriminant_via_partials(f)
-            assert R2.constant_value() == -3 * disc  # Res(f_m0, f_m1)
+            # On the pencil (1, 0) + t (0, 1), p(t) = a + b t + c t^2 + d t^3.
+            assert -pencil_value(f, ((1, 0), (0, 1))) == disc
 
     def test_repeated_linear_factor_is_zero(self):
         g = P("m0 + m1", M2)
         f = g * g * P("m0 - 2*m1", M2)
-        assert discriminant_via_partials(f).is_zero()
+        assert pencil_value(f, ((1, 0), (0, 1))) == 0
 
     def test_linear_input_rejected(self):
+        f = P("m0 + 3*m1", M2)
         with pytest.raises(UsageError):
-            discriminant_via_partials(P("m0 + 3*m1", M2))
+            _PencilSampler(f, ((1, 0), (0, 1)))
+        with pytest.raises(UsageError):
+            discriminant_via_partials(f, GRID, ((1, 0), (0, 1)))
 
 
 class TestConicFixtures:
@@ -192,6 +215,21 @@ class TestFermatCubic:
         expected = P("u10^6 + u11^6 + u12^6 - 2*u10^3*u11^3 "
                      "- 2*u10^3*u12^3 - 2*u11^3*u12^3", H.poly.vars)
         assert H.poly == expected.normalized()
+
+
+class TestSingularFixtures:
+    def test_triangle_vertices(self):
+        # Three lines: a line through a vertex e_k meets two of them at
+        # e_k, so the Hurwitz form is u10 * u11 * u12.
+        V = ProjectiveVariety(X3, [P("x0*x1*x2", X3)])
+        H = hurwitz_form(V, 1, GRID)
+        assert H.poly == P("u10*u11*u12", H.poly.vars)
+
+    def test_points_rejected(self):
+        X2 = VarTable(("x0", "x1"))
+        V = ProjectiveVariety(X2, [P("x0^2 + 3*x0*x1 - x1^2", X2)])
+        with pytest.raises(UsageError, match="dim >= 1"):
+            hurwitz_form(V, 0, GRID)
 
 
 class TestInvariants:

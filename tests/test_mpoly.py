@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowforms import (MPoly, ParseError, UsageError, VarTable, divexact, gcd,
-                       kronecker_pack, kronecker_unpack, parse_poly,
-                       square_free_part)
-from chowforms.mpoly import divides
+                       parse_poly, square_free_part)
+from chowforms.mpoly import _digits_in, _eval_one_var, divides
 from conftest import rand_poly
 
 
@@ -112,11 +111,12 @@ class TestDegreesAndBlocks:
         vars = VarTable(("x0", "x1", "y0", "y1"), blocks=((0, 1), (2, 3)))
         f = P("x0*y0 + x1*y1", vars)
         assert f.mdeg() == (1, 1)
-        assert f.is_multihomogeneous()
+        assert {f.block_degrees(exp) for exp in f.terms} == {(1, 1)}
 
     def test_not_multihomogeneous(self):
         vars = VarTable(("x0", "x1", "y0", "y1"), blocks=((0, 1), (2, 3)))
-        assert not P("x0 + y0", vars).is_multihomogeneous()
+        f = P("x0 + y0", vars)
+        assert {f.block_degrees(exp) for exp in f.terms} == {(1, 0), (0, 1)}
 
     def test_mdeg_mixed(self):
         vars = VarTable(("x0", "x1", "y0", "y1"), blocks=((0, 1), (2, 3)))
@@ -145,36 +145,45 @@ class TestBitsize:
             assert f.bitsize() == expect
 
 
+def digit_width(f):
+    """An odd xi > 2 max |c|: every coefficient of f is a balanced digit."""
+    return 2 * max((abs(c) for c in f.terms.values()), default=0) + 1
+
+
 class TestKronecker:
+    """The heuristic gcd's substitution of one variable by an integer xi
+    (_eval_one_var) and its inverse, the balanced base-xi digit read
+    (_digits_in)."""
+
     def test_two_vars(self):
         vars = VarTable(("y1", "y2"))
-        packed = kronecker_pack(P("y1 + y2", vars), (1, 1))
-        assert str(packed) == "z^2 + z"
+        packed = _eval_one_var(P("y1*y2^2 + y2", vars), 1, 10)
+        assert packed == P("100*y1 + 10", vars)
 
     def test_constant(self, xy):
-        assert kronecker_pack(MPoly.const(xy, 1), (3, 3)) == 1
+        assert _eval_one_var(MPoly.const(xy, 1), 0, 7) == 1
 
     def test_unpack_example(self):
         vars = VarTable(("y1", "y2"))
-        z = VarTable(("z",))
-        g = P("z + z^2", z)
-        assert kronecker_unpack(g, (1, 1), vars) == P("y1 + y2", vars)
+        assert _digits_in(P("100*y1 + 10", vars), 1, 10) == \
+            P("y1*y2^2 + y2", vars)
 
     def test_unpack_zero(self, xy):
-        z = VarTable(("z",))
-        assert kronecker_unpack(MPoly.zero(z), (1, 1), xy).is_zero()
+        assert _digits_in(MPoly.zero(xy), 0, 10).is_zero()
 
     def test_cap_violation(self, xy):
-        with pytest.raises(UsageError):
-            kronecker_pack(P("x^3", xy), (2, 2))
+        # 7 lies outside (-5, 5]: it is read as 10 - 3, carrying into x^2.
+        packed = _eval_one_var(P("7*x", xy), 0, 10)
+        assert _digits_in(packed, 0, 10) == P("x^2 - 3*x", xy)
 
     def test_round_trip_100(self, rng):
         for _ in range(100):
             nu = rng.randint(1, 4)
             vars = VarTable(tuple(f"y{i}" for i in range(nu)))
             f = rand_poly(rng, vars, max_deg=5, max_coeff_bits=12)
-            caps = [max(f.partial_degree(i), 1) + rng.randint(0, 2) for i in range(nu)]
-            assert kronecker_unpack(kronecker_pack(f, caps), caps, vars) == f
+            xi = digit_width(f) + 2 * rng.randint(0, 2)
+            v = rng.randrange(nu)
+            assert _digits_in(_eval_one_var(f, v, xi), v, xi) == f
 
 
 class TestGcd:
@@ -289,8 +298,9 @@ def test_hypothesis_add_sub_inverse(t1, t2):
 def test_hypothesis_kronecker_round_trip(tlist):
     vars = VarTable(("a", "b", "c"))
     f = MPoly(vars, dict(tlist))
-    caps = [max(f.partial_degree(i), 1) for i in range(3)]
-    assert kronecker_unpack(kronecker_pack(f, caps), caps, vars) == f
+    xi = digit_width(f)
+    for v in range(3):
+        assert _digits_in(_eval_one_var(f, v, xi), v, xi) == f
 
 
 class TestSubstitute:

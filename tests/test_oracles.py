@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 
 from chowforms import MPoly, VarTable
 from chowforms import polydet
+from chowforms.dimension import ProjectiveVariety, RandomGrid
 from chowforms.errors import InternalError, UsageError
+from chowforms.hurwitz import _PencilSampler, u_resultant
 from chowforms.mpoly import divexact, gcd, square_free_part
 from chowforms.polydet import (PolyMatrix, det_bareiss, det_integer,
                                det_packed, det_slice, ff_reduce, pack_rows,
                                packing_shift, rank_integer, row_norms,
                                unpack_digits)
-from chowforms.resultant import MacaulaySystem, resultant_dense
+from chowforms.resultant import (MacaulaySystem, monomials_of_degree,
+                                 resultant_dense)
 
 sympy = pytest.importorskip("sympy")
 
@@ -300,3 +303,35 @@ def test_divexact_matches_sympy(f, g, h):
             divexact(num, g)
     else:
         assert divexact(num, g) == from_sympy(q.as_expr(), XY)
+
+
+def test_pencil_sampler_matches_sympy_discriminant(rng):
+    # At a random integer u and pencil (a, b), the Hurwitz stage's sample
+    # is (-1)^(D(D-1)/2) times sympy's discriminant in t of
+    # p(t) = R1(u, a + t b), for a conic and a cubic in P^2 and a quadric
+    # surface in P^3 (two u-blocks).
+    t = sympy.Symbol("t")
+    checked = 0
+    for nvars, d, r in ((3, 2, 1), (3, 3, 1), (4, 2, 2)):
+        vars = VarTable(tuple(f"x{i}" for i in range(nvars)))
+        f = MPoly(vars, {e: rng.randint(-3, 3)
+                         for e in monomials_of_degree(nvars, d)})
+        R1 = u_resultant(ProjectiveVariety(vars, [f]), r, RandomGrid(seed=5))
+        m_idx = R1.vars.blocks[-1]
+        D = R1.block_degree(len(R1.vars.blocks) - 1)
+        for _ in range(6):
+            a, b = ([rng.randint(-9, 9) for _ in m_idx] for _ in range(2))
+            point = [rng.randint(-9, 9) for _ in R1.vars.names]
+            at = list(point)
+            for i, ak, bk in zip(m_idx, a, b):
+                at[i] = ak + bk * t
+            p = sympy.Poly(sympy.expand(sympy.Add(*[
+                c * sympy.Mul(*[v ** e for v, e in zip(at, exp)])
+                for exp, c in R1.terms.items()])), t)
+            if p.degree() < D:
+                continue  # p[D] = R1(u, b) = 0: a bad point
+            want = (-1) ** (D * (D - 1) // 2) * sympy.discriminant(p)
+            got = _PencilSampler(R1, (a, b))(point)
+            assert (got[0] if got else 0) == want
+            checked += 1
+    assert checked >= 12

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from chowforms import (MPoly, PolyMatrix, UsageError, VarTable, det_bareiss,
-                       det_cofactor, det_integer, det_kronecker,
-                       det_univariate_interp, parse_poly)
-from chowforms.polydet import det_packed
-from conftest import rand_poly
+                       det_cofactor, det_integer, parse_poly)
+from chowforms.polydet import (det_packed, pack_rows, packing_shift, row_norms,
+                               unpack_digits)
+from conftest import kronecker_coeffs, kronecker_matrix, rand_poly
 
 
 def mat(vars, rows):
@@ -52,7 +52,7 @@ class TestBareiss:
             dim = rng.randint(2, 5)
             rows = [[rng.randint(-20, 20) for _ in range(dim)] for _ in range(dim)]
             vars = VarTable(("x",))
-            M = PolyMatrix.from_ints(vars, rows)
+            M = mat(vars, rows)
             assert det_integer(rows) == det_cofactor(M).constant_value()
 
     def test_row_swap_sign(self, rng, xyz):
@@ -74,24 +74,25 @@ class TestUnivariateInterp:
     def test_diag(self):
         z = VarTable(("z",))
         M = mat(z, [["z", 0], [0, "z"]])
-        assert det_univariate_interp(M, 2) == parse_poly("z^2", z)
+        assert self.packed(M) == self.coeffs(parse_poly("z^2", z))
 
     def test_constant_matrix(self):
         z = VarTable(("z",))
         M = mat(z, [[2, 1], [1, 3]])
-        assert det_univariate_interp(M, 0) == 5
+        assert self.packed(M) == [5]
 
     def test_random_5x5_degree3(self, rng):
         z = VarTable(("z",))
         for _ in range(5):
             M = rand_matrix(rng, z, 5, max_deg=3, max_coeff_bits=6)
-            assert det_univariate_interp(M, 15) == det_cofactor(M)
+            assert self.packed(M) == self.coeffs(det_cofactor(M))
 
     def test_cap_too_small_detected(self):
+        # No degree cap to fall short of: entries of degree 3 give all
+        # seven coefficients of z^6.
         z = VarTable(("z",))
         M = mat(z, [["z^3", 0], [0, "z^3"]])
-        with pytest.raises(UsageError):
-            det_univariate_interp(M, 3)
+        assert self.packed(M) == [0] * 6 + [1]
 
     @staticmethod
     def packed(M):
@@ -141,43 +142,54 @@ class TestUnivariateInterp:
 
 
 class TestKronecker:
+    """det_packed on Kronecker-substituted multivariate matrices: the
+    substitution is a ring map, so the packed determinant is the
+    substituted cofactor determinant."""
+
     def test_identity(self, xyz):
         M = mat(xyz, [[1, 0], [0, 1]])
-        assert det_kronecker(M, (2, 2, 2)) == 1
+        assert det_packed(*kronecker_matrix(M, (2, 2, 2))) == [1]
 
     def test_univariate_case(self, xy):
         M = mat(xy, [["x", 1], [1, "x"]])
-        assert det_kronecker(M, (2, 2)) == parse_poly("x^2 - 1", xy)
+        assert det_packed(*kronecker_matrix(M, (2, 2))) == \
+            kronecker_coeffs(parse_poly("x^2 - 1", xy), (2, 2))
 
     def test_matches_cofactor_small_batch(self, rng, xyz):
         # The full 30-matrix batch at criterion scale runs in test_acceptance.
         for _ in range(5):
             M = rand_matrix(rng, xyz, 4, max_deg=2, max_coeff_bits=8)
-            caps = [4 * d for d in M.max_partial_degrees()]
-            caps = [max(c, 1) for c in caps]
-            assert det_kronecker(M, caps) == det_cofactor(M)
+            caps = [max(4 * max(e.partial_degree(i) for r in M.entries
+                                for e in r), 1) for i in range(3)]
+            assert det_packed(*kronecker_matrix(M, caps)) == \
+                kronecker_coeffs(det_cofactor(M), caps)
 
     def test_full_caps_one_matrix(self, rng, xyz):
         # Packed degree up to 728: one determinant, not 729 samples.
         M = rand_matrix(rng, xyz, 4, max_deg=2, max_coeff_bits=8)
-        assert det_kronecker(M, (8, 8, 8)) == det_cofactor(M)
+        assert det_packed(*kronecker_matrix(M, (8, 8, 8))) == \
+            kronecker_coeffs(det_cofactor(M), (8, 8, 8))
 
-    def test_cap_below_entry_degree(self, xy):
-        M = mat(xy, [["x^3", 1], [1, "x"]])
-        with pytest.raises(UsageError):
-            det_kronecker(M, (2, 2))
+    def test_cap_below_entry_degree(self):
+        # An entry coefficient beyond a digit's balanced range carries into
+        # the next digit; det_packed's digit width reads it.
+        entries = [(0, 0, [3, 1])]
+        rows = [[0]]
+        pack_rows(rows, entries, 2)
+        assert unpack_digits(rows[0][0], 2) == [-1, 2]
+        assert det_packed([[0]], entries) == [3, 1]
 
-    def test_cap_below_row_sum_bound(self, xy):
-        # Each entry fits its caps, but the determinant's x-degree does
-        # not: packed, it would carry into y's place (x^2 read as y).
-        with pytest.raises(UsageError):
-            det_kronecker(mat(xy, [["x", 0], [0, "x"]]), (1, 1))
-        with pytest.raises(UsageError):
-            det_kronecker(mat(xy, [["x*y", 1], [1, "x"]]), (1, 2))
-        assert det_kronecker(mat(xy, [["x", 0], [0, "x"]]), (2, 1)) == \
-            parse_poly("x^2", xy)
-        assert det_kronecker(mat(xy, [["x*y", 1], [1, "x"]]), (2, 2)) == \
-            parse_poly("x^2*y - 1", xy)
+    def test_cap_below_row_sum_bound(self):
+        # Each entry of diag(1 + z, 1 + z, 1 + z) fits 2-bit digits, but
+        # the determinant's coefficient 3 does not; the width comes from
+        # the row norms, not from the entries.
+        base = [[0] * 3 for _ in range(3)]
+        entries = [(i, i, [1, 1]) for i in range(3)]
+        rows = [list(r) for r in base]
+        pack_rows(rows, entries, 2)
+        assert unpack_digits(det_integer(rows), 2) != [1, 3, 3, 1]
+        assert packing_shift(row_norms(base, entries)) > 2
+        assert det_packed(base, entries) == [1, 3, 3, 1]
 
 
 class TestHadamardBitsize:

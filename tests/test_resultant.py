@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chowforms import MPoly, VarTable, hurwitz, resultant
+from chowforms import MPoly, VarTable, resultant
 from chowforms.chow import chow_form_ci, u_block_names, with_linear_forms
 from chowforms.dimension import ProjectiveVariety, RandomGrid
 from chowforms.errors import (DegenerateError, IndeterminateError,
@@ -114,11 +114,12 @@ class TestResultantDense:
 class TestGcp:
     def test_equals_dense_nondegenerate(self):
         sys = MacaulaySystem([binform([1, 2, 3]), binform([2, 1, 5])], ("x0", "x1"))
-        assert gcp_resultant(sys) == resultant_dense(sys)
+        g, val = gcp_resultant(sys)
+        assert g == resultant_dense(sys) and val == 0
 
     def test_no_common_root_squares(self):
         sys = MacaulaySystem([binform([1, 0, 0]), binform([0, 0, 1])], ("x0", "x1"))
-        g = gcp_resultant(sys)
+        g, _ = gcp_resultant(sys)
         assert g.constant_value() == 1
         # Oracle: Sylvester of the perturbed pair, trailing s-coefficient.
         # x0^2 + s*x0^2 and x1^2 + s*x1^2 have Sylvester (1+s)^2*(1+s)^2... the
@@ -128,15 +129,10 @@ class TestGcp:
     def test_degenerate_rescue_fixture(self):
         # V(x0*x2, x1*x2) = the line {x2=0} plus the point (0:0:1): the
         # plain Macaulay minor vanishes identically, GCP does not.
-        vars = X3.extend(("u00", "u01", "u02"))
-        def v(n):
-            return MPoly.var(vars, n)
-        U0 = v("u00") * v("x0") + v("u01") * v("x1") + v("u02") * v("x2")
-        fs = [v("x0") * v("x2"), v("x1") * v("x2"), U0]
-        sys = MacaulaySystem(fs, ("x0", "x1", "x2"))
+        sys = rescue_system()
         with pytest.raises(DegenerateError):
             resultant_dense(sys)
-        g = gcp_resultant(sys, [0, 1])
+        g, _ = gcp_resultant(sys, [0, 1])
         assert not g.is_zero()
         # Perturbed limit roots: x0*(x2+s*x0)=0, x1*(x2+s*x1)=0 degenerate to
         # (0:0:1), (1:0:0), (0:1:0), (1:1:0); GCP must vanish exactly when U0
@@ -182,6 +178,19 @@ class TestGcp:
         values = {(a,): 3 * (a + 5) ** 2 - 7 for a in range(3)}
         got = _newton_assemble(values, [(0,), (1,), (2,)], [1], [2], [5], vars)
         assert got == MPoly(vars, {(0, 2): 3, (2, 0): -7})
+
+
+def rescue_system():
+    """{x0*x2, x1*x2, U0}: the plain Macaulay minor of this system vanishes
+    identically, and its GCP trailing coefficient has s-valuation 1."""
+    vars = X3.extend(("u00", "u01", "u02"))
+
+    def v(n):
+        return MPoly.var(vars, n)
+
+    U0 = v("u00") * v("x0") + v("u01") * v("x1") + v("u02") * v("x2")
+    return MacaulaySystem([v("x0") * v("x2"), v("x1") * v("x2"), U0],
+                          ("x0", "x1", "x2"))
 
 
 def chow_ci_system(polys, r):
@@ -328,23 +337,18 @@ class TestSampleAtZero:
         assert [k for k, _, _ in log.unsliced] == [None, None]
         assert (got, val) == (ref, ref_val) and val == 0
 
-    def test_valuation_one_discriminant_never_samples_at_zero(
-            self, monkeypatch):
-        V = ProjectiveVariety(X3, [parse_poly("x0*x2 - x1^2", X3)])
-        R1 = hurwitz.u_resultant(V, 1, RandomGrid(seed=3))
-        vals = []
-        inner = hurwitz.gcp_block_interpolation
-
-        def recorded(*args, **kw):
-            out = inner(*args, **kw)
-            vals.append(out[1])
-            return out
-
-        monkeypatch.setattr(hurwitz, "gcp_block_interpolation", recorded)
+    def test_valuation_one_never_samples_at_zero(self, monkeypatch):
+        # Every sample of the rescue system has a zero constant term, so
+        # the valuation is never proved 0 and no slice is taken at s = 0.
+        sys = rescue_system()
         log = _DetLog(monkeypatch)
-        hurwitz.discriminant_via_partials(R1, RandomGrid(seed=3))
-        assert vals == [1]
+        got, val = gcp_block_interpolation(sys, [0, 1],
+                                           [("u00", "u01", "u02")], [4],
+                                           RandomGrid(seed=3))
+        assert val == 1
         assert log.calls and log.count(1) == 0
+        ref, ref_val = gcp_resultant(sys, [0, 1])
+        assert got == ref.rename_into(got.vars) and ref_val == 1
 
     def test_conic_chow_ci_takes_one_full_grid_sample(self, monkeypatch):
         # 36 grid points in 6 slices of the u1 block: the first point proves

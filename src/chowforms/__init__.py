@@ -14,7 +14,7 @@ from .multiproj import (MultiprojVariety, chow_hypersurface_formats,
                         multi_bounds, multi_chow_form, multi_chow_form_ci,
                         multi_degree_equalize, multidegree, support)
 from .polydet import PolyMatrix, det_bareiss, det_cofactor, det_integer
-from .polymatroid import Polymatroid, from_dim_table, is_submodular
+from .polymatroid import Polymatroid, from_dim_table
 from .resultant import MacaulaySystem, gcp_resultant, resultant_dense
 
 __all__ = [
@@ -32,6 +32,6 @@ __all__ = [
     "multi_chow_form", "multi_chow_form_ci", "multi_degree_equalize",
     "multidegree", "support",
     "PolyMatrix", "det_bareiss", "det_cofactor", "det_integer",
-    "Polymatroid", "from_dim_table", "is_submodular",
+    "Polymatroid", "from_dim_table",
     "MacaulaySystem", "gcp_resultant", "resultant_dense",
 ]

@@ -12,7 +12,7 @@ import math
 import operator
 
 from . import dimension
-from .dimension import ProjectiveVariety, RandomGrid, dim_leq
+from .dimension import ProjectiveVariety, RandomGrid, combine, dim_leq
 from .errors import UsageError
 from .mpoly import MPoly, gcd, square_free_part
 from .polydet import rank_integer
@@ -94,17 +94,6 @@ def evaluate_on_plane(cf, plane):
         for j, v in enumerate(row):
             point[f"u{i}{j}"] = v
     return cf.poly.evaluate(point)
-
-
-def combine(polys, rows):
-    """The combinations sum_j row[j] * polys[j], one per row."""
-    out = []
-    for row in rows:
-        g = MPoly.zero(polys[0].vars)
-        for c, f in zip(row, polys):
-            g = g + c * f
-        out.append(g)
-    return out
 
 
 def verified_lambdas(polys, k, bound, cuts_leq, grid, tag):

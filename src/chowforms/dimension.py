@@ -21,7 +21,7 @@ from math import gcd, prod
 from .errors import InternalError, UsageError
 from .mpoly import MPoly, VarTable
 from .polydet import gauss_jordan
-from .resultant import MacaulaySystem, _BadGrid, gcp_sampler
+from .resultant import MacaulaySystem, _BadGrid, _fresh_name, gcp_sampler
 
 
 class ProjectiveVariety:
@@ -46,17 +46,44 @@ class ProjectiveVariety:
 
 
 class RandomGrid:
-    """Seeded randomness policy: grid bound and retry budget."""
+    """Seeded randomness policy: random coefficients are drawn from
+    [1, bound], and ``retries`` bounds the attempts of each check."""
 
-    def __init__(self, seed=0, bound=2 ** 15, retries=3):
-        if bound < 1 or retries < 1:
-            raise UsageError("grid bound and retries must be positive")
+    bound = 2 ** 15
+
+    def __init__(self, seed=0, retries=3):
+        if retries < 1:
+            raise UsageError("retries must be positive")
         self.seed = seed
-        self.bound = min(bound, 2 ** 15)
         self.retries = retries
 
     def rng(self, *tag):
         return random.Random(f"{self.seed}|" + "|".join(map(str, tag)))
+
+
+def random_form(vars, names, rng, bound, constant=False):
+    """The linear form sum_k c_k * names[k], plus a constant c when
+    ``constant``; each coefficient is drawn from [1, bound] by ``rng``,
+    the constant first."""
+    terms = {}
+    if constant:
+        terms[(0,) * vars.nvars] = rng.randint(1, bound)
+    for name in names:
+        e = [0] * vars.nvars
+        e[vars.index(name)] = 1
+        terms[tuple(e)] = rng.randint(1, bound)
+    return MPoly(vars, terms)
+
+
+def combine(polys, rows):
+    """The combinations sum_j row[j] * polys[j], one per row."""
+    out = []
+    for row in rows:
+        g = MPoly.zero(polys[0].vars)
+        for c, f in zip(row, polys):
+            g = g + c * f
+        out.append(g)
+    return out
 
 
 # -- exact linear algebra over the integers ----------------------------
@@ -180,15 +207,6 @@ def _fresh_table(prefix, count):
     return VarTable(tuple(f"{prefix}{i}" for i in range(count)))
 
 
-def _fresh(base, vars):
-    name = base
-    i = 0
-    while name in vars.names:
-        name = f"{base}{i}"
-        i += 1
-    return name
-
-
 def degree_equalize(polys, vars):
     """Replace each lower-degree f by {x_j^(d-deg f) * f}: same zero
     locus, all degrees equal to the maximum."""
@@ -238,15 +256,10 @@ def _proj_round(polys, vars, rng, bound):
         return False  # nonzero forms in one variable have no zero in P^0
     if len(polys) > k:
         polys = degree_equalize(polys, vars)
-        combos = []
-        for _ in range(k):
-            g = MPoly.zero(vars)
-            for f in polys:
-                g = g + rng.randint(1, bound) * f
-            if g.is_zero():
-                return True  # degenerate combination; count as inconclusive
-            combos.append(g)
-        polys = combos
+        polys = combine(polys, [[rng.randint(1, bound) for _ in polys]
+                                for _ in range(k)])
+        if any(g.is_zero() for g in polys):
+            return True  # degenerate combination; count as inconclusive
     val, _ = _gcp_trailing(MacaulaySystem(polys, vars.names))
     return val >= 1
 
@@ -266,12 +279,8 @@ def dim_leq(V, r, grid):
         raise UsageError("need 0 <= r <= n")
     for round_no in range(grid.retries):
         rng = grid.rng("dimleq", r, round_no)
-        forms = []
-        for _ in range(r + 1):
-            forms.append(MPoly(V.vars, {
-                tuple(int(j == i) for j in range(V.vars.nvars)):
-                    rng.randint(1, grid.bound)
-                for i in range(V.vars.nvars)}))
+        forms = [random_form(V.vars, V.vars.names, rng, grid.bound)
+                 for _ in range(r + 1)]
         if not _proj_round(list(V.polys) + forms, V.vars, rng, grid.bound):
             return True
     return False
@@ -319,27 +328,17 @@ def _affine_round(polys, vars, rng, bound):
         if len(polys) < k:
             # Slice with generic affine hyperplanes (Krull: every component
             # has dimension >= k - #eqs, so nonemptiness is preserved).
-            pads = []
-            for _ in range(k - len(polys)):
-                terms = {(0,) * k: rng.randint(1, bound)}
-                for i in range(k):
-                    e = [0] * k
-                    e[i] = 1
-                    terms[tuple(e)] = rng.randint(1, bound)
-                pads.append(MPoly(vars, terms))
-            polys = polys + pads
+            polys = polys + [random_form(vars, vars.names, rng, bound,
+                                         constant=True)
+                             for _ in range(k - len(polys))]
             continue  # substitute the new linear forms away
         if len(polys) > k:
             # Combine to k+1 generic combinations (junk components then have
             # negative dimension) and add a slack variable to stay square.
-            slack = vars.extend((_fresh("slack", vars),))
+            slack = vars.extend((_fresh_name(vars, "slack"),))
             polys = [f.rename_into(slack) for f in polys]
-            combos = []
-            for _ in range(k + 1):
-                g = MPoly.zero(slack)
-                for f in polys:
-                    g = g + rng.randint(1, bound) * f
-                combos.append(g)
+            combos = combine(polys, [[rng.randint(1, bound) for _ in polys]
+                                     for _ in range(k + 1)])
             polys = [g for g in combos if not g.is_zero()]
             vars = slack
             k = vars.nvars
@@ -358,9 +357,8 @@ def _affine_round(polys, vars, rng, bound):
         for exp, c in f.terms.items():
             terms[(d - sum(exp),) + exp + (0,)] = c
         homog.append(MPoly(wide, terms))
-    m_form = MPoly.var(wide, "m0") * MPoly.var(wide, "w")
-    for name in vars.names:
-        m_form = m_form + rng.randint(1, bound) * MPoly.var(wide, name)
+    m_form = MPoly.var(wide, "m0") * MPoly.var(wide, "w") + \
+        random_form(wide, vars.names, rng, bound)
     sys = MacaulaySystem(homog + [m_form], ("w",) + vars.names)
     # The GCP has degree prod d_i in the coefficients of the m-form, so
     # every s-coefficient has m0-degree at most that.
@@ -402,14 +400,8 @@ def dim_projection(polys, x_blocks, I, grid):
     while lo < hi:
         mid = (lo + hi + 1) // 2
         rng = grid.rng("proj", tuple(I), mid)
-        slices = []
-        for _ in range(mid):
-            terms = {(0,) * vars.nvars: rng.randint(1, grid.bound)}
-            for name in proj_names:
-                e = [0] * vars.nvars
-                e[vars.index(name)] = 1
-                terms[tuple(e)] = rng.randint(1, grid.bound)
-            slices.append(MPoly(vars, terms))
+        slices = [random_form(vars, proj_names, rng, grid.bound,
+                              constant=True) for _ in range(mid)]
         if affine_solvable(list(polys) + slices, vars, grid,
                            tag=("proj", tuple(I), mid)):
             lo = mid

@@ -42,7 +42,6 @@ class MultiResSystem:
             raise UsageError("empty system")
         vars = polys[0].vars
         self.block_idx = tuple(tuple(vars.index(n) for n in blk) for blk in x_blocks)
-        self.block_names = tuple(tuple(blk) for blk in x_blocks)
         self.nsizes = tuple(len(b) - 1 for b in self.block_idx)
         if any(n < 1 for n in self.nsizes):
             raise UsageError("each block needs at least two variables")
@@ -115,7 +114,7 @@ class MultiResSystem:
         return {k: MPoly(self.vars, terms) for k, terms in buckets.items()}
 
     def param_project(self, f):
-        g, _ = drop_variables(f, self.x_idx)
+        g = drop_variables(f, self.x_idx)
         return g
 
 

@@ -57,20 +57,12 @@ class VarTable:
     def block_names(self, bi):
         return tuple(self.names[i] for i in self.blocks[bi])
 
-    def extend(self, new_names, new_block=True):
-        """Return a table with extra variables appended.
-
-        With ``new_block`` each call appends one fresh block; otherwise the
-        new variables join the last block.
-        """
+    def extend(self, new_names):
+        """Return a table with the new variables appended as one more
+        block."""
         new_names = tuple(new_names)
-        names = self.names + new_names
         added = tuple(range(self.nvars, self.nvars + len(new_names)))
-        if new_block or not self.blocks:
-            blocks = self.blocks + (added,)
-        else:
-            blocks = self.blocks[:-1] + (self.blocks[-1] + added,)
-        return VarTable(names, blocks)
+        return VarTable(self.names + new_names, self.blocks + (added,))
 
     def __eq__(self, other):
         return (isinstance(other, VarTable)
@@ -159,10 +151,6 @@ class MPoly:
         if exp is not None:
             return tuple(sum(exp[i] for i in b) for b in self.vars.blocks)
         return tuple(self.block_degree(b) for b in range(self.vars.nblocks))
-
-    def mdeg(self):
-        """Per-block degree vector (the multidegree for multihomogeneous input)."""
-        return self.block_degrees()
 
     def is_homogeneous_in(self, var_indices):
         """Homogeneous when grading only the given variables."""

@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 
-from .chow import Form, combine, gcd_fold, verified_lambdas, with_linear_forms
-from .dimension import RandomGrid, dim_projection
+from .chow import Form, gcd_fold, verified_lambdas, with_linear_forms
+from .dimension import RandomGrid, combine, dim_projection, random_form
 from .errors import IndeterminateError, UsageError
 from .mixedres import MultiResSystem, resultant_multihomogeneous_interp
 from .mpoly import MPoly, square_free_part
 from .polydet import det_integer
+from .polymatroid import from_dim_table
 
 
 class MultiprojVariety:
@@ -69,69 +70,41 @@ def dim_table(V, grid):
             for I in _nonempty_subsets(V.l)}
 
 
-def _check_table(V, table):
-    for I in _nonempty_subsets(V.l):
-        if I not in table:
-            raise UsageError(f"dimension table is missing the index set {I}")
-
-
-def formats_of_size(nvec, total):
-    """All alpha <= nvec with |alpha| = total."""
-    out = []
-    for alpha in itertools.product(*[range(n + 1) for n in nvec]):
-        if sum(alpha) == total:
-            out.append(alpha)
-    return out
+def _format_polymatroid(V, table):
+    """Box dual of the projection-dimension polymatroid
+    (:func:`polymatroid.from_dim_table`).  Its bases are the support, the
+    bases of its truncation the Chow hypersurface formats, and those of
+    the elongated truncation the Hurwitz candidates (Castillo, Cid-Ruiz,
+    Li, Montano and Zhang, "When are multidegrees positive?", 2020)."""
+    V.codim()  # refuses a variety whose dimension is not set
+    P = from_dim_table(V.nvec, table)
+    if P.rank() != V.dim:
+        raise UsageError(f"the dimension table gives dim V = {P.rank()}, "
+                         f"but the variety is declared of dimension {V.dim}")
+    return P.dual()
 
 
 def support(V, table):
     """Formats beta of size codim V whose generic subspaces meet V:
-    beta is in the support iff sum_{i in I}(n_i - beta_i) <= dim pi_I(V)
-    for every nonempty I."""
-    _check_table(V, table)
-    codim = V.codim()
-    out = []
-    for beta in formats_of_size(V.nvec, codim):
-        if all(sum(V.nvec[i] - beta[i] for i in I) <= table[I]
-               for I in _nonempty_subsets(V.l)):
-            out.append(beta)
-    return set(out)
+    sum_{i in I}(n_i - beta_i) <= dim pi_I(V) for every nonempty I."""
+    return _format_polymatroid(V, table).bases()
 
 
 def chow_hypersurface_formats(V, table):
     """Formats alpha of size codim V - 1 whose incidence variety is a
-    hypersurface: sum_{i in I}(n_i - alpha_i) - 1 <= dim pi_I(V) for all
-    nonempty I (equivalently alpha <= beta for some support beta)."""
-    _check_table(V, table)
-    codim = V.codim()
-    out = []
-    for alpha in formats_of_size(V.nvec, codim - 1):
-        if all(sum(V.nvec[i] - alpha[i] for i in I) - 1 <= table[I]
-               for I in _nonempty_subsets(V.l)):
-            out.append(alpha)
-    return set(out)
+    hypersurface: those below some support format."""
+    D = _format_polymatroid(V, table)
+    return D.truncate().bases() if D.rank() else set()
 
 
 def hurwitz_hypersurface_formats(V, table, mdeg_fn):
     """Formats alpha of size codim V whose non-transversality locus is a
-    hypersurface.
-
-    Outside the support the criterion is sum_{i in I}(n_i - alpha_i) <=
-    dim pi_I(V) + 1 for all nonempty I; on the support the locus is a
-    hypersurface exactly when the multidegree at alpha is not 1.
-    """
-    _check_table(V, table)
-    codim = V.codim()
-    supp = support(V, table)
-    out = []
-    for alpha in formats_of_size(V.nvec, codim):
-        if alpha in supp:
-            if mdeg_fn(alpha) != 1:
-                out.append(alpha)
-        elif all(sum(V.nvec[i] - alpha[i] for i in I) <= table[I] + 1
-                 for I in _nonempty_subsets(V.l)):
-            out.append(alpha)
-    return set(out)
+    hypersurface: above some Chow hypersurface format, and of multidegree
+    other than 1 where alpha is in the support."""
+    D = _format_polymatroid(V, table)
+    supp = D.bases()
+    candidates = D.truncate().elongate().bases() if D.rank() else supp
+    return candidates - {beta for beta in sorted(supp) if mdeg_fn(beta) == 1}
 
 
 def multi_degree_equalize(V):
@@ -208,8 +181,6 @@ def multidegree(V, alpha, grid, table=None):
     multilinear form whose coefficients run through a random pencil
     c0 * t0_ + c1 * t1_, and read off the degree of the square-free part
     of the eliminant, a binary form in (t0_, t1_)."""
-    if grid is None:
-        grid = RandomGrid(seed=0)
     alpha = tuple(alpha)
     if table is None:
         table = dim_table(V, grid)
@@ -220,7 +191,6 @@ def multidegree(V, alpha, grid, table=None):
     for trial in range(2 * grid.retries):
         rng = grid.rng("mdeg", alpha, trial)
         wide = V.vars.extend(("t0_", "t1_"))
-        t0, t1 = MPoly.var(wide, "t0_"), MPoly.var(wide, "t1_")
         # A random invertible change of coordinates in each block leaves
         # the multidegree unchanged and makes the coefficient patterns
         # generic enough for the sparse elimination.
@@ -232,23 +202,15 @@ def multidegree(V, alpha, grid, table=None):
                      for _ in range(nb)]
                 if det_integer(C):
                     break
-            for j, name in enumerate(blk):
-                g = MPoly.zero(wide)
-                for k, other in enumerate(blk):
-                    if C[j][k]:
-                        g = g + C[j][k] * MPoly.var(wide, other)
-                subs[name] = g
+            subs.update(zip(blk, combine(
+                [MPoly.var(wide, name) for name in blk], C)))
         polys = [f.rename_into(wide).substitute(subs) for f in V.polys]
-        for i, (n, a) in enumerate(zip(V.nvec, alpha)):
-            for _ in range(n - a):
-                L = MPoly.zero(wide)
-                for xname in V.x_blocks[i]:
-                    L = L + rng.randint(1, grid.bound) * MPoly.var(wide, xname)
-                polys.append(L)
+        for blk, n, a in zip(V.x_blocks, V.nvec, alpha):
+            polys += [random_form(wide, blk, rng, grid.bound)
+                      for _ in range(n - a)]
         M = MPoly.zero(wide)
-        for combo in itertools.product(*[blk for blk in V.x_blocks]):
-            m = rng.randint(1, grid.bound) * t0 + \
-                rng.randint(1, grid.bound) * t1
+        for combo in itertools.product(*V.x_blocks):
+            m = random_form(wide, ("t0_", "t1_"), rng, grid.bound)
             for xname in combo:
                 m = m * MPoly.var(wide, xname)
             M = M + m

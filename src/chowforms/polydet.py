@@ -43,10 +43,6 @@ class PolyMatrix:
         self.vars = vars
         self.entries = rows
 
-    def evaluate(self, point):
-        """Integer matrix (list of lists) at the given {name: int} point."""
-        return [[e.evaluate(point) for e in r] for r in self.entries]
-
     def __repr__(self):
         body = "\n".join("  [" + ", ".join(str(e) for e in r) + "]" for r in self.entries)
         return f"PolyMatrix(dim={self.dim},\n{body})"

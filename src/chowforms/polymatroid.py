@@ -115,14 +115,6 @@ class Polymatroid:
         return f"Polymatroid(n={self.n}, rank={self.rank()})"
 
 
-def is_submodular(n, table):
-    try:
-        Polymatroid(n, table)
-    except UsageError:
-        return False
-    return True
-
-
 def from_dim_table(nvec, dims):
     """Polymatroid of projection dimensions: rank(I) = dim pi_I(V).
 

@@ -32,30 +32,27 @@ def monomials_of_degree(nvars, total):
     return out
 
 
-def drop_variables(f, drop_idx, target=None):
+def drop_variables(f, drop_idx):
     """Project f onto the table without the given variables.
 
-    Every term must have zero exponent on the dropped variables.  Returns
-    (g, target_table); pass ``target`` to reuse a table across calls.
+    Every term must have zero exponent on the dropped variables.
     """
     vars = f.vars
     drop = set(drop_idx)
     keep = [i for i in range(vars.nvars) if i not in drop]
-    if target is None:
-        names = [vars.names[i] for i in keep]
-        pos = {old: new for new, old in enumerate(keep)}
-        blocks = []
-        for b in vars.blocks:
-            nb = [pos[i] for i in b if i in pos]
-            if nb:
-                blocks.append(nb)
-        target = VarTable(names, blocks)
+    pos = {old: new for new, old in enumerate(keep)}
+    blocks = []
+    for b in vars.blocks:
+        nb = [pos[i] for i in b if i in pos]
+        if nb:
+            blocks.append(nb)
+    target = VarTable([vars.names[i] for i in keep], blocks)
     out = {}
     for exp, c in f.terms.items():
         if any(exp[i] for i in drop):
             raise InternalError("projection would lose a variable occurrence")
         out[tuple(exp[i] for i in keep)] = c
-    return MPoly(target, out), target
+    return MPoly(target, out)
 
 
 class MacaulaySystem:
@@ -95,7 +92,7 @@ class MacaulaySystem:
 
     def param_project(self, f):
         """Re-express an elimination result over the parameter variables only."""
-        g, _ = drop_variables(f, self.elim_idx)
+        g = drop_variables(f, self.elim_idx)
         return g
 
 
@@ -226,7 +223,7 @@ def gcp_resultant(sys, perturb_indices=None):
     low = min(exp[s_idx] for exp in rhat.terms)
     trailing = {exp[:s_idx] + (0,) + exp[s_idx + 1:]: c
                 for exp, c in rhat.terms.items() if exp[s_idx] == low}
-    result, _ = drop_variables(MPoly(wide, trailing), list(sys.elim_idx) + [s_idx])
+    result = drop_variables(MPoly(wide, trailing), list(sys.elim_idx) + [s_idx])
     return result, low
 
 

@@ -22,9 +22,10 @@ from chowforms.multiproj import (MultiprojVariety, chow_hypersurface_formats,
                                  multi_bounds, multi_chow_form_ci,
                                  multidegree, support)
 from chowforms.polydet import det_cofactor, det_integer, det_packed
-from chowforms.polymatroid import Polymatroid, from_dim_table
+from chowforms.polymatroid import Polymatroid
 from chowforms.resultant import MacaulaySystem, gcp_resultant, resultant_dense
 from conftest import kronecker_coeffs, kronecker_matrix
+from test_multiproj import box_variety, check_against_oracle
 
 X2 = VarTable(("x0", "x1"))
 X3 = VarTable(("x0", "x1", "x2"))
@@ -416,16 +417,16 @@ class TestPolymatroidIdentities:
                 # Elongation is the dual of the truncated dual.
                 assert P_.elongate() == D.truncate().dual()
 
-    def test_cross_check_on_conic_product(self):
-        V = conic_product()
-        D = from_dim_table(V.nvec, PRODUCT_DIMS).dual()
-        assert D.bases() == support(V, PRODUCT_DIMS)
-        assert D.truncate().bases() == \
-            chow_hypersurface_formats(V, PRODUCT_DIMS)
-        assert D.truncate().elongate().bases() == \
-            hurwitz_hypersurface_formats(
-                V, PRODUCT_DIMS,
-                lambda a: multidegree(V, a, GRID, PRODUCT_DIMS))
+    def test_format_functions_match_inequality_oracle(self):
+        # support, chow_hypersurface_formats and hurwitz_hypersurface_formats
+        # read bases off the dimension table's polymatroid; the defining
+        # inequalities decide the same sets on 200 random rank tables.
+        rng = random.Random(127)
+        for _ in range(200):
+            P_ = _rand_polymatroid(rng, rng.randint(1, 3))
+            check_against_oracle(box_variety(P_.n, P_.rank()),
+                                 {I: v for I, v in P_.table.items() if I},
+                                 lambda a: 1 + sum(a) % 2)
 
 
 class TestDegenerateRescue:

@@ -242,6 +242,17 @@ class TestExitCodes:
         assert main(["hurwitz", write(tmp_path, "p", text)]) == 2
         assert "dim >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["support", "formats"])
+    def test_dim_disagreeing_with_table_is_2(self, command, tmp_path,
+                                             capsys):
+        # The bilinear curve has dimension 1, not 0.
+        text = ("ring x0 x1 y0 y1\nblocks (x0 x1)(y0 y1)\n"
+                "poly x0*y0 + x1*y1\ndim 0\n")
+        assert main([command, write(tmp_path, "p", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dim V = 1" in captured.err and "dimension 0" in captured.err
+
     def test_oversized_power_is_2_within_seconds(self, tmp_path, capsys):
         text = "ring x0 x1 x2\npoly (x0+x1+x2)^400\ndim 1\n"
         start = time.monotonic()

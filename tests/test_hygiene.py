@@ -1,7 +1,7 @@
 """Static checks on the library sources: standard-library imports only,
 no rational or floating-point arithmetic, no imported name left unused,
-and one interpolation loop.  ``__init__.py`` is exempt from the unused
-import check, since its imports are re-exports."""
+one interpolation loop and one formats engine.  ``__init__.py`` is exempt
+from the unused import check, since its imports are re-exports."""
 
 import ast
 import pathlib
@@ -100,3 +100,9 @@ def test_one_interpolation_engine():
     callers = _callers("_newton_assemble")
     assert len(callers) == 1
     assert _callers("_block_grid") == callers
+
+
+def test_one_formats_engine():
+    # The support and the Chow and Hurwitz formats are all read off one
+    # polymatroid: one function builds it from the dimension table.
+    assert _callers("from_dim_table") == ["multiproj._format_polymatroid"]

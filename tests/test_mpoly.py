@@ -110,7 +110,7 @@ class TestDegreesAndBlocks:
     def test_mdeg_bilinear(self):
         vars = VarTable(("x0", "x1", "y0", "y1"), blocks=((0, 1), (2, 3)))
         f = P("x0*y0 + x1*y1", vars)
-        assert f.mdeg() == (1, 1)
+        assert f.block_degrees() == (1, 1)
         assert {f.block_degrees(exp) for exp in f.terms} == {(1, 1)}
 
     def test_not_multihomogeneous(self):
@@ -120,7 +120,7 @@ class TestDegreesAndBlocks:
 
     def test_mdeg_mixed(self):
         vars = VarTable(("x0", "x1", "y0", "y1"), blocks=((0, 1), (2, 3)))
-        assert P("x0^2*y1", vars).mdeg() == (2, 1)
+        assert P("x0^2*y1", vars).block_degrees() == (2, 1)
 
     def test_profile(self, xy):
         p = P("x^2*y + 3", xy)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from chowforms import multiproj
@@ -6,12 +8,10 @@ from chowforms.dimension import ProjectiveVariety, RandomGrid
 from chowforms.errors import IndeterminateError, UsageError
 from chowforms.mpoly import VarTable, parse_poly
 from chowforms.multiproj import (MultiprojVariety, chow_hypersurface_formats,
-                                 dim_table, formats_of_size,
-                                 hurwitz_hypersurface_formats,
+                                 dim_table, hurwitz_hypersurface_formats,
                                  multi_bounds, multi_chow_form,
                                  multi_chow_form_ci, multi_degree_equalize,
                                  multi_generic_lc, multidegree, support)
-from chowforms.polymatroid import from_dim_table
 
 GRID = RandomGrid(seed=2)
 
@@ -37,6 +37,65 @@ def point_pair():
     """{(1:2)} x {(3:5)} in P1 x P1."""
     return MultiprojVariety(
         P1P1, [P("2*x0 - x1", P1P1), P("5*y0 - 3*y1", P1P1)], dim=0)
+
+
+def formats_of_size(nvec, total):
+    """All alpha <= nvec with |alpha| = total, in lexicographic order."""
+    return [alpha for alpha in itertools.product(*[range(n + 1) for n in nvec])
+            if sum(alpha) == total]
+
+
+def inequality_formats(nvec, table, dim, mdeg_fn):
+    """(support, Chow formats, Hurwitz formats) from the defining
+    inequalities on the projection dimensions ``table`` (nonempty index
+    sets only), with ``mdeg_fn`` called on each support format in order.
+
+    beta of size codim is in the support iff sum_{i in I}(n_i - beta_i)
+    <= dim pi_I(V) for every nonempty I; alpha of size codim - 1 is a
+    Chow format iff sum_{i in I}(n_i - alpha_i) - 1 <= dim pi_I(V); alpha
+    of size codim is a Hurwitz format iff it is in the support with
+    multidegree other than 1, or outside it with sum_{i in I}(n_i -
+    alpha_i) <= dim pi_I(V) + 1.
+    """
+    def holds(alpha, slack):
+        return all(sum(nvec[i] - alpha[i] for i in I) <= rank + slack
+                   for I, rank in table.items())
+
+    codim = sum(nvec) - dim
+    supp = {beta for beta in formats_of_size(nvec, codim) if holds(beta, 0)}
+    chow = {alpha for alpha in formats_of_size(nvec, codim - 1)
+            if holds(alpha, 1)}
+    hurwitz = set()
+    for alpha in formats_of_size(nvec, codim):
+        if alpha in supp:
+            if mdeg_fn(alpha) != 1:
+                hurwitz.add(alpha)
+        elif holds(alpha, 1):
+            hurwitz.add(alpha)
+    return supp, chow, hurwitz
+
+
+def check_against_oracle(V, table, mdeg_fn):
+    """The three format functions agree with :func:`inequality_formats`,
+    and call ``mdeg_fn`` on the same formats in the same order."""
+    want_calls, got_calls = [], []
+    want = inequality_formats(
+        V.nvec, table, V.dim, lambda a: want_calls.append(a) or mdeg_fn(a))
+    got = (support(V, table), chow_hypersurface_formats(V, table),
+           hurwitz_hypersurface_formats(
+               V, table, lambda a: got_calls.append(a) or mdeg_fn(a)))
+    assert got == want
+    assert got_calls == want_calls
+
+
+def box_variety(nvec, dim):
+    """A variety in P^n_1 x ... x P^n_l declared of dimension ``dim``; the
+    format functions read only its boxes and its dimension."""
+    names = [f"x{i}_{j}" for i, n in enumerate(nvec) for j in range(n + 1)]
+    ends = list(itertools.accumulate(n + 1 for n in nvec))
+    vars = VarTable(names, [tuple(range(e - n - 1, e))
+                            for n, e in zip(nvec, ends)])
+    return MultiprojVariety(vars, [P(names[0], vars)], dim=dim)
 
 
 @pytest.fixture(scope="module")
@@ -118,11 +177,26 @@ class TestSupportAndFormats:
                                         tag=("mc", alpha, k))
                 assert meets == (alpha in supp)
 
-    def test_matches_polymatroid_calculus(self, product, product_dims):
-        D = from_dim_table(product.nvec, product_dims).dual()
-        assert support(product, product_dims) == D.bases()
-        assert chow_hypersurface_formats(product, product_dims) == \
-            D.truncate().bases()
+    def test_matches_inequality_oracle(self, product, product_dims):
+        # Multidegree 4 at (2, 2) keeps it a Hurwitz format, 1 drops it.
+        for mdeg in (4, 1):
+            check_against_oracle(product, product_dims, lambda a: mdeg)
+
+    def test_dim_disagreeing_with_table_rejected(self):
+        V = MultiprojVariety(P1P1, [P("x0*y0 + x1*y1", P1P1)], dim=0)
+        table = {(0,): 1, (1,): 1, (0, 1): 1}
+        for fn in (support, chow_hypersurface_formats):
+            with pytest.raises(UsageError, match="dim V = 1.*dimension 0"):
+                fn(V, table)
+        with pytest.raises(UsageError, match="dim V = 1.*dimension 0"):
+            hurwitz_hypersurface_formats(V, table, lambda a: 2)
+
+    def test_non_submodular_table_rejected(self):
+        # dim pi_{01} = 3 > dim pi_0 + dim pi_1: not a rank function.
+        V = MultiprojVariety(P3P3, conic_product().polys, dim=3)
+        table = {(0,): 1, (1,): 1, (0, 1): 3}
+        with pytest.raises(UsageError, match="not a polymatroid"):
+            support(V, table)
 
 
 class TestMultidegree:

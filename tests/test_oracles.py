@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowforms import MPoly, VarTable
-from chowforms import polydet
+from chowforms import mpoly, polydet
 from chowforms.dimension import ProjectiveVariety, RandomGrid
 from chowforms.errors import InternalError, UsageError
 from chowforms.hurwitz import _PencilSampler, u_resultant
@@ -284,6 +284,28 @@ def test_square_free_part_matches_sympy(f, g):
     want = from_sympy(sympy.Poly(to_sympy(f), *sympy.symbols(XY.names))
                       .sqf_part().as_expr(), XY)
     assert square_free_part(f) == want.normalized()
+
+
+XYZ = VarTable(("x", "y", "z"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(XYZ, max_deg=2), polys(XYZ, max_deg=2), polys(XYZ, max_deg=2))
+def test_prs_gcd_and_square_free_part_match_sympy(f, g, h):
+    # With the heuristic gcd giving up at every call, gcd and
+    # square_free_part run the primitive polynomial remainder sequence
+    # (PRS) at every level of the recursion.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpoly, "_heu_gcd", lambda f, g: None)
+        f, g = f * h, g * h
+        if not (f.is_zero() and g.is_zero()):
+            want = from_sympy(sympy.gcd(to_sympy(f), to_sympy(g)), XYZ)
+            assert gcd(f, g) == want.normalized()
+        f = f * f * g
+        if not f.is_zero():
+            want = sympy.Poly(to_sympy(f), *sympy.symbols(XYZ.names))
+            assert square_free_part(f) == \
+                from_sympy(want.sqf_part().as_expr(), XYZ).normalized()
 
 
 @settings(max_examples=60, deadline=None)

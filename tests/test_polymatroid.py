@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from chowforms.errors import UsageError
-from chowforms.polymatroid import Polymatroid, from_dim_table, is_submodular
+from chowforms.polymatroid import Polymatroid, from_dim_table
 
 
 def subsets(l):
@@ -36,17 +36,21 @@ class TestValidity:
             Polymatroid((2, 2), {(): 0, (0,): 1, (0, 1): 2})
 
     def test_nonzero_empty_rejected(self):
-        assert not is_submodular((2,), {(): 1, (0,): 2})
+        with pytest.raises(UsageError):
+            Polymatroid((2,), {(): 1, (0,): 2})
 
     def test_non_monotone_rejected(self):
-        assert not is_submodular((3, 3), {(): 0, (0,): 2, (1,): 2, (0, 1): 1})
+        with pytest.raises(UsageError):
+            Polymatroid((3, 3), {(): 0, (0,): 2, (1,): 2, (0, 1): 1})
 
     def test_non_submodular_rejected(self):
         # delta(01) + delta() > delta(0) + delta(1)
-        assert not is_submodular((3, 3), {(): 0, (0,): 1, (1,): 1, (0, 1): 3})
+        with pytest.raises(UsageError):
+            Polymatroid((3, 3), {(): 0, (0,): 1, (1,): 1, (0, 1): 3})
 
     def test_box_violation_rejected(self):
-        assert not is_submodular((1, 3), {(): 0, (0,): 2, (1,): 2, (0, 1): 3})
+        with pytest.raises(UsageError):
+            Polymatroid((1, 3), {(): 0, (0,): 2, (1,): 2, (0, 1): 3})
 
     def test_random_tables_valid(self, rng):
         for _ in range(25):

@@ -161,8 +161,8 @@ def discriminant_via_partials(R1, grid, pencil):
         sampler, vars, u_blocks, degrees,
         (grid.rng("hurwitz-disc", pencil, a) for a in range(grid.retries)))
     if out is None:
-        raise IndeterminateError(f"discriminant_via_partials found no usable "
-                                 f"grid in {grid.retries} attempts")
+        raise IndeterminateError(f"discriminant_via_partials found no checked "
+                                 f"interpolant in {grid.retries} attempts")
     return out[0]
 
 

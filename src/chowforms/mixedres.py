@@ -8,9 +8,11 @@ walks from each certified cell to the next (:class:`_CellWalk`).
 Rows of the resultant matrix are indexed by the lattice points of the
 shifted Minkowski sum; the resultant is the matrix determinant divided by
 the principal minor on the points in non-mixed cells.  For interpolation
-both are compiled once per lifting, so a sample evaluates only the
-nonconstant entries.  A bad lifting (coarse subdivision, vanishing minor,
-inexact division) triggers a retry with fresh randomness.
+the pair is compiled once per lifting and sampled, sliced by the last
+parameter block, by the same quotient sampler as the Macaulay pair
+(:class:`resultant._QuotientSampler`).  A bad lifting (coarse
+subdivision, vanishing minor, inexact division) triggers a retry with
+fresh randomness.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import operator
 from .errors import IndeterminateError, UsageError
 from .mpoly import MPoly, VarTable
 from .polydet import PolyMatrix, ff_reduce
-from .resultant import (_BadGrid, _compile, _det_in_s, block_interpolation,
-                        drop_variables)
+from .resultant import _QuotientSampler, _Remainder, block_interpolation
 
 
 class _BadLifting(Exception):
@@ -112,10 +113,6 @@ class MultiResSystem:
                 e[idx] = 0
             buckets.setdefault(tuple(key), {})[tuple(e)] = c
         return {k: MPoly(self.vars, terms) for k, terms in buckets.items()}
-
-    def param_project(self, f):
-        g = drop_variables(f, self.x_idx)
-        return g
 
 
 class _CellWalk:
@@ -260,45 +257,18 @@ def _build_matrix(sys, rng):
     return rows, sub
 
 
-class _LiftingSampler:
-    """det H / det E for one lifting's Canny-Emiris matrix H and its
-    non-mixed principal minor E, compiled once (:func:`resultant._compile`)
-    and sampled at integer points (lists indexed like the system's
-    variables) by :func:`resultant.block_interpolation`.
-
-    A sample is ``[q]``, or ``[]`` for zero; it raises _BadGrid where
-    det E vanishes and _BadLifting on a remainder.  Nothing is shared
-    across a slice, so ``slice`` hands out the sampler itself.
-    """
-
-    def __init__(self, rows, sub):
-        self.full = _compile(PolyMatrix(rows), None)
-        self.minor = _compile(PolyMatrix([[rows[i][j] for j in sub]
-                                          for i in sub]), None) if sub else None
-
-    def __call__(self, point):
-        den = _det_in_s(self.minor, point) if self.minor else [1]
-        if not den:
-            raise _BadGrid
-        q, r = divmod((_det_in_s(self.full, point) or [0])[0], den[0])
-        if r:
-            raise _BadLifting
-        return [q] if q else []
-
-    def slice(self, top, keep=None):
-        return self
-
-
 def resultant_multihomogeneous_interp(sys, param_blocks, degrees, grid,
                                       tag="mres-interp"):
     """Sparse multihomogeneous resultant by evaluation and interpolation.
 
-    Avoids the symbolic determinant: each lifting's Canny-Emiris matrix
+    Avoids the symbolic determinant: each lifting's Canny-Emiris matrix H
     is built once, its cells walked by an exact integer dual simplex
-    (:class:`_CellWalk`), and it is compiled with its non-mixed minor into
-    integer structure (:class:`_LiftingSampler`), so every sample
-    evaluates only the nonconstant entries and takes one integer
-    determinant quotient at a numeric parameter point.
+    (:class:`_CellWalk`), and the pair of H and its non-mixed minor E
+    ([1] when every cell is mixed) goes to the quotient sampler of the
+    Macaulay pair (:class:`resultant._QuotientSampler`, no s): every
+    sample evaluates only the nonconstant entries, and within a slice
+    the rows that do not involve the last parameter block are reduced
+    once.
 
     Each ``param_blocks`` entry is the coefficient vector of one
     polynomial of the system (or a linear reparametrization of it), so
@@ -309,22 +279,27 @@ def resultant_multihomogeneous_interp(sys, param_blocks, degrees, grid,
     simplices in the others, the result is rehomogenized, and the
     fresh-point check draws every coordinate at random, pinned ones
     included, so a quotient of another degree fails it.  A remainder
-    rejects the lifting at once; a lifting whose ``grid.retries``
-    attempts all fail is dropped too.  A result is accepted once two
-    independent liftings agree on the normalized polynomial (zero when
-    det H vanishes identically).
+    rejects the lifting at once; a lifting whose fresh check fails, or
+    whose ``grid.retries`` attempts all hit a bad point, is dropped too.
+    A result is accepted once two independent liftings agree on the
+    normalized polynomial (zero when det H vanishes identically).
     """
     rng = grid.rng(tag)
+    fast = [sys.vars.index(n) for n in param_blocks[-1][1:]]
+    one = [[MPoly.const(sys.vars, 1)]]
     seen = []
     # Bad liftings are detected cheaply (first sample), so a generous
     # budget costs little while specialized coefficient patterns can push
     # the per-lifting success rate well below one half.
     for lift_try in range(8 * grid.retries):
         try:
+            rows, sub = _build_matrix(sys, rng)
+            E = [[rows[i][j] for j in sub] for i in sub] or one
             out = block_interpolation(
-                _LiftingSampler(*_build_matrix(sys, rng)), sys.vars,
-                param_blocks, degrees, itertools.repeat(rng, grid.retries))
-        except _BadLifting:
+                _QuotientSampler(PolyMatrix(rows), PolyMatrix(E), None, fast),
+                sys.vars, param_blocks, degrees,
+                itertools.repeat(rng, grid.retries))
+        except (_BadLifting, _Remainder):
             continue
         if out is None:
             continue

@@ -728,7 +728,8 @@ def _heu_gcd(f, g):
 
 
 def gcd(f, g):
-    """Greatest common divisor, primitive with positive leading coefficient.
+    """Greatest common divisor, primitive with positive leading coefficient
+    (so the gcd of two nonzero constants is 1).
 
     A verified heuristic big-integer path first; recursive primitive-PRS
     (one variable at a time with content/primitive splitting) as fallback.
@@ -742,7 +743,7 @@ def gcd(f, g):
     f._check_same_table(g)
     v = _main_var(f, g)
     if v is None:
-        return MPoly.const(f.vars, math.gcd(f.constant_value(), g.constant_value()))
+        return MPoly.const(f.vars, 1)
     h = _heu_gcd(f, g)
     if h is not None:
         return h

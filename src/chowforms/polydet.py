@@ -11,9 +11,9 @@ Engines, in increasing sophistication:
   polynomials goes to :func:`det_integer` unpacked.
 * :func:`det_slice` — determinants of integer matrices that share all
   rows but a few: one fraction-free Gauss–Jordan reduction of the shared
-  rows (:func:`ff_reduce`), then a small Schur-complement determinant per
-  matrix (Sylvester's identity).  :func:`rank_integer` counts the pivots
-  of the same elimination.
+  rows (:func:`ff_reduce`), then per matrix the Bareiss elimination
+  continued on its few other rows (Sylvester's identity).
+  :func:`rank_integer` counts the pivots of the same elimination.
 """
 
 from __future__ import annotations
@@ -70,12 +70,19 @@ def _cofactor(rows, vars):
     return total
 
 
-def det_integer(rows):
-    """Fraction-free Bareiss determinant of an integer matrix."""
+def det_integer(rows, prev=1):
+    """Fraction-free Bareiss determinant of an integer matrix.
+
+    ``prev`` continues an elimination past fixed pivots whose leading
+    minor is ``prev``: ``rows`` then hold the minors bordering those
+    pivots, and the result is the determinant of the whole matrix
+    (Sylvester's identity).  Bordered minors divide exactly at every step;
+    a first step that leaves a remainder raises InternalError.
+    """
     a = [list(r) for r in rows]
     m = len(a)
     sign = 1
-    prev = 1
+    check = prev != 1
     for k in range(m - 1):
         piv = next((i for i in range(k, m) if a[i][k] != 0), None)
         if piv is None:
@@ -87,9 +94,17 @@ def det_integer(rows):
         for i in range(k + 1, m):
             aik = a[i][k]
             row_i, row_k = a[i], a[k]
-            for j in range(k + 1, m):
-                row_i[j] = (pk * row_i[j] - aik * row_k[j]) // prev
+            if check:
+                for j in range(k + 1, m):
+                    row_i[j], r = divmod(pk * row_i[j] - aik * row_k[j], prev)
+                    if r:
+                        raise InternalError("bordered minors are not "
+                                            "divisible by their pivot")
+            else:
+                for j in range(k + 1, m):
+                    row_i[j] = (pk * row_i[j] - aik * row_k[j]) // prev
             row_i[k] = 0
+        check = False
         prev = pk
     return sign * a[m - 1][m - 1]
 
@@ -171,12 +186,15 @@ def det_slice(fixed, at):
     Such a matrix M has the rows ``fixed`` in order, with varying rows V
     at the (ascending) row positions ``at``.  The fixed rows are reduced
     once (:func:`ff_reduce`: pivot columns P, d = det F[:, P] and
-    X = d F[:, P]^-1 F[:, Q]); the returned function takes V and gives
-    det M = sigma * det(d V_Q - V_P X) / d^(D-1), D = len(at), by
-    Sylvester's identity, sigma being the sign of moving V to the bottom
-    times the sign of the column order P + Q.  When the fixed rows are
-    linearly dependent, det M = 0 for every V.  The division is exact; a remainder
-    means a broken invariant and raises InternalError.
+    X = d F[:, P]^-1 F[:, Q]).  The entries of S = d V_Q - V_P X are the
+    minors bordering F[:, P], which Bareiss's elimination would hold after
+    the fixed pivots, so the returned function takes V and continues that
+    elimination on S from the pivot d (:func:`det_integer`):
+    det M = sigma * det M', M' being M with V moved to the bottom and its
+    columns in the order P + Q, and sigma the sign of both moves.  When
+    the fixed rows are linearly dependent, det M = 0 for every V.  Every
+    division is exact; a remainder means a broken invariant and raises
+    InternalError.
     """
     red = ff_reduce(fixed)
     if red is None:
@@ -188,10 +206,8 @@ def det_slice(fixed, at):
     swaps = sum(len(fixed) - (i - n) for n, i in enumerate(at))
     swaps += sum(q < p for p in pivots for q in other)
     sigma = -1 if swaps % 2 else 1
-    D = len(at)
-    if D == 0:
+    if not at:
         return lambda vary: sigma * d
-    scale = d ** (D - 1)
     pairs = list(zip(pivots, X))
 
     def det(vary):
@@ -203,11 +219,7 @@ def det_slice(fixed, at):
                 if a:
                     row = [s - a * y for s, y in zip(row, x)]
             schur.append(row)
-        q, r = divmod(det_integer(schur), scale)
-        if r:
-            raise InternalError("Schur complement determinant is not "
-                                "divisible by the fixed pivot power")
-        return sigma * q
+        return sigma * det_integer(schur, d)
 
     return det
 

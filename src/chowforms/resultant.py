@@ -90,11 +90,6 @@ class MacaulaySystem:
     def critical_degree(self):
         return sum(d - 1 for d in self.degrees) + 1
 
-    def param_project(self, f):
-        """Re-express an elimination result over the parameter variables only."""
-        g = drop_variables(f, self.elim_idx)
-        return g
-
 
 def _shift_mul(f, elim_idx, shift):
     """f * x^shift where shift lives on the eliminated variables."""
@@ -166,7 +161,7 @@ def resultant_dense(sys):
         raise DegenerateError("Macaulay minor vanishes identically; "
                               "use gcp_resultant")
     d = det_bareiss(M)
-    return sys.param_project(divexact(d, d0))
+    return drop_variables(divexact(d, d0), sys.elim_idx)
 
 
 def _fresh_name(vars, base):
@@ -231,6 +226,12 @@ class _BadGrid(Exception):
     """Internal: an evaluation grid hit a degenerate locus; reshift and retry."""
 
 
+class _Remainder(InternalError):
+    """Internal: det M0 does not divide det M at a sample.  For the
+    Macaulay pair, whose minor divides det M in ZZ[params][s], this is a
+    broken invariant; for a Canny-Emiris pair it rejects the lifting."""
+
+
 def _simplex_points(nvars, total):
     """Exponent tuples with sum <= total, any order."""
     out = []
@@ -241,7 +242,7 @@ def _simplex_points(nvars, total):
 
 def _udiv_exact(num, den):
     """Exact division of integer coefficient lists (ascending); _BadGrid if
-    the divisor is zero or the division leaves a remainder."""
+    the divisor is zero, _Remainder if the division leaves a remainder."""
     while num and num[-1] == 0:
         num = num[:-1]
     while den and den[-1] == 0:
@@ -251,7 +252,7 @@ def _udiv_exact(num, den):
     if not num:
         return []
     if len(num) < len(den):
-        raise _BadGrid
+        raise _Remainder
     rem = list(num)
     q = [0] * (len(num) - len(den) + 1)
     # A step that leaves a remainder leaves it in rem, where no later step
@@ -262,12 +263,12 @@ def _udiv_exact(num, den):
             for j, dc in enumerate(den):
                 rem[i + j] -= c * dc
     if any(rem):
-        raise _BadGrid
+        raise _Remainder
     return q
 
 
-def _compile(M, s_idx, rows=None):
-    """Integer structure of a matrix over the perturbation table.
+def _compile(M, s_idx):
+    """Integer structure of a matrix over the parameter table.
 
     Returns (base, monos, singles, listed): ``base`` holds the constant
     entries (zero elsewhere), ``monos`` the parameter monomials that
@@ -276,17 +277,14 @@ def _compile(M, s_idx, rows=None):
     ``listed`` one (i, j, layers) per other entry, ``layers[k]`` being its
     s^k coefficient as (integer, monomial index) pairs.  ``s_idx=None``
     means there is no s variable: every entry has the single layer k = 0.
-    ``rows`` compiles only those rows of M, renumbered from 0.
     """
     s_of = (lambda exp: 0) if s_idx is None else operator.itemgetter(s_idx)
-    if rows is None:
-        rows = range(M.dim)
-    base = [[0] * M.dim for _ in rows]
+    base = [[0] * M.dim for _ in range(M.dim)]
     monos = {}
     singles = []
     listed = []
-    for i, r in enumerate(rows):
-        for j, e in enumerate(M.entries[r]):
+    for i, row in enumerate(M.entries):
+        for j, e in enumerate(row):
             if e.is_constant():
                 base[i][j] = e.constant_value()
                 continue
@@ -300,6 +298,15 @@ def _compile(M, s_idx, rows=None):
             else:
                 listed.append((i, j, layers))
     return base, list(monos), singles, listed
+
+
+def _take(compiled, rows):
+    """The rows ``rows`` of a compiled matrix, renumbered from 0."""
+    base, monos, singles, listed = compiled
+    new = {r: i for i, r in enumerate(rows)}
+    return ([base[r] for r in rows], monos,
+            [(new[i], j, c, t) for i, j, c, t in singles if i in new],
+            [(new[i], j, layers) for i, j, layers in listed if i in new])
 
 
 def _rows_at(compiled, values, keep=None):
@@ -341,18 +348,15 @@ def _abs_compiled(compiled):
 
 class _SlicedMatrix:
     """A compiled matrix whose rows are split by the fast coordinates:
-    ``at`` lists the rows that involve one of them, in order."""
+    ``at`` lists the rows that involve one of them, in order.  The fixed
+    and ``at`` parts are taken on the first :meth:`slice`, so a matrix
+    that is only sampled unsliced never builds them."""
 
     def __init__(self, M, s_idx, fast):
         self.full = _compile(M, s_idx)
         self.at = [i for i, row in enumerate(M.entries)
                    if any(e.partial_degree(v) for e in row for v in fast)]
-        if 0 < len(self.at) < M.dim:
-            at = set(self.at)
-            self.fixed = _compile(M, s_idx, [i for i in range(M.dim)
-                                             if i not in at])
-            self.vary = _compile(M, s_idx, self.at)
-            self.vary_abs = _abs_compiled(self.vary)
+        self.parts = None
 
     def slice(self, top, keep=None):
         """s-coefficients of det, as a function of the points that agree
@@ -367,19 +371,24 @@ class _SlicedMatrix:
         taken once; with no fixed row there is nothing to share and each
         point takes its own determinant.
         """
+        dim = len(self.full[0])
         if not self.at:
             det = _det_in_s(self.full, top, keep)
             return lambda point: det
-        if len(self.at) == len(self.full[0]):
+        if len(self.at) == dim:
             return lambda point: _det_in_s(self.full, point, keep)
-        rows, entries = _rows_at(self.fixed, top, keep)
+        if self.parts is None:
+            fixed = [i for i in range(dim) if i not in self.at]
+            vary = _take(self.full, self.at)
+            self.parts = _take(self.full, fixed), vary, _abs_compiled(vary)
+        fixed, vary, vary_abs = self.parts
+        rows, entries = _rows_at(fixed, top, keep)
         shift = 0
         if keep != 1:
-            bound = _rows_at(self.vary_abs, [abs(v) for v in top], keep)
+            bound = _rows_at(vary_abs, [abs(v) for v in top], keep)
             shift = packing_shift(row_norms(rows, entries) + row_norms(*bound))
         pack_rows(rows, entries, shift)
         det = det_slice(rows, self.at)
-        vary = self.vary
 
         def at_point(point):
             vrows, ventries = _rows_at(vary, point, keep)
@@ -392,25 +401,28 @@ class _SlicedMatrix:
         return at_point
 
 
-class _GcpSampler:
-    """The perturbed resultant q(s) = det M(s) / det M0(s) at integer
-    parameter points, for the Macaulay pair of :func:`perturbed_macaulay`,
-    compiled once.
+class _QuotientSampler:
+    """The quotient q = det M / det M0 of a matrix pair at integer
+    parameter points, both matrices compiled once: the Macaulay pair of
+    :func:`perturbed_macaulay`, where q is a polynomial in the
+    perturbation variable s (table index ``s_idx``), or a Canny-Emiris
+    pair (H, E) (:func:`mixedres.resultant_multihomogeneous_interp`),
+    with ``s_idx=None``.
 
-    ``sampler(point, keep=None)`` takes a point (a list indexed like
-    ``sys.vars``) and gives the ascending s-coefficients of q from one
-    packed determinant per matrix (:func:`_det_in_s`) and an exact
-    division (:func:`_udiv_exact`); it raises _BadGrid where det M0(s)
-    vanishes.  ``keep=1`` gives only q(0) = det M(0) / det M0(0), taking
-    the s-path where det M0(0) = 0.  ``sampler.slice(top, keep)`` gives
-    the same values as a function of the points of one slice: the points
-    that agree with ``top`` off the ``fast`` coordinates (variable
-    indices) and lie below it on them in absolute value.
+    ``sampler(point, keep=None)`` takes a point (a list indexed like the
+    pair's table) and gives the ascending s-coefficients of q ([q], or []
+    for zero, without s) from one packed determinant per matrix
+    (:func:`_det_in_s`) and an exact division (:func:`_udiv_exact`); it
+    raises _BadGrid where det M0 vanishes and _Remainder where det M0
+    does not divide det M.  ``keep=1`` gives only
+    q(0) = det M(0) / det M0(0), taking the s-path where det M0(0) = 0.
+    ``sampler.slice(top, keep)`` gives the same values as a function of
+    the points of one slice: the points that agree with ``top`` off the
+    ``fast`` coordinates (variable indices) and lie below it on them in
+    absolute value (:meth:`_SlicedMatrix.slice`).
     """
 
-    def __init__(self, sys, perturb_indices=None, fast=()):
-        M, M0, wide, sname = perturbed_macaulay(sys, perturb_indices)
-        s_idx = wide.index(sname)
+    def __init__(self, M, M0, s_idx, fast):
         self.num = _SlicedMatrix(M, s_idx, fast)
         self.den = _SlicedMatrix(M0, s_idx, fast)
 
@@ -444,8 +456,10 @@ class _GcpSampler:
 
 
 def gcp_sampler(sys, perturb_indices=None, fast=()):
-    """The compiled sampler of the perturbed resultant (:class:`_GcpSampler`)."""
-    return _GcpSampler(sys, perturb_indices, fast)
+    """The sampler of the perturbed resultant: :class:`_QuotientSampler`
+    on the Macaulay pair of :func:`perturbed_macaulay`."""
+    M, M0, wide, sname = perturbed_macaulay(sys, perturb_indices)
+    return _QuotientSampler(M, M0, wide.index(sname), fast)
 
 
 def _block_grid(blocks, degrees):
@@ -489,8 +503,9 @@ def block_interpolation(sampler, vars, blocks, degrees, rngs):
     caller.
 
     Each random generator in ``rngs`` drives one attempt: it draws the
-    grid offsets, then the fresh point.  The grid (:func:`_block_grid`,
-    first name of each block pinned to 1) is walked one slice at a time.
+    grid offsets, then the fresh point.  Only a bad point starts a new
+    attempt.  The grid (:func:`_block_grid`, first name of each block
+    pinned to 1) is walked one slice at a time.
     The first sample is unsliced; once a sample has a nonzero constant
     term the valuation is 0, and every later slice is sampled at s = 0
     only.  Every grid point is needed, so a bad point ends the attempt.
@@ -498,10 +513,12 @@ def block_interpolation(sampler, vars, blocks, degrees, rngs):
     unsliced sampler at one fresh point, random in every coordinate,
     pinned ones included, so a quantity of higher degree than ``degrees``
     fails the check.  A grid on which every sample is zero interpolates to
-    the zero polynomial, checked the same way.
+    the zero polynomial, checked the same way.  The quantity is the same
+    in every attempt, so a failed check ends the call.
 
     Returns (polynomial over a table whose blocks are ``blocks``,
-    valuation), or None when every attempt failed.
+    valuation), or None when the check failed or every attempt hit a bad
+    point.
     """
     out_vars, affine_names, block_sizes, alphas = _block_grid(blocks, degrees)
     affine_idx = [vars.index(n) for n in affine_names]
@@ -554,9 +571,10 @@ def block_interpolation(sampler, vars, blocks, degrees, rngs):
                 continue
         else:
             continue
-        if poly.evaluate(dict(zip(out_vars.names, fresh))) == \
+        if poly.evaluate(dict(zip(out_vars.names, fresh))) != \
                 (q[val] if val < len(q) else 0):
-            return poly, val
+            return None
+        return poly, val
     return None
 
 
@@ -582,12 +600,13 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     rows of M and M0 that do not involve that block once
     (:meth:`_SlicedMatrix.slice`).  Once a sample proves the valuation is
     0, every later grid point takes q(0) = det M(0) / det M0(0) from plain
-    integer rows, an exact division whose remainder marks a bad point; a
-    point where det M0(0) = 0 still takes the s-path.  The fresh-point
-    check takes the unsliced s-path, so it certifies the s = 0 values
-    against the perturbed computation.  When every attempt of
-    ``grid.retries`` fails the call raises IndeterminateError; when the
-    checked interpolant is zero, UsageError.
+    integer rows, an exact division (det M0 divides det M, so a remainder
+    raises InternalError); a point where det M0(0) = 0 still takes the
+    s-path.  The fresh-point check takes the unsliced s-path, so it
+    certifies the s = 0 values against the perturbed computation.  When
+    the check fails, or every attempt of ``grid.retries`` hits a bad
+    point, the call raises IndeterminateError; when the checked
+    interpolant is zero, UsageError.
 
     Returns (trailing_coefficient, s_valuation) over a parameter table
     whose blocks are exactly ``blocks``.
@@ -597,8 +616,8 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     out = block_interpolation(sampler, sys.vars, blocks, degrees,
                               (grid.rng(tag, a) for a in range(grid.retries)))
     if out is None:
-        raise IndeterminateError(f"gcp_block_interpolation found no usable "
-                                 f"grid in {grid.retries} attempts")
+        raise IndeterminateError(f"gcp_block_interpolation found no checked "
+                                 f"interpolant in {grid.retries} attempts")
     if out[0].is_zero():
         raise UsageError("resultant vanishes identically on the system")
     return out
@@ -677,15 +696,3 @@ def _newton_assemble(values, alphas, block_sizes, degrees, offsets, out_vars):
             e[blk[0]] += degrees[blk_idx] - s
         out[tuple(e)] = c
     return MPoly(out_vars, out)
-
-
-def bezout_bounds(sys):
-    """Per-k products of the degrees of all equations except the k-th.
-
-    For multihomogeneous systems the product is the multihomogeneous Bezout
-    count: the coefficient of prod y_j^{n_j} in prod_{i != k} (sum_j d_ij y_j).
-    """
-    if not isinstance(sys, MacaulaySystem):
-        return sys.bezout_bounds()
-    p = math.prod(sys.degrees)
-    return [p // d for d in sys.degrees]

@@ -1,7 +1,8 @@
 """Static checks on the library sources: standard-library imports only,
 no rational or floating-point arithmetic, no imported name left unused,
-one interpolation loop and one formats engine.  ``__init__.py`` is exempt
-from the unused import check, since its imports are re-exports."""
+one interpolation loop, one quotient sampler and one formats engine.
+``__init__.py`` is exempt from the unused import check, since its
+imports are re-exports."""
 
 import ast
 import pathlib
@@ -106,3 +107,9 @@ def test_one_formats_engine():
     # The support and the Chow and Hurwitz formats are all read off one
     # polymatroid: one function builds it from the dimension table.
     assert _callers("from_dim_table") == ["multiproj._format_polymatroid"]
+
+
+def test_one_quotient_sampler():
+    # The Macaulay and Canny-Emiris quotients det M / det M0 are sampled
+    # by one class: one function compiles matrices.
+    assert len(_callers("_compile")) == 1

@@ -8,12 +8,13 @@ from chowforms import MPoly, VarTable
 from chowforms.dimension import RandomGrid
 from chowforms.errors import IndeterminateError, UsageError
 from chowforms.mixedres import (MultiResSystem, _BadLifting, _build_matrix,
-                                _CellWalk, _lattice_points, _LiftingSampler,
+                                _CellWalk, _lattice_points,
                                 resultant_multihomogeneous_interp)
 from chowforms.mpoly import divexact, parse_poly
 from chowforms.polydet import PolyMatrix, det_bareiss, det_integer, ff_reduce
 from chowforms.resultant import (MacaulaySystem, _BadGrid, _det_in_s,
-                                 bezout_bounds, resultant_dense)
+                                 _QuotientSampler, _Remainder,
+                                 drop_variables, resultant_dense)
 
 X3 = VarTable(("x0", "x1", "x2"))
 
@@ -52,9 +53,10 @@ def resultant_multihomogeneous(sys, seed=0, retries=8):
                 if minor.is_zero():
                     continue
                 if det.is_zero():
-                    cand = sys.param_project(MPoly.zero(sys.vars))
+                    cand = drop_variables(MPoly.zero(sys.vars), sys.x_idx)
                 else:
-                    cand = sys.param_project(divexact(det, minor)).normalized()
+                    cand = drop_variables(divexact(det, minor),
+                                          sys.x_idx).normalized()
             else:
                 irows = [[e.constant_value() for e in r] for r in rows]
                 det = det_integer(irows)
@@ -70,7 +72,7 @@ def resultant_multihomogeneous(sys, seed=0, retries=8):
         if cand in seen:
             if symbolic:
                 return cand
-            return sys.param_project(MPoly.const(sys.vars, cand))
+            return drop_variables(MPoly.const(sys.vars, cand), sys.x_idx)
         seen.append(cand)
     raise IndeterminateError("no two liftings agreed on the "
                              "multihomogeneous resultant")
@@ -114,7 +116,7 @@ class TestBilinear:
               bilinear(self.VARS, (1, 1, 1, -1))]
         sys = MultiResSystem(fs, [("x0", "x1"), ("y0", "y1")])
         # each (1,1)-form contributes permanent of [[1,1],[1,1]] = 2
-        assert bezout_bounds(sys) == [2, 2, 2]
+        assert sys.bezout_bounds() == [2, 2, 2]
 
     def test_constructed_common_zero_vanishes(self, rng):
         for trial in range(10):
@@ -388,8 +390,17 @@ class TestCellWalk:
                     assert cells.locate(b) == want
 
 
+def _outcome(sample, values):
+    """A sample's value, or the class of the exception it raised."""
+    try:
+        return sample(values)
+    except (_BadGrid, _Remainder) as exc:
+        return type(exc)
+
+
 class TestCompiledSampler:
-    """The lifting sampler against per-entry evaluation."""
+    """The quotient sampler on Canny-Emiris pairs (H, E) against per-entry
+    evaluation, unsliced and sliced."""
 
     def test_matches_per_entry_evaluation(self):
         vars = VarTable(("x0", "x1", "y0", "y1", "u0", "u1", "u2", "u3"),
@@ -411,8 +422,11 @@ class TestCompiledSampler:
                 rows, sub = _build_matrix(sys, random.Random(seed))
             except _BadLifting:
                 continue
-            sampler = _LiftingSampler(rows, sub)
-            assert sampler.slice(None) is sampler
+            E = [[rows[i][j] for j in sub] for i in sub] or \
+                [[MPoly.const(vars, 1)]]
+            sampler = _QuotientSampler(PolyMatrix(rows), PolyMatrix(E), None,
+                                       [5, 6, 7])
+            assert sampler.num.at and len(sampler.num.at) < len(rows)
             for _ in range(5):
                 values = [0] * 4 + [rng.randint(-50, 50) for _ in range(4)]
                 point = dict(zip(vars.names, values))
@@ -420,23 +434,52 @@ class TestCompiledSampler:
                 det = det_integer(irows)
                 minor = det_integer([[irows[i][j] for j in sub] for i in sub]) \
                     if sub else 1
-                assert (_det_in_s(sampler.full, values) or [0])[0] == det
-                if sub:
-                    assert (_det_in_s(sampler.minor, values)
-                            or [0])[0] == minor
+                assert (_det_in_s(sampler.num.full, values) or [0])[0] == det
+                assert (_det_in_s(sampler.den.full, values) or [0])[0] == minor
                 if minor == 0:
-                    with pytest.raises(_BadGrid):
-                        sampler(values)
+                    want = _BadGrid
                     outcomes.append("zero minor")
                 elif det % minor:
-                    with pytest.raises(_BadLifting):
-                        sampler(values)
+                    want = _Remainder
                     outcomes.append("remainder")
                 else:
-                    assert sampler(values) == ([det // minor] if det else [])
+                    want = [det // minor] if det else []
                     outcomes.append("quotient")
+                assert _outcome(sampler, values) == want
+                # The same point on a slice whose top bounds the fast
+                # coordinates, at s = 0 and on the full path.
+                top = values[:5] + [60] * 3
+                for keep in (1, None):
+                    assert _outcome(sampler.slice(top, keep), values) == want
         assert len(outcomes) >= 10
         assert set(outcomes) == {"zero minor", "remainder", "quotient"}
+
+    def test_interpolation_slices_match_unsliced(self, monkeypatch):
+        # Every sliced sample that the interpolation takes reads the
+        # unsliced sampler's value at the same point.
+        checked = []
+        inner_slice = _QuotientSampler.slice
+
+        def slice_(sampler, top, keep=None):
+            at = inner_slice(sampler, top, keep)
+
+            def sample(point):
+                q = _outcome(at, point)
+                assert q == _outcome(lambda p: sampler(p, keep), point)
+                checked.append(q)
+                if isinstance(q, type):
+                    raise q
+                return q
+
+            return sample
+
+        monkeypatch.setattr(_QuotientSampler, "slice", slice_)
+        sys, blocks, bezout = incidence_system(
+            random.Random(5), 2, [(1, 1), (1, 1), (1, 0)])
+        got = resultant_multihomogeneous_interp(sys, blocks, bezout,
+                                                RandomGrid(seed=1))
+        assert got.block_degrees() == tuple(bezout)
+        assert len(checked) > 20 and any(checked)
 
 
 def incidence_system(rng, n, degrees):

@@ -1,7 +1,7 @@
 """Determinant, resultant and gcd kernels against sympy."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chowforms import MPoly, VarTable
@@ -291,6 +291,7 @@ XYZ = VarTable(("x", "y", "z"))
 
 @settings(max_examples=60, deadline=None)
 @given(polys(XYZ, max_deg=2), polys(XYZ, max_deg=2), polys(XYZ, max_deg=2))
+@example(MPoly.const(XYZ, 1), MPoly.const(XYZ, 1), MPoly.const(XYZ, 2))
 def test_prs_gcd_and_square_free_part_match_sympy(f, g, h):
     # With the heuristic gcd giving up at every call, gcd and
     # square_free_part run the primitive polynomial remainder sequence

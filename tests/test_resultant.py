@@ -10,8 +10,8 @@ from chowforms.errors import (DegenerateError, IndeterminateError,
 from chowforms.mpoly import parse_poly
 from chowforms.polydet import PolyMatrix, det_integer
 from chowforms.resultant import (MacaulaySystem, _BadGrid, _compile,
-                                 _det_in_s, _newton_assemble, _udiv_exact,
-                                 bezout_bounds, gcp_block_interpolation,
+                                 _det_in_s, _newton_assemble, _Remainder,
+                                 _udiv_exact, gcp_block_interpolation,
                                  gcp_resultant, macaulay_matrix,
                                  monomials_of_degree, perturbed_macaulay,
                                  resultant_dense)
@@ -154,12 +154,16 @@ class TestGcp:
         assert _udiv_exact([-2, -3, 2, 3, 0], [-1, 0, 1]) == [2, 3]
         assert _udiv_exact([0, 0], [5]) == []
 
-    def test_udiv_exact_remainder_is_bad_grid(self):
-        with pytest.raises(_BadGrid):
+    def test_udiv_exact_remainder_is_internal_error(self):
+        # A remainder is not a bad grid point: on the Macaulay pair it
+        # breaks an invariant, on a Canny-Emiris pair it rejects the
+        # lifting.
+        assert issubclass(_Remainder, InternalError)
+        with pytest.raises(_Remainder):
             _udiv_exact([1, 0, 1], [1, 1])        # s^2 + 1 = (s + 1)(s - 1) + 2
-        with pytest.raises(_BadGrid):
+        with pytest.raises(_Remainder):
             _udiv_exact([3, 3], [2])              # 3/2 not integral
-        with pytest.raises(_BadGrid):
+        with pytest.raises(_Remainder):
             _udiv_exact([1], [1, 1])              # divisor of higher degree
 
     def test_udiv_exact_zero_denominator_is_bad_grid(self):
@@ -225,7 +229,7 @@ class _DetLog:
 
 
 class _SliceLog:
-    """Records the slices that every _GcpSampler hands out to the
+    """Records the slices that every _QuotientSampler hands out to the
     interpolation engine, the samples taken through them as
     (keep, point, q), and the unsliced samples as (keep, point, q).
 
@@ -240,8 +244,8 @@ class _SliceLog:
         self.unsliced = []
         self.checked = 0
         fast = {sys.vars.index(n) for n in blocks[-1][1:]}
-        inner_slice = resultant._GcpSampler.slice
-        inner_call = resultant._GcpSampler.__call__
+        inner_slice = resultant._QuotientSampler.slice
+        inner_call = resultant._QuotientSampler.__call__
         log = self
 
         def slice_(sampler, top, keep=None):
@@ -265,8 +269,8 @@ class _SliceLog:
             log.unsliced.append((keep, point, q))
             return q
 
-        monkeypatch.setattr(resultant._GcpSampler, "slice", slice_)
-        monkeypatch.setattr(resultant._GcpSampler, "__call__", call)
+        monkeypatch.setattr(resultant._QuotientSampler, "slice", slice_)
+        monkeypatch.setattr(resultant._QuotientSampler, "__call__", call)
 
 
 class TestSlicedMatrix:
@@ -413,19 +417,26 @@ class TestSampleAtZero:
                 gcp_block_interpolation(sys, range(1), blocks, degrees,
                                         RandomGrid(seed=0))
 
+    def test_failed_fresh_check_takes_one_grid(self, monkeypatch):
+        # The quantity is the same on every attempt, so a failed check
+        # ends the call: the 10 x 6 grid of degrees [3, 2] and its fresh
+        # point, not grid.retries grids.
+        sys, blocks = chow_ci_system([parse_poly("x0*x2 - x1^2", X3)], 1)
+        log = _SliceLog(monkeypatch, sys, blocks)
+        with pytest.raises(IndeterminateError):
+            gcp_block_interpolation(sys, range(1), blocks, [3, 2],
+                                    RandomGrid(seed=0))
+        assert len(log.samples) + len(log.unsliced) == 60 + 1
 
-class TestBezout:
-    def test_products(self):
-        vars = VarTable(("x0", "x1", "x2", "x3"))
-        fs = [MPoly(vars, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1}),
-              MPoly(vars, {(0, 2, 0, 0): 1, (0, 0, 2, 0): 1}),
-              MPoly(vars, {(1, 0, 0, 0): 1, (0, 0, 0, 1): 1}),
-              MPoly(vars, {(0, 0, 1, 0): 1, (0, 0, 0, 1): 2})]
-        sys = MacaulaySystem(fs, ("x0", "x1", "x2", "x3"))
-        assert bezout_bounds(sys) == [2, 2, 4, 4]
+    def test_remainder_on_the_macaulay_pair_is_internal_error(
+            self, monkeypatch):
+        # det M0 divides det M, so a sliced determinant that is off by one
+        # leaves a remainder: an InternalError, not a bad grid point.
+        inner = resultant.det_slice
+        monkeypatch.setattr(resultant, "det_slice", lambda fixed, at: (
+            lambda vary, det=inner(fixed, at): det(vary) + 1))
+        sys, blocks = chow_ci_system([parse_poly("x0*x2 - x1^2", X3)], 1)
+        with pytest.raises(_Remainder):
+            gcp_block_interpolation(sys, range(1), blocks, [2, 2],
+                                    RandomGrid(seed=0))
 
-    def test_all_linear(self):
-        fs = [MPoly(X3, {(1, 0, 0): 1}), MPoly(X3, {(0, 1, 0): 1}),
-              MPoly(X3, {(0, 0, 1): 1})]
-        sys = MacaulaySystem(fs, ("x0", "x1", "x2"))
-        assert bezout_bounds(sys) == [1, 1, 1]

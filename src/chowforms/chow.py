@@ -84,7 +84,7 @@ def chow_form_ci(V, r, grid=None):
     if R.is_zero() or R.is_constant():
         raise UsageError("not a complete intersection of expected dimension: "
                          "the elimination degenerated")
-    return Form(square_free_part(R).normalized())
+    return Form(square_free_part(R))
 
 
 def evaluate_on_plane(cf, plane):
@@ -164,7 +164,7 @@ def gcd_fold(polys):
     result = None
     for f in polys:
         result = f if result is None else gcd(result, f)
-    return Form(square_free_part(result).normalized())
+    return Form(square_free_part(result))
 
 
 def chow_form(V, r, grid):

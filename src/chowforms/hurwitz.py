@@ -194,10 +194,10 @@ def hurwitz_form(V, r, grid=None):
         if H is None:
             H = R2
             continue
-        folded = gcd(H, R2).normalized()
+        folded = gcd(H, R2)
         if folded == H:
             break
         H = folded
     if H.is_constant():
         raise InternalError("the pencil discriminants share no common factor")
-    return Form(square_free_part(H).normalized())
+    return Form(square_free_part(H))

@@ -5,12 +5,20 @@ Variables live in a :class:`VarTable` and are grouped into ordered blocks
 exponent tuples to nonzero integer coefficients; Python integers give
 arbitrary precision for free.  The canonical term order is graded
 lexicographic by block, then by variable index.
+
+Exact division, gcd and square-free part close the module.  The gcd is a
+verified heuristic (GCDHEU) with a primitive-PRS fallback, and answers a
+single-term argument directly.  The square-free part first tries a
+certificate: one restriction of f to a line, modulo a prime, that proves
+f square-free over the rationals; only an inconclusive certificate runs
+the gcd of the partial derivatives.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import random
 import re
 
 from .errors import ParseError, UsageError
@@ -744,6 +752,16 @@ def gcd(f, g):
     v = _main_var(f, g)
     if v is None:
         return MPoly.const(f.vars, 1)
+    if len(g.terms) == 1:
+        f, g = g, f
+    if len(f.terms) == 1:
+        # Every divisor of a term c*x^e is a term, so the gcd is x^m, m
+        # the exponent-wise minimum of e and of g's exponents, times the
+        # integer gcd of c and g's content, which normalization drops.
+        m = list(next(iter(f.terms)))
+        for exp in g.terms:
+            m = [min(a, b) for a, b in zip(m, exp)]
+        return MPoly(f.vars, {tuple(m): 1})
     h = _heu_gcd(f, g)
     if h is not None:
         return h
@@ -763,10 +781,108 @@ def gcd(f, g):
     return (c * a.normalized()).normalized()
 
 
+# The prime and the seed of the line of :func:`_certified_square_free`.
+_CERT_PRIME = 2 ** 31 - 1
+_CERT_SEED = 0
+
+
+def _interpolate_mod(values, p):
+    """Ascending coefficients mod p of the polynomial of degree below
+    len(values) that takes values[t] at t = 0, 1, ...: forward
+    differences, divided by k!, give the Newton coefficients on the nodes
+    0, 1, ...; Horner in that falling-factorial basis gives the rest."""
+    c = list(values)
+    n = len(c)
+    for j in range(1, n):
+        for k in range(n - 1, j - 1, -1):
+            c[k] = (c[k] - c[k - 1]) % p
+    inv = 1
+    for k in range(2, n):
+        inv = inv * pow(k, -1, p) % p
+        c[k] = c[k] * inv % p
+    for k in range(n - 2, -1, -1):
+        for j in range(k, n - 1):
+            c[j] = (c[j] - k * c[j + 1]) % p
+    return c
+
+
+def _coprime_mod(u, v, p):
+    """Whether u and v, descending coefficient lists mod p with nonzero
+    leading coefficients, are coprime in F_p[t] (Euclid)."""
+    while len(v) > 1:
+        inv = pow(v[0], -1, p)
+        u = list(u)
+        for k in range(len(u) - len(v) + 1):
+            q = u[k] * inv % p
+            if q:
+                for j in range(1, len(v)):
+                    u[k + j] = (u[k + j] - q * v[j]) % p
+        r = u[len(u) - len(v) + 1:]
+        while r and r[0] == 0:
+            r = r[1:]
+        if not r:
+            return False
+        u, v = v, r
+    return True
+
+
+def _certified_square_free(f):
+    """True when one line proves f square-free over the rationals.
+
+    Restrict f to the line a + t*b modulo the prime p, with a and b drawn
+    from a fixed-seed generator, and interpolate r(t) from deg f + 1
+    values.  If r has degree deg f (f_top(b) != 0 mod p), every factor P
+    of f keeps its degree on the line, so a square factor P^2 of f would
+    give a repeated factor of r: gcd(r, r') = 1 in F_p[t] proves that f
+    has none.  The draw can only make the test inconclusive (False),
+    never wrong.
+    """
+    p = _CERT_PRIME
+    d = max(map(sum, f.terms))
+    if not 0 < d < p:
+        return False
+    rng = random.Random(_CERT_SEED)
+    n = f.vars.nvars
+    a = [rng.randrange(p) for _ in range(n)]
+    b = [rng.randrange(p) for _ in range(n)]
+    top = [max(col) for col in zip(*f.terms)]
+    # Each term reads its factors off one table of powers per point:
+    # x_i^e sits at base[i] + e.
+    base = [0] * n
+    for i in range(1, n):
+        base[i] = base[i - 1] + top[i - 1] + 1
+    terms = [(c % p, [base[i] + e for i, e in enumerate(exp) if e])
+             for exp, c in f.terms.items()]
+    values = []
+    for t in range(d + 1):
+        powers = []
+        for i in range(n):
+            x = (a[i] + t * b[i]) % p
+            pw = 1
+            powers.append(1)
+            for _ in range(top[i]):
+                pw = pw * x % p
+                powers.append(pw)
+        values.append(sum(math.prod(map(powers.__getitem__, at), start=c)
+                          for c, at in terms) % p)
+    r = _interpolate_mod(values, p)
+    if not r[d]:
+        return False
+    dr = [k * c % p for k, c in enumerate(r)]
+    return _coprime_mod(r[::-1], dr[:0:-1], p)
+
+
 def square_free_part(f):
-    """Product of the distinct irreducible factors of f, normalized."""
+    """Product of the distinct irreducible factors of f, normalized.
+
+    A square-free f is certified by :func:`_certified_square_free`, and
+    its square-free part is f.normalized().  Otherwise g, the gcd of the
+    partial derivatives, gives f / gcd(f, g).
+    """
     if f.is_zero():
         raise UsageError("square-free part of zero is undefined")
+    if _certified_square_free(f):
+        return f.normalized()
     g = None
     for i in range(f.vars.nvars):
         if f.partial_degree(i) == 0:
@@ -779,4 +895,3 @@ def square_free_part(f):
         return MPoly.const(f.vars, 1)
     h = gcd(f, g)
     return divexact(f.normalized(), h).normalized()
-

@@ -172,7 +172,7 @@ def multi_chow_form_ci(V, alpha, grid=None, table=None):
     if R.is_zero() or R.is_constant():
         raise UsageError("the multigraded elimination degenerated; the "
                          "incidence variety is not a hypersurface here")
-    return Form(square_free_part(R).normalized())
+    return Form(square_free_part(R))
 
 
 def multidegree(V, alpha, grid, table=None):

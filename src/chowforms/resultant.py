@@ -10,6 +10,7 @@ fresh variable s and returns the trailing s-coefficient instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -537,7 +538,7 @@ def block_interpolation(sampler, vars, blocks, degrees, rngs):
     for attempt, rng in enumerate(rngs):
         offsets = [rng.randint(0, 64 * (attempt + 1)) for _ in affine_names]
         top = [o + degrees[-1] for o in offsets[nslow:]]
-        table = {}
+        table = []
         val = None
         at_key = None
         try:
@@ -552,7 +553,7 @@ def block_interpolation(sampler, vars, blocks, degrees, rngs):
                         at = sampler.slice(
                             point_of(affine_idx, values[:nslow] + top), key[1])
                     q = at(point_of(affine_idx, values))
-                table[alpha] = q
+                table.append(q)
                 v = next((i for i, c in enumerate(q) if c), None)
                 if v is not None and (val is None or v < val):
                     val = v
@@ -560,7 +561,7 @@ def block_interpolation(sampler, vars, blocks, degrees, rngs):
             continue
         val = val or 0
         poly = _newton_assemble(
-            {a: (q[val] if val < len(q) else 0) for a, q in table.items()},
+            [q[val] if val < len(q) else 0 for q in table],
             alphas, block_sizes, degrees, offsets, out_vars)
         for _ in range(4):
             fresh = [rng.randint(100, 10 ** 4) for _ in out_vars.names]
@@ -623,76 +624,118 @@ def gcp_block_interpolation(sys, perturb_indices, blocks, degrees, grid,
     return out
 
 
+class _NewtonPlan:
+    """Index plan of :func:`_newton_assemble` on one grid, over positions
+    in the flat list ``alphas``; flat lists of small integers keep it
+    compact.
+
+    ``diffs``: pairs i, j (alpha_j = alpha_i - e_axis) in the order of the
+    triangular in-place forward differences along each grid line of each
+    axis in turn.  ``factorials``: pairs i, alpha_i! with alpha_i! > 1.
+    ``horner``: per axis, pairs i, j (alpha_j = alpha_i + e_axis) and one
+    node index k per pair, that run Horner in the falling-factorial basis
+    on the nodes offset + k along each grid line of the axis.  ``exps``:
+    the rehomogenized exponent of each position, or None where alpha
+    exceeds a block degree.
+    """
+
+    __slots__ = ("diffs", "factorials", "horner", "exps")
+
+    def __init__(self, alphas, block_sizes, degrees):
+        # alpha as one integer in radix r, so alpha + e_axis is code + r^axis
+        r = max((max(a, default=0) for a in alphas), default=0) + 2
+        weights = [r ** axis for axis in range(sum(block_sizes))]
+        codes = [sum(map(operator.mul, a, weights)) for a in alphas]
+        pos = dict(zip(codes, range(len(codes))))
+        # the local (diffs, horner pairs, horner nodes) of a line, by its
+        # top index
+        patterns = {}
+        self.diffs = []
+        self.horner = []
+        for axis, step in enumerate(weights):
+            pairs, nodes = [], []
+            for i, a in enumerate(alphas):
+                c = codes[i] + step
+                if a[axis] or c not in pos:
+                    continue
+                line = [i]
+                while c in pos:
+                    line.append(pos[c])
+                    c += step
+                top = len(line) - 1
+                if top not in patterns:
+                    patterns[top] = (
+                        [x for j in range(1, top + 1)
+                         for k in range(top, j - 1, -1) for x in (k, k - 1)],
+                        [x for k in range(top - 1, -1, -1)
+                         for j in range(k, top) for x in (j, j + 1)],
+                        [k for k in range(top - 1, -1, -1)
+                         for j in range(k, top)])
+                diffs, hpairs, hnodes = patterns[top]
+                self.diffs += [line[x] for x in diffs]
+                pairs += [line[x] for x in hpairs]
+                nodes += hnodes
+            self.horner.append((pairs, nodes))
+        fact = [math.factorial(k) for k in range(r)]
+        self.factorials = []
+        for i, a in enumerate(alphas):
+            f = math.prod(map(fact.__getitem__, a))
+            if f > 1:
+                self.factorials += (i, f)
+        self.exps = []
+        for a in alphas:
+            e = []
+            for nb, d in zip(block_sizes, degrees):
+                part, a = a[:nb], a[nb:]
+                e.append(d - sum(part))
+                e.extend(part)
+            self.exps.append(None if min(e) < 0 else tuple(e))
+
+
+@functools.lru_cache(maxsize=16)
+def _newton_plan(alphas, block_sizes, degrees):
+    """The :class:`_NewtonPlan` of a grid, kept for the last few grids
+    (arguments as tuples)."""
+    return _NewtonPlan(alphas, block_sizes, degrees)
+
+
 def _newton_assemble(values, alphas, block_sizes, degrees, offsets, out_vars):
     """Multivariate Newton forward-difference interpolation on a product of
     lattice simplices.
 
-    The first variable of each block is the pinned dehomogenizing one;
-    the other ``block_sizes[b]`` are interpolation axes, and the result is
-    rehomogenized to the exact block degrees ``degrees``.
+    ``values`` is indexed like ``alphas``, the grid of :func:`_block_grid`
+    for ``block_sizes`` and ``degrees``, at ``offsets``.  The first
+    variable of each block is the pinned dehomogenizing one; the other
+    ``block_sizes[b]`` are interpolation axes, and the result is
+    rehomogenized to the exact block degrees ``degrees``.  The work runs
+    on a flat list along the cached :class:`_NewtonPlan` of the grid.
     """
-    naff = sum(block_sizes)
-    diffs = dict(values)
-    # Forward differences along each affine axis in turn; the triangular
-    # in-place scheme leaves diffs[alpha] = (mixed difference Delta^alpha)(0).
-    for axis in range(naff):
-        by_axis = sorted(alphas, key=lambda a: -a[axis])
-        maxk = by_axis[0][axis] if by_axis else 0
-        for j in range(1, maxk + 1):
-            for alpha in by_axis:
-                if alpha[axis] < j:
-                    break
-                prev = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1:]
-                diffs[alpha] = diffs[alpha] - diffs[prev]
-    aff_idx = []
-    for blk_idx, nb in enumerate(block_sizes):
-        first = out_vars.blocks[blk_idx][0] + 1
-        aff_idx.extend(range(first, first + nb))
+    plan = _newton_plan(tuple(alphas), tuple(block_sizes), tuple(degrees))
+    v = list(values)
+    # The triangular in-place scheme leaves v[i] = (mixed difference
+    # Delta^alpha_i)(0).
+    it = iter(plan.diffs)
+    for i, j in zip(it, it):
+        v[i] -= v[j]
     # The interpolant is sum_alpha Delta^alpha / alpha! * prod_i
     # (x_i - o_i)(x_i - o_i - 1)...(x_i - o_i - alpha_i + 1); it has integer
     # coefficients exactly when every alpha! divides its Delta^alpha.
-    # falling[axis][k] holds the ascending coefficients of the k-th factor.
-    falling = []
-    for axis in range(naff):
-        polys = [[1]]
-        top = max((a[axis] for a in alphas), default=0)
-        for root in range(offsets[axis], offsets[axis] + top):
-            p = polys[-1]
-            polys.append([a - root * b for a, b in zip([0] + p, p + [0])])
-        falling.append(polys)
-
-    acc = {}
-    nout = out_vars.nvars
-    for alpha in alphas:
-        d = diffs[alpha]
-        if d == 0:
-            continue
-        d, r = divmod(d, math.prod(math.factorial(k) for k in alpha))
-        if r:
-            raise InternalError("interpolation produced non-integer coefficients")
-        term = {(0,) * nout: d}
-        for axis, k in enumerate(alpha):
-            if k == 0:
-                continue
-            vi = aff_idx[axis]
-            new_term = {}
-            for exp, c in term.items():
-                for e, bc in enumerate(falling[axis][k]):
-                    if bc:
-                        ne = exp[:vi] + (e,) + exp[vi + 1:]
-                        new_term[ne] = new_term.get(ne, 0) + c * bc
-            term = new_term
-        for exp, c in term.items():
-            acc[exp] = acc.get(exp, 0) + c
+    it = iter(plan.factorials)
+    for i, f in zip(it, it):
+        if v[i]:
+            v[i], r = divmod(v[i], f)
+            if r:
+                raise InternalError("interpolation produced non-integer "
+                                    "coefficients")
+    for o, (pairs, nodes) in zip(offsets, plan.horner):
+        it = iter(pairs)
+        for i, j, k in zip(it, it, nodes):
+            v[i] -= (o + k) * v[j]
     out = {}
-    for exp, c in acc.items():
-        if c == 0:
-            continue
-        e = list(exp)
-        for blk_idx, blk in enumerate(out_vars.blocks):
-            s = sum(exp[i] for i in blk)
-            if s > degrees[blk_idx]:
-                raise InternalError("interpolant exceeds its block degree bound")
-            e[blk[0]] += degrees[blk_idx] - s
-        out[tuple(e)] = c
+    for e, c in zip(plan.exps, v):
+        if c:
+            if e is None:
+                raise InternalError("interpolant exceeds its block degree "
+                                    "bound")
+            out[e] = c
     return MPoly(out_vars, out)

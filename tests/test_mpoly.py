@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from chowforms import (MPoly, ParseError, UsageError, VarTable, divexact, gcd,
                        parse_poly, square_free_part)
-from chowforms.mpoly import _digits_in, _eval_one_var, divides
+from chowforms.mpoly import (_certified_square_free, _digits_in, _eval_one_var,
+                             divides)
 from conftest import rand_poly
 
 
@@ -255,6 +256,31 @@ class TestSquareFree:
     def test_zero_rejected(self, xy):
         with pytest.raises(UsageError):
             square_free_part(MPoly.zero(xy))
+
+    def test_constant_is_one(self, xy):
+        for c in (1, -1, 6, -12):
+            assert not _certified_square_free(MPoly.const(xy, c))
+            assert square_free_part(MPoly.const(xy, c)) == 1
+
+    def test_certificate_holds_on_square_free_forms(self, xy):
+        assert _certified_square_free(P("(x - 1)*(x + 2)", xy))
+        assert _certified_square_free(P("2*x^2 + 2*y^2 + 2", xy))
+        assert _certified_square_free(P("x*y*(x + y)", xy))
+
+    def test_planted_square_is_never_certified(self, rng, xyz):
+        # f = P^2 * Q with P nonconstant has a repeated factor on every
+        # line, so no draw certifies it; the gcd path strips the square.
+        checked = 0
+        while checked < 40:
+            p = rand_poly(rng, xyz, max_deg=2, max_coeff_bits=4)
+            q = rand_poly(rng, xyz, max_deg=2, max_coeff_bits=4, nonzero=True)
+            if p.is_constant():
+                continue
+            f = p * p * q
+            assert not _certified_square_free(f)
+            s = square_free_part(f)
+            assert divides(square_free_part(p), s) and divides(s, f)
+            checked += 1
 
 
 class TestTextAndParse:

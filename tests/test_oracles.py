@@ -310,6 +310,31 @@ def test_prs_gcd_and_square_free_part_match_sympy(f, g, h):
 
 
 @settings(max_examples=60, deadline=None)
+@given(polys(XYZ), st.integers(-9, 9).filter(bool),
+       st.tuples(*[st.integers(0, 3)] * 3))
+def test_gcd_with_a_monomial_matches_sympy(f, c, exp):
+    m = MPoly(XYZ, {exp: c})
+    want = from_sympy(sympy.gcd(to_sympy(f), to_sympy(m)), XYZ).normalized()
+    assert gcd(f, m) == want
+    assert gcd(m, f) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(XYZ, max_deg=2), polys(XYZ, max_deg=2), polys(XYZ, max_deg=2))
+def test_certified_square_free_part_matches_prs(f, g, h):
+    # Whether the certificate holds or not, square_free_part gives what
+    # the gcd path gives with the certificate and the heuristic gcd off.
+    f = f * g * h
+    if f.is_zero():
+        return
+    got = square_free_part(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpoly, "_heu_gcd", lambda f, g: None)
+        mp.setattr(mpoly, "_certified_square_free", lambda f: False)
+        assert got == square_free_part(f)
+
+
+@settings(max_examples=60, deadline=None)
 @given(polys(), polys(), polys(max_terms=2))
 def test_divexact_matches_sympy(f, g, h):
     if g.is_zero():

@@ -9,8 +9,9 @@ from chowforms.errors import (DegenerateError, IndeterminateError,
                               InternalError, UsageError)
 from chowforms.mpoly import parse_poly
 from chowforms.polydet import PolyMatrix, det_integer
-from chowforms.resultant import (MacaulaySystem, _BadGrid, _compile,
-                                 _det_in_s, _newton_assemble, _Remainder,
+from chowforms.resultant import (MacaulaySystem, _BadGrid, _block_grid,
+                                 _compile, _det_in_s, _newton_assemble,
+                                 _Remainder,
                                  _udiv_exact, gcp_block_interpolation,
                                  gcp_resultant, macaulay_matrix,
                                  monomials_of_degree, perturbed_macaulay,
@@ -176,12 +177,58 @@ class TestGcp:
         # x(x - 1)/2 takes integer values on the grid but has a
         # non-integer coefficient.  The block is (w, x) with w pinned to 1.
         vars = VarTable(("w", "x"), [(0, 1)])
-        values = {(a,): (a + 5) * (a + 4) // 2 for a in range(3)}
+        values = [(a + 5) * (a + 4) // 2 for a in range(3)]
         with pytest.raises(InternalError):
             _newton_assemble(values, [(0,), (1,), (2,)], [1], [2], [5], vars)
-        values = {(a,): 3 * (a + 5) ** 2 - 7 for a in range(3)}
+        values = [3 * (a + 5) ** 2 - 7 for a in range(3)]
         got = _newton_assemble(values, [(0,), (1,), (2,)], [1], [2], [5], vars)
         assert got == MPoly(vars, {(0, 2): 3, (2, 0): -7})
+
+    def test_newton_assemble_rejects_interpolant_over_its_degree(self):
+        # Four grid points fit the cubic x^3, beyond the block degree 2.
+        vars = VarTable(("w", "x"), [(0, 1)])
+        alphas = [(0,), (1,), (2,), (3,)]
+        with pytest.raises(InternalError):
+            _newton_assemble([(a + 5) ** 3 for a in range(4)], alphas, [1],
+                             [2], [5], vars)
+        got = _newton_assemble([(a + 5) ** 2 for a in range(4)], alphas, [1],
+                               [2], [5], vars)
+        assert got == MPoly(vars, {(0, 2): 1})
+
+
+class TestNewtonAssemble:
+    def test_matches_evaluation_of_random_multihomogeneous_polys(self):
+        # Oracle: a random integer polynomial, homogeneous of degree
+        # degrees[b] in each block, evaluated by MPoly.evaluate on the
+        # grid of _block_grid at random offsets, is assembled back
+        # exactly.
+        rng = random.Random(3)
+        shapes = set()
+        for _ in range(60):
+            nblocks = rng.randint(1, 3)
+            blocks = [tuple(f"b{b}_{i}" for i in range(rng.randint(1, 3) + 1))
+                      for b in range(nblocks)]
+            degrees = [rng.randint(0, 4) for _ in blocks]
+            out_vars, names, sizes, alphas = _block_grid(blocks, degrees)
+            per_block = [monomials_of_degree(len(blk), d)
+                         for blk, d in zip(blocks, degrees)]
+            terms = {}
+            for _ in range(rng.randint(1, 12)):
+                exp = sum((rng.choice(m) for m in per_block), ())
+                terms[exp] = rng.randint(-50, 50)
+            f = MPoly(out_vars, terms)
+            offsets = [rng.randint(-20, 64) for _ in names]
+            values = []
+            for alpha in alphas:
+                point = {blk[0]: 1 for blk in blocks}
+                point.update((n, o + a) for n, o, a in
+                             zip(names, offsets, alpha))
+                values.append(f.evaluate(point))
+            got = _newton_assemble(values, alphas, sizes, degrees, offsets,
+                                   out_vars)
+            assert got == f
+            shapes.add((tuple(sizes), tuple(degrees)))
+        assert len(shapes) > 16  # the plan cache evicts along the way
 
 
 def rescue_system():

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 
-from . import dimension
 from .dimension import ProjectiveVariety, RandomGrid, combine, dim_leq
 from .errors import UsageError
 from .mpoly import MPoly, gcd, square_free_part
@@ -55,8 +54,16 @@ def with_linear_forms(polys, xnames, blocks):
 
 
 def degree_equalize(V):
-    """V with every lower-degree f replaced by {x_j^(d-deg f) * f}."""
-    polys = dimension.degree_equalize(V.polys, V.vars)
+    """V with every lower-degree f replaced by {x_j^(d-deg f) * f}: same
+    zero locus, all degrees equal to the maximum."""
+    d = max(f.total_degree() for f in V.polys)
+    polys = []
+    for f in V.polys:
+        gap = d - f.total_degree()
+        if gap == 0:
+            polys.append(f)
+        else:
+            polys += [f * MPoly.var(V.vars, name, gap) for name in V.vars.names]
     return ProjectiveVariety(V.vars, polys, dim=V.dim)
 
 
@@ -70,6 +77,8 @@ def chow_form_ci(V, r, grid=None):
     """
     n = V.n
     m = len(V.polys)
+    if r < 0:
+        raise UsageError("need r >= 0")
     if m != n - r:
         raise UsageError(f"complete intersection needs {n - r} polynomials, "
                          f"got {m}")
@@ -96,20 +105,23 @@ def evaluate_on_plane(cf, plane):
     return cf.poly.evaluate(point)
 
 
-def verified_lambdas(polys, k, bound, cuts_leq, grid, tag):
+def verified_lambdas(polys, x_blocks, r, bound, grid, tag):
     """N = ceil(m/k) verified random k x m combination matrices, each a
-    list of rows.
+    list of rows, k = sum n_i - r for the projective spaces of
+    ``x_blocks``.
 
-    Entries are drawn from [1, bound] by ``grid.rng(tag, draw)``.  Each
-    Lambda must pass ``cuts_leq`` on its k combinations (the dimension
-    check) and the stack of all of them must have full column rank, so
-    the intersection of the combination varieties is V(polys) itself.
+    Entries are drawn from [1, bound] by ``grid.rng(tag, draw)``.  The k
+    combinations of each Lambda must cut a variety of dimension <= r
+    (:func:`dimension.dim_leq` on all blocks) and the stack of all of
+    them must have full column rank, so the intersection of the
+    combination varieties is V(polys) itself.
     A Lambda whose combinations have coefficient rank < k (a vanishing
     combination among them) fails the dimension check for certain: it is
     redrawn without that check and without using up one of
     ``grid.retries`` attempts, up to 8 * ``grid.retries`` draws in all.
     """
     m = len(polys)
+    k = sum(len(blk) - 1 for blk in x_blocks) - r
     N = -(-m // k)
     if m == k:
         return [[[int(i == j) for j in range(m)] for i in range(k)]]
@@ -134,7 +146,8 @@ def verified_lambdas(polys, k, bound, cuts_leq, grid, tag):
         if rank_integer(stacked) < min(m, N * k):
             last_err = "stacked matrix not of full rank"
             continue
-        if all(cuts_leq(combine(polys, lam)) for lam in lambdas):
+        if all(dim_leq(combine(polys, lam), x_blocks, range(len(x_blocks)),
+                       r, grid) for lam in lambdas):
             return lambdas
         last_err = "a combination variety has dimension > r"
     raise UsageError(f"{tag}: no verified combination after {attempts} "
@@ -146,6 +159,8 @@ def generic_lc(V, r, grid):
     n-r combinations cut varieties of dimension <= r."""
     m = len(V.polys)
     nr = V.n - r
+    if r < 0:
+        raise UsageError("need r >= 0")
     if nr < 1:
         raise UsageError("need r < n")
     degs = {f.total_degree() for f in V.polys}
@@ -153,18 +168,16 @@ def generic_lc(V, r, grid):
         raise UsageError("generic_lc requires equalized degrees")
     d = degs.pop()
     bound = min(-(-m // nr) * nr * d ** max(nr - 1, 0) + m + 1, 2 ** 15)
-    return verified_lambdas(
-        V.polys, nr, bound,
-        lambda combos: dim_leq(ProjectiveVariety(V.vars, combos), r, grid),
-        grid, "glc")
+    return verified_lambdas(V.polys, (V.vars.names,), r, bound, grid, "glc")
 
 
 def gcd_fold(polys):
-    """Square-free part of the gcd of the polys, as a :class:`Form`."""
+    """The gcd of the square-free polys, as a :class:`Form`; it divides
+    each of them, so it is square-free too."""
     result = None
     for f in polys:
         result = f if result is None else gcd(result, f)
-    return Form(square_free_part(result))
+    return Form(result)
 
 
 def chow_form(V, r, grid):
@@ -179,6 +192,8 @@ def chow_form(V, r, grid):
 def chow_bounds(V, r):
     """Closed-form size bounds for the complete-intersection elimination."""
     n = V.n
+    if r < 0:
+        raise UsageError("need r >= 0")
     d = max(f.total_degree() for f in V.polys)
     nr = n - r
     degs = [d] * nr + [1] * (r + 1)

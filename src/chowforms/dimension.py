@@ -1,11 +1,15 @@
 """Monte Carlo geometric predicates built on resultants.
 
-Projective solvability, dimension upper bounds, and dimensions of
-coordinate-block projections are all reduced to small elimination
-instances: linear equations are substituted away exactly (over the
-rationals, with denominators cleared), leftover polynomials are combined
-into a square system by random linear combinations, and the verdict is
-read off the s-valuation of a generalized characteristic polynomial.
+One predicate, :func:`dim_leq`, decides whether a coordinate-block
+projection of a multiprojective variety has dimension at most r (r = -1:
+the variety is empty); :func:`dim_projection` bisects on it.  It restricts
+the variety to a generic affine chart per block, cuts it with generic
+affine hyperplanes and asks :func:`affine_solvable`, which reduces to
+small elimination instances: linear equations are substituted away
+exactly (over the rationals, with denominators cleared), leftover
+polynomials are combined into a square system by random linear
+combinations, and the verdict is read off the trailing coefficient of a
+generalized characteristic polynomial.
 
 Verdict sidedness: an "empty" answer is a certificate whenever the random
 slice/combination was generic (a nonzero resultant of a larger system);
@@ -16,7 +20,7 @@ choices, so those are re-derived with fresh randomness.
 from __future__ import annotations
 
 import random
-from math import gcd, prod
+from math import prod
 
 from .errors import InternalError, UsageError
 from .mpoly import MPoly, VarTable
@@ -166,9 +170,9 @@ def substitute_affine(polys, x0, basis, den, tvars):
     return out
 
 
-# -- projective solvability and dimension ------------------------------
+# -- affine solvability and dimensions of projections ------------------
 
-def _gcp_trailing(sys, perturb_indices=None, var=None, degree=0):
+def _gcp_trailing(sys, perturb_indices, var, degree):
     """(s-valuation, trailing values) of the generalized characteristic
     polynomial of ``sys`` (the perturbed resultant, :func:`gcp_sampler`),
     sampled at var = 0, 1, ..., degree with every other parameter 0.
@@ -179,24 +183,25 @@ def _gcp_trailing(sys, perturb_indices=None, var=None, degree=0):
     is exact, and the trailing coefficient is constant in var iff its
     values agree.  M0 has no row of the last polynomial (every monomial
     that polynomial owns is reduced), so det M0 does not depend on var: a
-    minor that vanishes at one sample vanishes identically.  Without
-    ``var`` the system has no parameters and one sample decides.
+    minor that vanishes at one sample vanishes identically.  The samples
+    are one slice of the sampler in var, so the rows of the other
+    polynomials are reduced once.
     """
-    sample = gcp_sampler(sys, perturb_indices)
+    sampler = gcp_sampler(sys, perturb_indices, (var,))
     point = [0] * sys.vars.nvars
-    qs = []
-    keep = None
-    for v in range(degree + 1):
-        if var is not None:
+    top = [0] * sys.vars.nvars
+    top[var] = degree
+    try:
+        q0 = sampler(point, 1)
+        # Valuation 0 needs only the integer determinants at s = 0.
+        at = sampler.slice(top, 1 if q0 and q0[0] else None)
+        qs = []
+        for v in range(degree + 1):
             point[var] = v
-        try:
-            qs.append(sample(point, keep))
-        except _BadGrid:
-            raise InternalError("perturbed Macaulay minor vanished; "
-                                "ill-posed perturbation") from None
-        if qs[-1] and qs[-1][0]:
-            # The valuation is 0: the other samples need only q(0).
-            keep = 1
+            qs.append(at(point))
+    except _BadGrid:
+        raise InternalError("perturbed Macaulay minor vanished; "
+                            "ill-posed perturbation") from None
     if not any(qs):
         raise InternalError("perturbed resultant is identically zero")
     val = min(next(i for i, c in enumerate(q) if c) for q in qs if q)
@@ -207,96 +212,18 @@ def _fresh_table(prefix, count):
     return VarTable(tuple(f"{prefix}{i}" for i in range(count)))
 
 
-def degree_equalize(polys, vars):
-    """Replace each lower-degree f by {x_j^(d-deg f) * f}: same zero
-    locus, all degrees equal to the maximum."""
-    d = max(f.total_degree() for f in polys)
-    out = []
-    for f in polys:
-        gap = d - f.total_degree()
-        if gap == 0:
-            out.append(f)
-        else:
-            for name in vars.names:
-                out.append(f * MPoly.var(vars, name, gap))
-    return out
+def _span_basis(polys):
+    """A basis of the span of the polys, which have the same zero set:
+    the polys when they are independent, else the rows of the reduced
+    row echelon form of their coefficient matrix."""
+    monos = sorted({exp for f in polys for exp in f.terms})
+    pivots, _, _, rows = gauss_jordan([[f.terms.get(exp, 0) for exp in monos]
+                                       for f in polys])
+    if len(pivots) == len(polys):
+        return polys
+    return [MPoly(polys[0].vars, dict(zip(monos, row))).primitive()
+            for row in rows[:len(pivots)]]
 
-
-def _proj_round(polys, vars, rng, bound):
-    """One randomized projective-solvability verdict (True may be spurious,
-    False is a certificate)."""
-    polys = [f for f in polys if not f.is_zero()]
-    if any(f.is_constant() for f in polys):
-        return False
-    if not polys:
-        return True
-    linear = [f for f in polys if f.total_degree() == 1]
-    rest = [f for f in polys if f.total_degree() > 1]
-    if linear:
-        eqs = [_linear_parts(f, range(vars.nvars)) for f in linear]
-        # A homogeneous system is always consistent.
-        x0, basis, _ = solve_affine_linear([(a, 0) for a, _ in eqs],
-                                           vars.nvars)
-        if not basis:
-            return False  # only the trivial zero of the cone
-        # Each spanning vector scaled to its primitive integer vector.
-        basis = [[v // gcd(*vec) for v in vec] for vec in basis]
-        zvars = _fresh_table("z", len(basis))
-        polys = [f for f in substitute_affine(rest, x0, basis, 1, zvars)
-                 if not f.is_zero()]
-        if any(f.is_constant() for f in polys):
-            return False
-        if not polys:
-            return True
-        vars = zvars
-    k = vars.nvars  # n' + 1
-    if len(polys) < k:
-        return True  # fewer than n'+1 forms always share a projective zero
-    if k == 1:
-        return False  # nonzero forms in one variable have no zero in P^0
-    if len(polys) > k:
-        polys = degree_equalize(polys, vars)
-        polys = combine(polys, [[rng.randint(1, bound) for _ in polys]
-                                for _ in range(k)])
-        if any(g.is_zero() for g in polys):
-            return True  # degenerate combination; count as inconclusive
-    val, _ = _gcp_trailing(MacaulaySystem(polys, vars.names))
-    return val >= 1
-
-
-def has_projective_zero(V, grid):
-    """Monte Carlo, one-sided: False is certain, True is high-probability."""
-    for round_no in range(grid.retries):
-        rng = grid.rng("hpz", round_no)
-        if not _proj_round(list(V.polys), V.vars, rng, grid.bound):
-            return False
-    return True
-
-
-def dim_leq(V, r, grid):
-    """True iff dim V <= r: V plus r+1 random hyperplanes misses P^n."""
-    if not 0 <= r <= V.n:
-        raise UsageError("need 0 <= r <= n")
-    for round_no in range(grid.retries):
-        rng = grid.rng("dimleq", r, round_no)
-        forms = [random_form(V.vars, V.vars.names, rng, grid.bound)
-                 for _ in range(r + 1)]
-        if not _proj_round(list(V.polys) + forms, V.vars, rng, grid.bound):
-            return True
-    return False
-
-
-def find_dimension(V, grid):
-    """Smallest r with dim_leq(V, r); -1 when V is projectively empty."""
-    if not has_projective_zero(V, grid):
-        return -1
-    for r in range(V.n + 1):
-        if dim_leq(V, r, grid):
-            return r
-    return V.n
-
-
-# -- affine solvability and projection dimension -----------------------
 
 def _affine_round(polys, vars, rng, bound):
     """One randomized affine-solvability verdict over the complex numbers."""
@@ -333,13 +260,24 @@ def _affine_round(polys, vars, rng, bound):
                              for _ in range(k - len(polys))]
             continue  # substitute the new linear forms away
         if len(polys) > k:
-            # Combine to k+1 generic combinations (junk components then have
-            # negative dimension) and add a slack variable to stay square.
-            slack = vars.extend((_fresh_name(vars, "slack"),))
+            basis = _span_basis(polys)
+            if len(basis) < len(polys):
+                polys = basis  # the same zero set from fewer polynomials
+                continue
+            # More than k+1 polynomials are combined to k+1 generic
+            # combinations (junk components then have negative dimension);
+            # a slack variable keeps the system square.  The slack comes
+            # first, so the perturbation of the second polynomial,
+            # s * slack^d, involves it.  Paired with the unperturbed u-form
+            # instead, it would be free in the perturbed system, whose only
+            # zero would be the slack point, and the trailing coefficient
+            # would never depend on m0.
+            slack = VarTable((_fresh_name(vars, "slack"),) + vars.names)
             polys = [f.rename_into(slack) for f in polys]
-            combos = combine(polys, [[rng.randint(1, bound) for _ in polys]
-                                     for _ in range(k + 1)])
-            polys = [g for g in combos if not g.is_zero()]
+            if len(polys) > k + 1:
+                combos = combine(polys, [[rng.randint(1, bound) for _ in polys]
+                                         for _ in range(k + 1)])
+                polys = [g for g in combos if not g.is_zero()]
             vars = slack
             k = vars.nvars
             if len(polys) < k:
@@ -379,32 +317,43 @@ def affine_solvable(polys, vars, grid, tag="aff"):
     return sum(votes) * 2 > len(votes)
 
 
-def dim_projection(polys, x_blocks, I, grid):
-    """Dimension of the projection of V onto the blocks in I.
+def dim_leq(polys, x_blocks, I, r, grid):
+    """True iff dim pi_I(V) <= r (-1: V is empty), V the zero set of the
+    multihomogeneous ``polys`` in the product of projective spaces with
+    homogeneous coordinates ``x_blocks``, pi_I its projection onto the
+    blocks in I.
 
-    ``polys`` are the multihomogeneous defining polynomials, ``x_blocks``
-    the per-block homogeneous variable names, and I a nonempty iterable of
-    block indices.  Works on the multi-affine cone: proj-dim = cone-dim of
-    the projected cone minus |I|.
+    V is restricted to one generic affine chart per block (a random linear
+    form = 1), which is dense in every component; pi_I of the restriction
+    then misses r + 1 generic affine hyperplanes in the coordinates of the
+    I-blocks iff its dimension is at most r.
     """
-    I = sorted(set(I))
+    I = tuple(sorted(set(I)))
     if not I:
         raise UsageError("I must be a nonempty set of block indices")
-    vars = polys[0].vars if polys else None
-    if vars is None:
+    if not polys:
         raise UsageError("need at least one defining polynomial")
-    proj_names = [n for j in I for n in x_blocks[j]]
-    ambient = len(proj_names)
-    lo, hi = 0, ambient  # affine cone dimension bounds; s=0 always holds
-    # Binary search the largest s with V meeting a generic codim-s preimage.
+    names = [n for j in I for n in x_blocks[j]]
+    if not -1 <= r <= len(names) - len(I):
+        raise UsageError("need -1 <= r <= the dimension of the projective "
+                         "spaces of the blocks in I")
+    vars = polys[0].vars
+    rng = grid.rng("dimleq", I, r)
+    charts = [random_form(vars, blk, rng, grid.bound) - 1 for blk in x_blocks]
+    cuts = [random_form(vars, names, rng, grid.bound, constant=True)
+            for _ in range(r + 1)]
+    return not affine_solvable(list(polys) + charts + cuts, vars, grid,
+                               tag=("dimleq", I, r))
+
+
+def dim_projection(polys, x_blocks, I, grid):
+    """dim pi_I(V) (see :func:`dim_leq`), bisected over [-1, sum of the
+    n_i of the blocks in I]."""
+    lo, hi = -1, sum(len(x_blocks[j]) - 1 for j in set(I))
     while lo < hi:
-        mid = (lo + hi + 1) // 2
-        rng = grid.rng("proj", tuple(I), mid)
-        slices = [random_form(vars, proj_names, rng, grid.bound,
-                              constant=True) for _ in range(mid)]
-        if affine_solvable(list(polys) + slices, vars, grid,
-                           tag=("proj", tuple(I), mid)):
-            lo = mid
+        mid = (lo + hi) // 2
+        if dim_leq(polys, x_blocks, I, mid, grid):
+            hi = mid
         else:
-            hi = mid - 1
-    return lo - len(I)
+            lo = mid + 1
+    return lo

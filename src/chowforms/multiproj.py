@@ -239,8 +239,7 @@ def multidegree(V, alpha, grid, table=None):
 
 def multi_generic_lc(V, r, grid):
     """Verified combination matrices (:func:`chow.verified_lambdas`) as
-    in the projective case, with the multihomogeneous degree bound and
-    block-wise dimension checks."""
+    in the projective case, with the multihomogeneous degree bound."""
     m = len(V.polys)
     k = V.total_dim - r
     if k < 1:
@@ -248,11 +247,7 @@ def multi_generic_lc(V, r, grid):
     if len({d for d in V.mdegs}) != 1:
         raise UsageError("multi_generic_lc requires equalized multidegrees")
     bound = min(-(-m // k) * k * sum(V.mdegs[0]) ** k + m + 1, 2 ** 15)
-    return verified_lambdas(
-        V.polys, k, bound,
-        lambda combos: dim_projection(combos, V.x_blocks, range(V.l),
-                                      grid) <= r,
-        grid, "mglc")
+    return verified_lambdas(V.polys, V.x_blocks, r, bound, grid, "mglc")
 
 
 def multi_chow_form(V, r, alpha, grid):

@@ -144,6 +144,16 @@ class TestCommands:
         assert main(["support", write(tmp_path, "p", PRODUCT)]) == 0
         assert capsys.readouterr().out.strip() == "2 2"
 
+    def test_support_two_bilinear_forms(self, tmp_path, capsys):
+        # Two bilinear forms meet in two points; every projection is
+        # finite, so the one support format is (1, 1).
+        text = ("ring x0 x1 y0 y1\nblocks (x0 x1)(y0 y1)\n"
+                "poly 3*x0*y0 - 2*x0*y1 + 5*x1*y0 + x1*y1\n"
+                "poly x0*y0 + 4*x0*y1 - x1*y0 + 7*x1*y1\n"
+                "dim 0\n")
+        assert main(["support", write(tmp_path, "p", text)]) == 0
+        assert capsys.readouterr().out.strip() == "1 1"
+
     def test_resultant_with_parameters(self, tmp_path, capsys):
         text = ("ring x0 x1 u v\nblocks (x0 x1)(u v)\n"
                 "poly u*x0 + v*x1\npoly x0 - x1\n")
@@ -252,6 +262,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "dim V = 1" in captured.err and "dimension 0" in captured.err
+
+    @pytest.mark.parametrize("command", ["chow-ci", "chow", "bounds"])
+    def test_negative_dim_is_2(self, command, tmp_path, capsys):
+        text = "ring x0 x1 x2\npoly x0\npoly x1\npoly x2\ndim -1\n"
+        assert main([command, write(tmp_path, "p", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need r >= 0" in captured.err
 
     def test_oversized_power_is_2_within_seconds(self, tmp_path, capsys):
         text = "ring x0 x1 x2\npoly (x0+x1+x2)^400\ndim 1\n"

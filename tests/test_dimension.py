@@ -8,8 +8,7 @@ from chowforms import MPoly, VarTable, dimension
 from chowforms.errors import InternalError, UsageError
 from chowforms.mpoly import parse_poly
 from chowforms.dimension import (ProjectiveVariety, RandomGrid, affine_solvable,
-                                 dim_leq, dim_projection, find_dimension,
-                                 has_projective_zero, solve_affine_linear,
+                                 dim_leq, dim_projection, solve_affine_linear,
                                  substitute_affine)
 from chowforms.resultant import (MacaulaySystem, _BadGrid, gcp_resultant,
                                  perturbed_macaulay)
@@ -28,19 +27,30 @@ def twisted_cubic():
                                   P("x0*x3 - x1*x2", X4)])
 
 
+def proj_dim_leq(V, r):
+    """dim V <= r for a projective variety, on the one-block predicate."""
+    return dim_leq(list(V.polys), (V.vars.names,), [0], r, GRID)
+
+
+def proj_dim(V):
+    return dim_projection(list(V.polys), (V.vars.names,), [0], GRID)
+
+
 class TestProjectiveZero:
+    """Emptiness is dim_leq with r = -1."""
+
     def test_unit_ideal_empty(self):
         V = ProjectiveVariety(X3, [MPoly.const(X3, 2)])
-        assert not has_projective_zero(V, GRID)
+        assert proj_dim_leq(V, -1)
 
     def test_all_coordinate_pairs_has_points(self):
         # V(x0*x1, x0*x2, x1*x2) = the three coordinate points.
         V = ProjectiveVariety(X3, [P("x0*x1", X3), P("x0*x2", X3), P("x1*x2", X3)])
-        assert has_projective_zero(V, GRID)
+        assert not proj_dim_leq(V, -1)
 
     def test_full_coordinate_ideal_empty(self):
         V = ProjectiveVariety(X3, [MPoly.var(X3, n) for n in X3.names])
-        assert not has_projective_zero(V, GRID)
+        assert proj_dim_leq(V, -1)
 
     def test_constructed_common_zero(self, rng):
         # forms vanishing at (1:1:1)
@@ -51,46 +61,54 @@ class TestProjectiveZero:
                 fs.append(MPoly(X3, {(2, 0, 0): a, (0, 2, 0): b,
                                      (0, 0, 2): -a - b}))
             V = ProjectiveVariety(X3, fs)
-            assert has_projective_zero(V, GRID)
+            assert not proj_dim_leq(V, -1)
+
+
+@pytest.fixture(scope="module")
+def cubic_verdicts():
+    """dim_leq of the twisted cubic for r = -1, ..., 3."""
+    return {r: proj_dim_leq(twisted_cubic(), r) for r in range(-1, 4)}
+
 
 class TestDimLeq:
     def test_hyperplane(self):
         V = ProjectiveVariety(X3, [MPoly.var(X3, "x0")])
-        assert dim_leq(V, 1, GRID)
-        assert not dim_leq(V, 0, GRID)
+        assert proj_dim_leq(V, 1)
+        assert not proj_dim_leq(V, 0)
 
     def test_point(self):
         V = ProjectiveVariety(X3, [MPoly.var(X3, "x0"), MPoly.var(X3, "x1")])
-        assert dim_leq(V, 0, GRID)
+        assert proj_dim_leq(V, 0)
 
-    def test_twisted_cubic_is_a_curve(self):
-        V = twisted_cubic()
-        assert dim_leq(V, 1, GRID)
-        assert not dim_leq(V, 0, GRID)
+    def test_twisted_cubic_is_a_curve(self, cubic_verdicts):
+        assert cubic_verdicts[1]
+        assert not cubic_verdicts[0]
 
-    def test_monotone_in_r(self):
-        V = twisted_cubic()
-        verdicts = [dim_leq(V, r, GRID) for r in range(4)]
+    def test_monotone_in_r(self, cubic_verdicts):
+        verdicts = [cubic_verdicts[r] for r in range(-1, 4)]
         # once true, stays true
         assert verdicts == sorted(verdicts)
 
     def test_bad_r_rejected(self):
         V = ProjectiveVariety(X3, [MPoly.var(X3, "x0")])
-        with pytest.raises(UsageError):
-            dim_leq(V, 5, GRID)
+        for r in (-2, 3):
+            with pytest.raises(UsageError):
+                proj_dim_leq(V, r)
 
 
 class TestFindDimension:
+    """dim_projection onto the one block is the dimension."""
+
     def test_empty(self):
         V = ProjectiveVariety(X3, [MPoly.const(X3, 1)])
-        assert find_dimension(V, GRID) == -1
+        assert proj_dim(V) == -1
 
     def test_hypersurface(self):
         V = ProjectiveVariety(X3, [P("x0*x2 - x1^2", X3)])
-        assert find_dimension(V, GRID) == 1
+        assert proj_dim(V) == 1
 
     def test_twisted_cubic(self):
-        assert find_dimension(twisted_cubic(), GRID) == 1
+        assert proj_dim(twisted_cubic()) == 1
 
 class TestAffineSolvable:
     def test_inconsistent_linear(self):
@@ -164,12 +182,6 @@ def random_dense(rng, vars, d):
                         for i in range(d + 1) for j in range(d + 1 - i)})
 
 
-def random_form(rng, vars, d):
-    """Dense ternary form of degree d, nonzero coefficients."""
-    return MPoly(vars, {(i, j, d - i - j): rng.randint(-5, 5) or 1
-                        for i in range(d + 1) for j in range(d + 1 - i)})
-
-
 def square_affine_systems(rng):
     """(polys, solvable) for square systems in two variables that reach
     the resultant step of _affine_round directly."""
@@ -230,33 +242,6 @@ class TestSampledVerdicts:
         assert verdicts == {True, False}
         assert positive_valuation > 0
 
-    def test_projective_valuation_matches_symbolic(self, monkeypatch):
-        calls = []
-        inner = dimension._gcp_trailing
-
-        def recorded(sys, *args):
-            out = inner(sys, *args)
-            calls.append((sys, out))
-            return out
-
-        monkeypatch.setattr(dimension, "_gcp_trailing", recorded)
-        rng = random.Random(3)
-        X3 = VarTable(("x0", "x1", "x2"))
-        vals = set()
-        for trial in range(12):
-            fs = [random_form(rng, X3, 2) for _ in range(3)]
-            if trial % 2:
-                # Drop the x2^2 terms: three conics through (0:0:1).
-                fs = [MPoly(X3, {e: c for e, c in f.terms.items()
-                                 if e != (0, 0, 2)}) for f in fs]
-            dimension._proj_round(fs, X3, rng, 50)
-            (sys, (val, values)), = calls
-            calls.clear()
-            _, low = gcp_resultant(sys)
-            assert val == low
-            vals.add(val > 0)
-        assert vals == {True, False}
-
     def test_vanishing_minor_raises(self, monkeypatch):
         # det M0 does not depend on the sampled variable, so a minor that
         # vanishes at the first sample vanishes identically.
@@ -283,11 +268,16 @@ class TestSampledVerdicts:
                              ("x0", "x1"))
         m = T.index("m")
 
-        def sample(point, keep=None):
-            v = point[m]
-            return [v * (v - 1) * (v - 2), v + 1][:keep]
+        class Sampler:
+            def __call__(self, point, keep=None):
+                v = point[m]
+                return [v * (v - 1) * (v - 2), v + 1][:keep]
 
-        monkeypatch.setattr(dimension, "gcp_sampler", lambda *args: sample)
+            def slice(self, top, keep=None):
+                assert top[m] == 3
+                return lambda point: self(point, keep)
+
+        monkeypatch.setattr(dimension, "gcp_sampler", lambda *args: Sampler())
         val, values = dimension._gcp_trailing(sys, None, m, 3)
         assert val == 0 and values == [0, 0, 0, 6]
 
@@ -414,8 +404,8 @@ class TestSolveAffineLinear:
         assert outcomes == {"none", "unique", "family"}
 
     def test_primitive_basis_is_the_per_vector_lcm_scaling(self):
-        # _proj_round scales each spanning vector of a homogeneous system
-        # to its primitive integer vector.
+        # Each spanning vector of a homogeneous system, divided by the gcd
+        # of its entries, is the primitive integer vector of its line.
         rng = random.Random(6)
         for _ in range(200):
             eqs, nvars = random_system(rng)

@@ -113,3 +113,11 @@ def test_one_quotient_sampler():
     # The Macaulay and Canny-Emiris quotients det M / det M0 are sampled
     # by one class: one function compiles matrices.
     assert len(_callers("_compile")) == 1
+
+
+def test_one_solvability_engine():
+    # Every dimension verdict goes through one predicate on affine charts:
+    # only dim_leq asks affine_solvable, and only the affine round reads
+    # the trailing coefficient of the perturbed resultant.
+    assert _callers("affine_solvable") == ["dimension.dim_leq"]
+    assert _callers("_gcp_trailing") == ["dimension._affine_round"]

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from chowforms import multiproj
+from chowforms import chow, multiproj
 from chowforms.chow import chow_form, chow_form_ci
 from chowforms.dimension import ProjectiveVariety, RandomGrid
 from chowforms.errors import IndeterminateError, UsageError
-from chowforms.mpoly import VarTable, parse_poly
+from chowforms.mpoly import MPoly, VarTable, parse_poly
 from chowforms.multiproj import (MultiprojVariety, chow_hypersurface_formats,
                                  dim_table, hurwitz_hypersurface_formats,
                                  multi_bounds, multi_chow_form,
@@ -114,6 +114,20 @@ class TestDimTable:
 
     def test_point_pair(self):
         assert dim_table(point_pair(), GRID) == {(0,): 0, (1,): 0, (0, 1): 0}
+
+    def test_two_random_bilinear_forms(self, rng):
+        # Two bilinear forms meet in finitely many points, so every
+        # projection is finite; on the multi-affine cone the coordinate
+        # cross x = 0 or y = 0 would outweigh them.
+        for _ in range(3):
+            fs = [MPoly(P1P1, {(i, 1 - i, j, 1 - j): rng.randint(-9, 9)
+                               for i in (0, 1) for j in (0, 1)})
+                  for _ in range(2)]
+            V = MultiprojVariety(P1P1, fs, dim=0)
+            table = dim_table(V, GRID)
+            assert table == {(0,): 0, (1,): 0, (0, 1): 0}
+            check_against_oracle(
+                V, table, lambda a: multidegree(V, a, GRID, table))
 
     def test_bilinear_hypersurface(self):
         V = MultiprojVariety(P1P1, [P("x0*y0 + x1*y1", P1P1)], dim=1)
@@ -359,7 +373,7 @@ class TestMultiGenericLc:
             return inner(self, *tag)
 
         monkeypatch.setattr(RandomGrid, "rng", rng)
-        monkeypatch.setattr(multiproj, "dim_projection", None)
+        monkeypatch.setattr(chow, "dim_leq", None)
         with pytest.raises(UsageError, match="coefficient rank"):
             multi_generic_lc(V, 0, grid)
         assert tags == [("mglc", draw) for draw in range(16)]

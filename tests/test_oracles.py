@@ -1,4 +1,7 @@
-"""Determinant, resultant and gcd kernels against sympy."""
+"""Determinant, resultant, gcd and dimension kernels against sympy."""
+
+import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 
 from chowforms import MPoly, VarTable
 from chowforms import mpoly, polydet
-from chowforms.dimension import ProjectiveVariety, RandomGrid
+from chowforms.dimension import ProjectiveVariety, RandomGrid, dim_projection
 from chowforms.errors import InternalError, UsageError
 from chowforms.hurwitz import _PencilSampler, u_resultant
 from chowforms.mpoly import divexact, gcd, square_free_part
@@ -383,3 +386,58 @@ def test_pencil_sampler_matches_sympy_discriminant(rng):
             assert (got[0] if got else 0) == want
             checked += 1
     assert checked >= 12
+
+
+# -- the dimension predicate against a Groebner basis ------------------
+
+def groebner_dim(polys):
+    """dim V(polys) in P^n: the Krull dimension of the grevlex
+    leading-term ideal, which is that of the ideal, minus 1.  A monomial
+    ideal has dimension max |S| over the sets S of variables that contain
+    the support of no leading monomial."""
+    gens = sympy.symbols(polys[0].vars.names)
+    basis = sympy.groebner([to_sympy(f) for f in polys], *gens,
+                           order="grevlex")
+    leads = [{i for i, e in enumerate(
+        sympy.Poly(g, *gens).monoms(order="grevlex")[0]) if e}
+        for g in basis.exprs]
+    for size in range(len(gens), -1, -1):
+        for S in itertools.combinations(range(len(gens)), size):
+            if not any(lead <= set(S) for lead in leads):
+                return size - 1
+    return -1  # the unit ideal
+
+
+def random_forms(rng, vars):
+    """1-3 forms of degree 1-2, coefficients in [-3, 3], none zero."""
+    out = []
+    count = rng.randint(1, 3)
+    while len(out) < count:
+        d = rng.randint(1, 2)
+        f = MPoly(vars, {e: rng.randint(-3, 3)
+                         for e in monomials_of_degree(vars.nvars, d)})
+        if not f.is_zero():
+            out.append(f)
+    return out
+
+
+def test_dim_projection_matches_groebner_dimension():
+    # Random systems in P^2 and P^3, empty ones, and reducible ones whose
+    # components have different dimensions.
+    X3, X4 = (VarTable(tuple(f"x{i}" for i in range(n))) for n in (3, 4))
+    P = mpoly.parse_poly
+    cases = [[MPoly.const(X3, 1)],
+             [P(n, X3) for n in X3.names],
+             [P("x0*x1", X3), P("x0*x2", X3)],
+             [P("x0*x1", X4), P("x0*x2", X4)],
+             [P("x0*x1", X4), P("x0*x2", X4), P("x0*x3", X4)]]
+    rng = random.Random(11)
+    cases += [random_forms(rng, rng.choice((X3, X4))) for _ in range(24)]
+    grid = RandomGrid(seed=3)
+    dims = []
+    for polys in cases:
+        want = groebner_dim(polys)
+        names = polys[0].vars.names
+        assert dim_projection(polys, (names,), [0], grid) == want, polys
+        dims.append(want)
+    assert set(dims) == {-1, 0, 1, 2}

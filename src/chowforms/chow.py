@@ -50,7 +50,7 @@ def with_linear_forms(polys, xnames, blocks):
         for u, x in zip(blk, xnames):
             U = U + MPoly.var(wide, u) * MPoly.var(wide, x)
         forms.append(U)
-    return [f.rename_into(wide) for f in polys] + forms
+    return [f.substitute({}, wide) for f in polys] + forms
 
 
 def degree_equalize(V):

@@ -250,8 +250,6 @@ def main(argv=None):
     parser.add_argument("--retries", type=int, default=3)
     parser.add_argument("--json", action="store_true",
                         help="emit metadata as JSON")
-    parser.add_argument("--bounds-only", action="store_true",
-                        help="print size bounds instead of computing")
     opts = parser.parse_args(argv)
 
     start = time.monotonic()
@@ -268,11 +266,7 @@ def main(argv=None):
             with open(opts.args[0], encoding="utf-8") as fh:
                 problem = parse_problem(fh.read())
             grid = RandomGrid(seed=opts.seed, retries=opts.retries)
-            command = opts.command
-            if opts.bounds_only and command in ("chow", "chow-ci", "hurwitz",
-                                                "multichow"):
-                command = "bounds"
-            out, meta = run(command, problem, grid)
+            out, meta = run(opts.command, problem, grid)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4

@@ -144,29 +144,20 @@ def substitute_affine(polys, x0, basis, den, tvars):
     results are integer polynomials in t (each taken primitive); the zero
     sets correspond exactly.
     """
+    ze = (0,) * tvars.nvars
     images = []
     for i, c0 in enumerate(x0):
-        terms = {}
-        ze = (0,) * tvars.nvars
-        if c0:
-            terms[ze] = c0
+        terms = {ze: c0}
         for j, vec in enumerate(basis):
-            if vec[i]:
-                e = [0] * tvars.nvars
-                e[j] = 1
-                terms[tuple(e)] = vec[i]
+            terms[ze[:j] + (1,) + ze[j + 1:]] = vec[i]
         images.append(MPoly(tvars, terms))
     out = []
     for f in polys:
         d = f.total_degree()
-        acc = MPoly.zero(tvars)
-        for exp, c in f.terms.items():
-            t = MPoly.const(tvars, c * den ** (d - sum(exp)))
-            for i, e in enumerate(exp):
-                if e:
-                    t = t * images[i] ** e
-            acc = acc + t
-        out.append(acc.primitive())
+        homog = MPoly(f.vars, {exp: c * den ** (d - sum(exp))
+                               for exp, c in f.terms.items()})
+        out.append(homog.substitute(dict(zip(f.vars.names, images)),
+                                    tvars).primitive())
     return out
 
 
@@ -273,7 +264,7 @@ def _affine_round(polys, vars, rng, bound):
             # zero would be the slack point, and the trailing coefficient
             # would never depend on m0.
             slack = VarTable((_fresh_name(vars, "slack"),) + vars.names)
-            polys = [f.rename_into(slack) for f in polys]
+            polys = [f.substitute({}, slack) for f in polys]
             if len(polys) > k + 1:
                 combos = combine(polys, [[rng.randint(1, bound) for _ in polys]
                                          for _ in range(k + 1)])

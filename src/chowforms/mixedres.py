@@ -49,23 +49,18 @@ class MultiResSystem:
         N = sum(self.nsizes)
         if len(polys) != N + 1:
             raise UsageError(f"need exactly {N + 1} polynomials, got {len(polys)}")
-        all_x = [i for b in self.block_idx for i in b]
-        self.x_idx = tuple(all_x)
         mdegs = []
         for f in polys:
             if f.vars != vars:
                 raise UsageError("system polynomials use different VarTables")
             if f.is_zero():
                 raise UsageError("zero polynomial in system")
-            degs = None
-            for exp in f.terms:
-                bd = tuple(sum(exp[i] for i in blk) for blk in self.block_idx)
-                if degs is None:
-                    degs = bd
-                elif bd != degs:
-                    raise UsageError("system polynomials must be multihomogeneous "
-                                     "in the x-blocks")
-            mdegs.append(degs)
+            if not all(f.is_homogeneous_in(blk) for blk in self.block_idx):
+                raise UsageError("system polynomials must be multihomogeneous "
+                                 "in the x-blocks")
+            exp = next(iter(f.terms))
+            mdegs.append(tuple(sum(exp[i] for i in blk)
+                               for blk in self.block_idx))
         self.vars = vars
         self.polys = tuple(polys)
         self.mdegs = tuple(mdegs)
@@ -101,18 +96,13 @@ class MultiResSystem:
         return [sum(combo, ()) for combo in itertools.product(*per_block)]
 
     def coeff_table(self, i):
-        """Map affine exponent -> coefficient MPoly (parameters only kept as
-        a polynomial over the full table with x-exponents zeroed)."""
-        buckets = {}
-        for exp, c in self.polys[i].terms.items():
-            key = []
-            for blk in self.block_idx:
-                key.extend(exp[idx] for idx in blk[1:])
-            e = list(exp)
-            for idx in self.x_idx:
-                e[idx] = 0
-            buckets.setdefault(tuple(key), {})[tuple(e)] = c
-        return {k: MPoly(self.vars, terms) for k, terms in buckets.items()}
+        """Map affine exponent (per block, the first variable dropped) ->
+        coefficient MPoly over the full table, x-exponents zeroed; the
+        first exponent of each block follows from the multidegree."""
+        affine = [k for blk in self.block_idx for k in blk[1:]]
+        firsts = [blk[0] for blk in self.block_idx]
+        return {key[:self.N]: cf for key, cf
+                in self.polys[i].coefficients(affine + firsts).items()}
 
 
 class _CellWalk:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 import re
 
@@ -82,6 +83,22 @@ class VarTable:
     def __repr__(self):
         inner = ")(".join(" ".join(self.block_names(b)) for b in range(self.nblocks))
         return f"VarTable(({inner}))"
+
+
+def _mul_terms(a, b):
+    """The product of two term dicts, as a term dict without zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(exp, 0) + c1 * c2
+            if s:
+                out[exp] = s
+            elif exp in out:
+                del out[exp]
+    return out
 
 
 class MPoly:
@@ -222,19 +239,7 @@ class MPoly:
                 return MPoly.zero(self.vars)
             return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
         self._check_same_table(other)
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(exp, 0) + c1 * c2
-                if s:
-                    out[exp] = s
-                elif exp in out:
-                    del out[exp]
-        return MPoly(self.vars, out)
+        return MPoly(self.vars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -273,40 +278,64 @@ class MPoly:
         return MPoly(self.vars, out)
 
     def substitute(self, mapping, target=None):
-        """Compose with ``mapping`` from variable name to MPoly or int.
-
-        Unmapped variables must exist in the target table and map to
-        themselves.  ``target`` defaults to this polynomial's table.
+        """Compose with ``mapping`` from variable name to int or MPoly in one
+        pass over the terms: an integer image multiplies the coefficient, a
+        polynomial image (over ``target``) multiplies the term, and an
+        unmapped variable keeps its exponent on the variable of the same
+        name in ``target``.  ``target`` defaults to the table of the
+        polynomial images, else to this polynomial's table.  Each power of
+        an image is formed once.
         """
+        names = self.vars.names
+        images = [(i, mapping[n], {}) for i, n in enumerate(names)
+                  if n in mapping]
+        ints = [im for im in images if isinstance(im[1], int)]
+        polys = [im for im in images if not isinstance(im[1], int)]
         if target is None:
-            target = self.vars
-            for v in mapping.values():
-                if isinstance(v, MPoly):
-                    target = v.vars
-                    break
-        images = []
-        for name in self.vars.names:
-            if name in mapping:
-                v = mapping[name]
-                if isinstance(v, int):
-                    v = MPoly.const(target, v)
-                elif v.vars != target:
-                    raise UsageError("substitution images use different VarTables")
-                images.append(v)
-            else:
-                images.append(MPoly.var(target, name))
-        cache = [dict() for _ in images]
-        result = MPoly.zero(target)
+            target = polys[0][1].vars if polys else self.vars
+        if any(v.vars != target for _, v, _ in polys):
+            raise UsageError("substitution images use different VarTables")
+        # pick(exp + (0,)) is the exponent vector on target's variables:
+        # an unmapped variable's exponent, 0 for every other variable.
+        src = [len(names)] * target.nvars
+        for i, n in enumerate(names):
+            if n not in mapping:
+                src[target.index(n)] = i
+        pick = (operator.itemgetter(*src) if len(src) > 1
+                else lambda e: tuple(e[i] for i in src))
+        out = {}
         for exp, c in self.terms.items():
-            t = MPoly.const(target, c)
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                if e not in cache[i]:
-                    cache[i][e] = images[i] ** e
-                t = t * cache[i][e]
-            result = result + t
-        return result
+            for i, v, cache in ints:
+                e = exp[i]
+                if e:
+                    if e not in cache:
+                        cache[e] = v ** e
+                    c *= cache[e]
+            mono = pick(exp + (0,))
+            if not polys:  # integer images only: one term per term
+                out[mono] = out.get(mono, 0) + c
+                continue
+            t = {mono: c}
+            for i, v, cache in polys:
+                e = exp[i]
+                if e:
+                    if e not in cache:
+                        cache[e] = (v ** e).terms
+                    t = _mul_terms(t, cache[e])
+            for m, a in t.items():
+                out[m] = out.get(m, 0) + a
+        return MPoly(target, out)
+
+    def coefficients(self, idx):
+        """Split by the exponents on the variables at ``idx``: {exponents on
+        idx: coefficient MPoly, with those exponents zeroed}."""
+        out = {}
+        for exp, c in self.terms.items():
+            e = list(exp)
+            for i in idx:
+                e[i] = 0
+            out.setdefault(tuple(exp[i] for i in idx), {})[tuple(e)] = c
+        return {key: MPoly(self.vars, terms) for key, terms in out.items()}
 
     def evaluate(self, point):
         """Evaluate at an integer point given as {name: int}."""
@@ -319,23 +348,6 @@ class MPoly:
                     v *= idx[i] ** e
             total += v
         return total
-
-    def rename_into(self, target, mapping=None):
-        """Re-express over a (super)table containing the same variable
-        names, optionally translating names through ``mapping`` first."""
-        if mapping is None:
-            names = self.vars.names
-        else:
-            names = [mapping.get(n, n) for n in self.vars.names]
-        pos = [target.index(n) for n in names]
-        out = {}
-        for exp, c in self.terms.items():
-            nexp = [0] * target.nvars
-            for p, e in zip(pos, exp):
-                nexp[p] = e
-            key = tuple(nexp)
-            out[key] = out.get(key, 0) + c
-        return MPoly(target, out)
 
     # -- normalization ------------------------------------------------
 
@@ -612,20 +624,9 @@ def _main_var(f, g):
     return None
 
 
-def _univ_coeffs(f, v):
-    """Split f as a polynomial in variable v: {deg: coefficient MPoly}."""
-    out = {}
-    for exp, c in f.terms.items():
-        e = exp[v]
-        nexp = exp[:v] + (0,) + exp[v + 1:]
-        d = out.setdefault(e, {})
-        d[nexp] = d.get(nexp, 0) + c
-    return {e: MPoly(f.vars, d) for e, d in out.items()}
-
-
 def _content_wrt(f, v):
     """Gcd of the coefficients of f viewed as univariate in variable v."""
-    coeffs = list(_univ_coeffs(f, v).values())
+    coeffs = list(f.coefficients((v,)).values())
     g = coeffs[0]
     for c in coeffs[1:]:
         g = gcd(g, c)
@@ -636,28 +637,18 @@ def _content_wrt(f, v):
 
 def _prem(a, b, v):
     """Sparse pseudo-remainder of a by b with respect to variable v."""
-    bc = _univ_coeffs(b, v)
+    bc = b.coefficients((v,))
     db = max(bc)
     lb = bc[db]
     r = a
-    while True:
-        rc = _univ_coeffs(r, v)
-        dr = max(rc) if rc else 0
-        if r.is_zero() or dr < db:
-            return r
-        lr = rc[dr]
-        shift = MPoly.var(r.vars, r.vars.names[v], dr - db) if dr > db \
-            else MPoly.const(r.vars, 1)
-        r = lb * r - lr * shift * b
-
-
-def _eval_one_var(f, v, xi):
-    """f with variable v set to the integer xi (exponent on v zeroed)."""
-    out = {}
-    for exp, c in f.terms.items():
-        e = exp[:v] + (0,) + exp[v + 1:]
-        out[e] = out.get(e, 0) + c * xi ** exp[v]
-    return MPoly(f.vars, out)
+    while not r.is_zero():
+        rc = r.coefficients((v,))
+        dr = max(rc)
+        if dr < db:
+            break
+        r = lb * r - rc[dr] * MPoly.var(r.vars, r.vars.names[v],
+                                        dr[0] - db[0]) * b
+    return r
 
 
 def _balanced_digit(p, xi):
@@ -678,8 +669,9 @@ def _balanced_digit(p, xi):
 def _digits_in(p, v, xi):
     """The polynomial whose coefficients in variable v are the balanced
     base-xi digits (:func:`_balanced_digit`) of the coefficients of p:
-    the inverse of :func:`_eval_one_var` at xi on polynomials whose
-    coefficients all lie in (-xi/2, xi/2]."""
+    the inverse of the substitution of xi for variable v
+    (``f.substitute({name: xi})``) on polynomials whose coefficients all
+    lie in (-xi/2, xi/2]."""
     terms = {}
     j = 0
     while not p.is_zero():
@@ -708,9 +700,10 @@ def _heu_gcd_inner(f, g, tries):
     if xi.bit_length() * (dv + 1) > 3 * 10 ** 6:
         return None
     content = math.gcd(f.content(), g.content())
+    name = f.vars.names[v]
     for _ in range(tries):
-        fv = _eval_one_var(f, v, xi)
-        gv = _eval_one_var(g, v, xi)
+        fv = f.substitute({name: xi})
+        gv = g.substitute({name: xi})
         if fv.is_zero() or gv.is_zero():
             xi = xi * 23 // 3 + 29
             continue

@@ -44,6 +44,9 @@ class MultiprojVariety:
                 raise UsageError("polynomials use different VarTables")
             if f.is_zero():
                 raise UsageError("zero polynomial among the generators")
+            if not all(f.is_homogeneous_in(blk) for blk in vars.blocks):
+                raise UsageError("defining polynomials must be "
+                                 "multihomogeneous in the blocks")
             mdegs.append(f.block_degrees())
         self.polys = tuple(polys)
         self.mdegs = tuple(mdegs)
@@ -57,6 +60,16 @@ class MultiprojVariety:
         if self.dim is None:
             raise UsageError("variety dimension is not set")
         return self.total_dim - self.dim
+
+    def check_format(self, alpha):
+        """alpha as a tuple; UsageError unless it has one entry per block
+        and 0 <= alpha_i <= n_i."""
+        alpha = tuple(alpha)
+        if len(alpha) != self.l or not all(
+                0 <= a <= n for a, n in zip(alpha, self.nvec)):
+            raise UsageError(f"format {alpha} does not fit the block sizes "
+                             f"{self.nvec}")
+        return alpha
 
 
 def _nonempty_subsets(l):
@@ -146,9 +159,7 @@ def multi_chow_form_ci(V, alpha, grid=None, table=None):
     checked to cut out a hypersurface in the product of Grassmannians."""
     if grid is None:
         grid = RandomGrid(seed=0)
-    alpha = tuple(alpha)
-    if len(alpha) != V.l or any(a > n for a, n in zip(alpha, V.nvec)):
-        raise UsageError("format does not fit the block sizes")
+    alpha = V.check_format(alpha)
     if table is not None and \
             alpha not in chow_hypersurface_formats(V, table):
         raise UsageError(f"format {alpha} does not give a hypersurface")
@@ -204,7 +215,7 @@ def multidegree(V, alpha, grid, table=None):
                     break
             subs.update(zip(blk, combine(
                 [MPoly.var(wide, name) for name in blk], C)))
-        polys = [f.rename_into(wide).substitute(subs) for f in V.polys]
+        polys = [f.substitute(subs, wide) for f in V.polys]
         for blk, n, a in zip(V.x_blocks, V.nvec, alpha):
             polys += [random_form(wide, blk, rng, grid.bound)
                       for _ in range(n - a)]
@@ -253,6 +264,7 @@ def multi_generic_lc(V, r, grid):
 def multi_chow_form(V, r, alpha, grid):
     """General-case multigraded Chow form: equalize multidegrees, reduce to
     complete intersections by verified combinations, fold with gcd."""
+    alpha = V.check_format(alpha)
     Veq = multi_degree_equalize(V)
     return gcd_fold(
         multi_chow_form_ci(MultiprojVariety(V.vars, combine(Veq.polys, lam)),
@@ -262,7 +274,7 @@ def multi_chow_form(V, r, alpha, grid):
 
 def multi_bounds(V, alpha):
     """Closed-form size bounds for the format-alpha elimination."""
-    alpha = tuple(alpha)
+    alpha = V.check_format(alpha)
     n = V.total_dim
     r = n - sum(alpha) - 1
     d = max(max(dv) for dv in V.mdegs)

@@ -92,17 +92,6 @@ class MacaulaySystem:
         return sum(d - 1 for d in self.degrees) + 1
 
 
-def _shift_mul(f, elim_idx, shift):
-    """f * x^shift where shift lives on the eliminated variables."""
-    out = {}
-    for exp, c in f.terms.items():
-        e = list(exp)
-        for i, s in zip(elim_idx, shift):
-            e[i] += s
-        out[tuple(e)] = c
-    return MPoly(f.vars, out)
-
-
 def macaulay_matrix(sys):
     """Classical Macaulay pair (M, M0) at the critical degree.
 
@@ -117,6 +106,7 @@ def macaulay_matrix(sys):
     k = len(elim_idx)
     cols = monomials_of_degree(k, t)
     col_pos = {a: j for j, a in enumerate(cols)}
+    coeffs = [f.coefficients(elim_idx) for f in sys.polys]
     zero = MPoly.zero(sys.vars)
     rows = []
     reduced = []
@@ -128,18 +118,9 @@ def macaulay_matrix(sys):
         reduced.append(len(owners) == 1)
         shift = list(a)
         shift[i] -= sys.degrees[i]
-        rp = _shift_mul(sys.polys[i], elim_idx, shift)
-        # Split the row polynomial by its eliminated-monomial part.
-        buckets = {}
-        for exp, c in rp.terms.items():
-            key = tuple(exp[j] for j in elim_idx)
-            e = list(exp)
-            for j in elim_idx:
-                e[j] = 0
-            buckets.setdefault(key, {})[tuple(e)] = c
         row = [zero] * len(cols)
-        for key, terms in buckets.items():
-            row[col_pos[key]] = MPoly(sys.vars, terms)
+        for key, cf in coeffs[i].items():
+            row[col_pos[tuple(map(operator.add, key, shift))]] = cf
         rows.append(row)
     M = PolyMatrix(rows)
     sub = [j for j, r in enumerate(reduced) if not r]
@@ -188,7 +169,7 @@ def perturbed_macaulay(sys, perturb_indices=None):
     s = MPoly.var(wide, sname)
     polys = []
     for i, f in enumerate(sys.polys):
-        g = f.rename_into(wide)
+        g = f.substitute({}, wide)
         if i in perturb:
             g = g + s * MPoly.var(wide, sys.elim_names[i], sys.degrees[i])
         polys.append(g)
@@ -216,11 +197,9 @@ def gcp_resultant(sys, perturb_indices=None):
         raise InternalError("perturbed resultant is identically zero")
     rhat = divexact(d, d0)
     s_idx = wide.index(sname)
-    low = min(exp[s_idx] for exp in rhat.terms)
-    trailing = {exp[:s_idx] + (0,) + exp[s_idx + 1:]: c
-                for exp, c in rhat.terms.items() if exp[s_idx] == low}
-    result = drop_variables(MPoly(wide, trailing), list(sys.elim_idx) + [s_idx])
-    return result, low
+    by_s = rhat.coefficients((s_idx,))
+    low = min(by_s)
+    return drop_variables(by_s[low], list(sys.elim_idx) + [s_idx]), low[0]
 
 
 class _BadGrid(Exception):

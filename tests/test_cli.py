@@ -170,12 +170,6 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["degree_bound"] == 2
 
-    def test_bounds_only_flag(self, tmp_path, capsys):
-        path = write(tmp_path, "p", CONIC)
-        assert main(["chow", "--bounds-only", path]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["degree_bound"] == 2
-
     def test_multichow_point_pair(self, tmp_path, capsys):
         assert main(["multichow", write(tmp_path, "p", POINT_PAIR)]) == 0
         assert capsys.readouterr().out.strip() == "3*u2_0_0 + 5*u2_0_1"
@@ -270,6 +264,28 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "need r >= 0" in captured.err
+
+    @pytest.mark.parametrize("command, fmt", [
+        ("bounds", "0"), ("bounds", "-1 0"), ("bounds", "5 0"),
+        ("multichow", "-1 0")])
+    def test_format_not_fitting_blocks_is_2(self, command, fmt, tmp_path,
+                                            capsys):
+        text = ("ring x0 x1 y0 y1\nblocks (x0 x1)(y0 y1)\n"
+                f"poly x0*y0 + x1*y1\ndim 1\nformat {fmt}\n")
+        assert main([command, write(tmp_path, "p", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not fit the block sizes" in captured.err
+
+    @pytest.mark.parametrize("command", ["support", "formats", "multichow"])
+    def test_not_multihomogeneous_is_2(self, command, tmp_path, capsys):
+        # Refused when the variety is built, before any dimension check.
+        text = ("ring x0 x1 y0 y1\nblocks (x0 x1)(y0 y1)\n"
+                "poly x0*y0 + x1\ndim 1\nformat 0 0\n")
+        assert main([command, write(tmp_path, "p", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "defining polynomials must be multihomogeneous" in captured.err
 
     def test_oversized_power_is_2_within_seconds(self, tmp_path, capsys):
         text = "ring x0 x1 x2\npoly (x0+x1+x2)^400\ndim 1\n"

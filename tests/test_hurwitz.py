@@ -179,7 +179,7 @@ class TestConicFixtures:
             H = hurwitz_form(V, 1, GRID)
             U = ("u10", "u11", "u12")
             expected = quadratic_form(VarTable(U), adjugate3(A))
-            expected = expected.rename_into(H.poly.vars)
+            expected = expected.substitute({}, H.poly.vars)
             assert H.poly == expected.normalized()
             done += 1
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from chowforms import (MPoly, ParseError, UsageError, VarTable, divexact, gcd,
                        parse_poly, square_free_part)
-from chowforms.mpoly import (_certified_square_free, _digits_in, _eval_one_var,
-                             divides)
+from chowforms.mpoly import _certified_square_free, _digits_in, divides
 from conftest import rand_poly
 
 
@@ -151,18 +150,24 @@ def digit_width(f):
     return 2 * max((abs(c) for c in f.terms.values()), default=0) + 1
 
 
+def at(f, v, xi):
+    """f with variable v set to the integer xi, as the heuristic gcd
+    substitutes it."""
+    return f.substitute({f.vars.names[v]: xi})
+
+
 class TestKronecker:
     """The heuristic gcd's substitution of one variable by an integer xi
-    (_eval_one_var) and its inverse, the balanced base-xi digit read
+    (:func:`at`) and its inverse, the balanced base-xi digit read
     (_digits_in)."""
 
     def test_two_vars(self):
         vars = VarTable(("y1", "y2"))
-        packed = _eval_one_var(P("y1*y2^2 + y2", vars), 1, 10)
+        packed = at(P("y1*y2^2 + y2", vars), 1, 10)
         assert packed == P("100*y1 + 10", vars)
 
     def test_constant(self, xy):
-        assert _eval_one_var(MPoly.const(xy, 1), 0, 7) == 1
+        assert at(MPoly.const(xy, 1), 0, 7) == 1
 
     def test_unpack_example(self):
         vars = VarTable(("y1", "y2"))
@@ -174,7 +179,7 @@ class TestKronecker:
 
     def test_cap_violation(self, xy):
         # 7 lies outside (-5, 5]: it is read as 10 - 3, carrying into x^2.
-        packed = _eval_one_var(P("7*x", xy), 0, 10)
+        packed = at(P("7*x", xy), 0, 10)
         assert _digits_in(packed, 0, 10) == P("x^2 - 3*x", xy)
 
     def test_round_trip_100(self, rng):
@@ -184,7 +189,7 @@ class TestKronecker:
             f = rand_poly(rng, vars, max_deg=5, max_coeff_bits=12)
             xi = digit_width(f) + 2 * rng.randint(0, 2)
             v = rng.randrange(nu)
-            assert _digits_in(_eval_one_var(f, v, xi), v, xi) == f
+            assert _digits_in(at(f, v, xi), v, xi) == f
 
 
 class TestGcd:
@@ -326,7 +331,28 @@ def test_hypothesis_kronecker_round_trip(tlist):
     f = MPoly(vars, dict(tlist))
     xi = digit_width(f)
     for v in range(3):
-        assert _digits_in(_eval_one_var(f, v, xi), v, xi) == f
+        assert _digits_in(at(f, v, xi), v, xi) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                    st.integers(0, 4)),
+                          st.integers(-50, 50)), max_size=6),
+       st.lists(st.integers(0, 2), unique=True))
+def test_hypothesis_coefficients_reassemble(tlist, idx):
+    # sum over keys of x^key * coefficients(idx)[key] is f again, and no
+    # coefficient involves a variable at idx.
+    vars = VarTable(("a", "b", "c"))
+    f = MPoly(vars, dict(tlist))
+    total = MPoly.zero(vars)
+    for key, cf in f.coefficients(idx).items():
+        assert not cf.is_zero()
+        assert all(cf.partial_degree(i) == 0 for i in idx)
+        mono = [0] * vars.nvars
+        for i, e in zip(idx, key):
+            mono[i] = e
+        total = total + cf * MPoly(vars, {tuple(mono): 1})
+    assert total == f
 
 
 class TestSubstitute:
@@ -338,10 +364,25 @@ class TestSubstitute:
     def test_evaluate(self, xy):
         assert P("x^2*y - 7", xy).evaluate({"x": 3, "y": 2}) == 11
 
-    def test_rename_into(self, xy, xyz):
+    def test_into_supertable(self, xy, xyz):
         f = P("x + 2*y", xy)
-        g = f.rename_into(xyz)
-        assert g == P("x + 2*y", xyz)
+        assert f.substitute({}, xyz) == P("x + 2*y", xyz)
+        assert f.substitute({"y": P("z^2", xyz)}) == P("x + 2*z^2", xyz)
+
+    def test_one_variable_target(self, xy):
+        T = VarTable(("t",))
+        f = P("x^2 + y", xy)
+        assert f.substitute({"x": P("t + 1", T), "y": 3}) == \
+            P("t^2 + 2*t + 4", T)
+        assert P("t^3", T).substitute({}) == P("t^3", T)
+
+    def test_unknown_variable_in_target(self, xy, xyz):
+        with pytest.raises(UsageError):
+            P("x*y", xyz).substitute({}, xy)
+
+    def test_mixed_tables_rejected(self, xy, xyz):
+        with pytest.raises(UsageError):
+            P("x*y", xy).substitute({"x": P("z", xyz), "y": P("x", xy)})
 
     def test_derivative(self, xy):
         assert P("x^3*y + y^2", xy).derivative("x") == P("3*x^2*y", xy)

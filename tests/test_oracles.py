@@ -1,4 +1,5 @@
-"""Determinant, resultant, gcd and dimension kernels against sympy."""
+"""Substitution, determinant, resultant, gcd and dimension kernels against
+sympy."""
 
 import itertools
 import random
@@ -19,6 +20,7 @@ from chowforms.polydet import (PolyMatrix, det_bareiss, det_integer,
                                unpack_digits)
 from chowforms.resultant import (MacaulaySystem, monomials_of_degree,
                                  resultant_dense)
+from conftest import rand_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -227,6 +229,33 @@ def polys(draw, vars=XY, max_deg=3, max_terms=5, bound=9):
         if sum(exp) <= max_deg:
             terms[exp] = draw(st.integers(-bound, bound))
     return MPoly(vars, terms)
+
+
+def test_substitute_matches_sympy(rng):
+    # Every variable gets an integer image, a polynomial image or none, and
+    # the result lands in the polynomial's own table or in a supertable
+    # with one more variable; sympy substitutes all images at once.
+    XYZ = VarTable(("x", "y", "z"))
+    wide = VarTable(("x", "y", "z", "w"))
+    for trial in range(60):
+        f = rand_poly(rng, XYZ, max_deg=4, max_terms=8)
+        target = wide if trial % 2 else XYZ
+        mapping = {}
+        for name in XYZ.names:
+            kind = rng.randrange(3)
+            if kind == 0:
+                mapping[name] = rng.randint(-5, 5)
+            elif kind == 1:
+                mapping[name] = rand_poly(rng, target, max_deg=2,
+                                          max_terms=3, max_coeff_bits=3)
+        images = {sympy.Symbol(n): to_sympy(v) if isinstance(v, MPoly) else v
+                  for n, v in mapping.items()}
+        want = sympy.expand(to_sympy(f).xreplace(images))
+        assert f.substitute(mapping, target) == from_sympy(want, target)
+        if any(isinstance(v, MPoly) for v in mapping.values()) \
+                or target is XYZ:
+            # The target defaults to the images' table, else to f's.
+            assert f.substitute(mapping) == f.substitute(mapping, target)
 
 
 @settings(max_examples=60, deadline=None)

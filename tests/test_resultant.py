@@ -399,7 +399,7 @@ class TestSampleAtZero:
         assert val == 1
         assert log.calls and log.count(1) == 0
         ref, ref_val = gcp_resultant(sys, [0, 1])
-        assert got == ref.rename_into(got.vars) and ref_val == 1
+        assert got == ref.substitute({}, got.vars) and ref_val == 1
 
     def test_conic_chow_ci_takes_one_full_grid_sample(self, monkeypatch):
         # 36 grid points in 6 slices of the u1 block: the first point proves

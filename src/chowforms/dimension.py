@@ -14,7 +14,10 @@ generalized characteristic polynomial.
 Verdict sidedness: an "empty" answer is a certificate whenever the random
 slice/combination was generic (a nonzero resultant of a larger system);
 a "nonempty" answer can in principle be a coincidence of the random
-choices, so those are re-derived with fresh randomness.
+choices.  :func:`affine_solvable` re-derives every verdict, either way,
+with fresh randomness: it runs two rounds and stops if they agree;
+otherwise it runs all ``grid.retries`` rounds and returns their strict
+majority, a tie reading "empty" (``grid.retries`` = 1 runs one round).
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ The supports are products of dilated simplices (one per projective block);
 a random integer lifting induces a regular fine mixed subdivision of the
 Minkowski sum, queried one point at a time through its lower envelope by
 an exact integer dual simplex, which starts from a surplus basis and then
-walks from each certified cell to the next (:class:`_CellWalk`).
+walks from each certified cell to the next (:class:`_CellWalk`); each
+simplex step updates d B^-1 and the reduced costs by one fraction-free
+pivot, so no basis is ever factored from scratch.
 Rows of the resultant matrix are indexed by the lattice points of the
 shifted Minkowski sum; the resultant is the matrix determinant divided by
 the principal minor on the points in non-mixed cells.  For interpolation
@@ -17,12 +19,13 @@ fresh randomness.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 
-from .errors import IndeterminateError, UsageError
+from .errors import IndeterminateError, InternalError, UsageError
 from .mpoly import MPoly, VarTable
-from .polydet import PolyMatrix, ff_reduce
+from .polydet import PolyMatrix
 from .resultant import _QuotientSampler, _Remainder, block_interpolation
 
 
@@ -117,12 +120,16 @@ class _CellWalk:
     on m surplus columns -e_r priced at ``price``, dual feasible since each
     Cayley column is >= 0 and nonzero; ``price`` exceeds |y| of every
     certified cell, so no cell keeps one; they are dropped after the first.
-    Each basis is solved once, fraction free: d > 0 and d B^-1, so lambda,
-    reduced costs and pivot rows are integer dot products scaled by d.  A
-    cell is certified only when every lambda > 0, every off-cell reduced
-    cost is > 0 (x strictly inside a fine cell, which is then the unique
-    optimum) and every polytope is present; anything else raises
-    ``_BadLifting`` for a retry.
+    The walk's state is fraction free: the sorted basis, d = |det B| > 0,
+    X = d B^-1 (row r belongs to basis column r) and the reduced costs
+    scaled by d, all integer, so lambda and pivot rows are integer dot
+    products.  The surplus basis B = -I has d = 1 and X = -I, and each
+    simplex step moves the state by one pivot (:meth:`_pivot`); no basis
+    is factored.  A cell is certified only when every lambda > 0, every
+    off-cell reduced cost is > 0 (x strictly inside a fine cell, which is
+    then the unique optimum) and every polytope is present; anything else
+    raises ``_BadLifting`` for a retry and leaves the last certified state
+    in place.
     """
 
     def __init__(self, supports, liftings, N):
@@ -138,62 +145,88 @@ class _CellWalk:
         n = len(self.idx)
         self.cols += [[-int(r == c) for r in range(m)] for c in range(m)]
         self.costs += [self.price] * m
+        # The surplus basis: y = -price on every row, so the reduced cost
+        # of column j is w_j + price * sum(a_j), 0 on the surplus columns.
         self.basis = tuple(range(n, n + m))
-        self.facts = {}
+        self.d = 1
+        self.inv = [[-int(r == c) for c in range(m)] for r in range(m)]
+        self.red = [w + self.price * sum(col)
+                    for w, col in zip(self.costs, self.cols)]
 
-    def _factor(self, basis):
-        """(d B^-1, d * reduced costs, strict) of a basis, d = |det B|;
-        strict: every off-basis reduced cost is > 0.  Cached."""
-        if basis not in self.facts:
-            m = self.m
-            # [B | I] has rank m; its first m columns are the pivots
-            # exactly when B is nonsingular, and then X = det B * B^-1.
-            pivots, d, inv = ff_reduce([[self.cols[j][r] for j in basis]
-                                        + [int(r == c) for c in range(m)]
-                                        for r in range(m)])
-            if pivots != list(range(m)):
-                raise _BadLifting
-            if d < 0:
-                d, inv = -d, [[-v for v in row] for row in inv]
-            y = [sum(self.costs[j] * row[c] for j, row in zip(basis, inv))
-                 for c in range(m)]
-            red = [d * w - sum(map(operator.mul, y, col))
-                   for w, col in zip(self.costs, self.cols)]
-            strict = all(r > 0 for j, r in enumerate(red) if j not in basis)
-            self.facts[basis] = (inv, red, strict)
-        return self.facts[basis]
+    def _pivot(self, basis, d, inv, red, out, enter, alpha):
+        """The state after column ``enter`` replaces basis row ``out``,
+        ``alpha`` being row ``out`` of X A (the ratio test's pivot row).
+
+        With a = X a_enter, p = a[out] != 0 and s its sign, the new basis
+        has d' = |p|, X' has row s X_out for the entering column and rows
+        s (p X_i - a_i X_out) / d for the others, and the scaled reduced
+        costs become s (p red_j - red_enter alpha_j) / d (Edmonds, J. Res.
+        NBS 1967; Azulay and Pique, ACM TOMS 2001).  X' = d' B'^-1 is an
+        adjugate up to sign, so every division is exact; a remainder means
+        a broken invariant and raises InternalError.  The entering row
+        moves to the sorted position of its column, so Bland's rule reads
+        the basis in column order.
+        """
+        col = self.cols[enter]
+        a = [sum(map(operator.mul, row, col)) for row in inv]
+        p = a[out]
+        dp, s = abs(p), 1 if p > 0 else -1
+        top = [s * v for v in inv[out]]
+        rows = [_exact_quotients([dp * x - ai * t
+                                  for x, t in zip(row, top)], d)
+                for i, (row, ai) in enumerate(zip(inv, a)) if i != out]
+        g = s * red[enter]
+        red = _exact_quotients([dp * r - g * v for r, v in zip(red, alpha)], d)
+        rest = basis[:out] + basis[out + 1:]
+        at = bisect.bisect(rest, enter)
+        rows.insert(at, top)
+        return rest[:at] + (enter,) + rest[at:], dp, rows, red
 
     def locate(self, b):
         """Sorted column indices of the cell containing b / D."""
-        basis = self.basis
-        for _ in range(16 * len(self.cols)):
-            inv, red, strict = self._factor(basis)
+        basis, d, inv, red = self.basis, self.d, self.inv, self.red
+        cols = self.cols
+        for _ in range(16 * len(cols)):
             lam = [sum(map(operator.mul, row, b)) for row in inv]
             out = next((r for r, v in enumerate(lam) if v < 0), None)
             if out is None:
                 break
             # Entering column: least ratio red_j / -alpha_j, lowest index
             # on ties; alpha is row ``out`` of d B^-1 A.
+            alpha = [sum(map(operator.mul, inv[out], col)) for col in cols]
             enter = None
-            for j, col in enumerate(self.cols):
-                alpha = sum(map(operator.mul, inv[out], col))
-                if alpha < 0 and (enter is None
-                                  or red[j] * -a_in < red[enter] * -alpha):
-                    enter, a_in = j, alpha
+            for j, v in enumerate(alpha):
+                if v < 0 and (enter is None
+                              or red[j] * -a_in < red[enter] * -v):
+                    enter, a_in = j, v
             if enter is None:
                 raise _BadLifting
-            basis = tuple(sorted(basis[:out] + basis[out + 1:] + (enter,)))
+            basis, d, inv, red = self._pivot(basis, d, inv, red, out, enter,
+                                             alpha)
         else:
             raise _BadLifting
         n = len(self.idx)
-        if not strict or min(lam) <= 0 or basis[-1] >= n or \
+        if min(lam) <= 0 or basis[-1] >= n or \
+                any(r <= 0 for j, r in enumerate(red) if j not in basis) or \
                 len({self.idx[j][0] for j in basis}) != self.k:
             raise _BadLifting
-        if len(self.cols) > n:
-            del self.cols[n:], self.costs[n:]
-            self.facts = {basis: (inv, red[:n], strict)}
-        self.basis = basis
+        if len(cols) > n:
+            del cols[n:], self.costs[n:], red[n:]
+        self.basis, self.d, self.inv, self.red = basis, d, inv, red
         return basis
+
+
+def _exact_quotients(nums, d):
+    """The integers nums[j] / d; each division must be exact."""
+    if d == 1:
+        return nums
+    out = []
+    for v in nums:
+        q, r = divmod(v, d)
+        if r:
+            raise InternalError("fraction-free pivot left a remainder")
+        out.append(q)
+    return out
 
 
 def _lattice_points(nsizes, sums):

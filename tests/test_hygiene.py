@@ -1,6 +1,7 @@
 """Static checks on the library sources: standard-library imports only,
 no rational or floating-point arithmetic, no imported name left unused,
-one interpolation loop, one quotient sampler and one formats engine.
+one interpolation loop, one quotient sampler, one formats engine and
+no basis refactored by the Canny-Emiris cell walk.
 ``__init__.py`` is exempt from the unused import check, since its
 imports are re-exports."""
 
@@ -121,3 +122,16 @@ def test_one_solvability_engine():
     # the trailing coefficient of the perturbed resultant.
     assert _callers("affine_solvable") == ["dimension.dim_leq"]
     assert _callers("_gcp_trailing") == ["dimension._affine_round"]
+
+
+def test_cell_walk_never_refactors():
+    # The Canny-Emiris cell walk moves d B^-1 by one fraction-free pivot
+    # per simplex step: mixedres never reduces a matrix from scratch.
+    tree = ast.parse((SRC / "mixedres.py").read_text())
+    names = {name for _, name in _imports(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert names & {"ff_reduce", "gauss_jordan"} == set()

@@ -6,7 +6,7 @@ import pytest
 
 from chowforms import MPoly, VarTable
 from chowforms.dimension import RandomGrid
-from chowforms.errors import IndeterminateError, UsageError
+from chowforms.errors import IndeterminateError, InternalError, UsageError
 from chowforms.mixedres import (MultiResSystem, _BadLifting, _build_matrix,
                                 _CellWalk, _lattice_points,
                                 resultant_multihomogeneous_interp)
@@ -196,10 +196,10 @@ def fraction_solve(a, b):
 
 
 def ff_solve(a, rhs):
-    """a X = rhs by ff_reduce on [a | rhs], as _CellWalk solves a basis:
-    (d, X) with d = |det a| > 0 and X = d a^-1 rhs, or None if a is
-    singular (then some rhs column is a pivot of [a | rhs], or none is
-    and the rank is short)."""
+    """a X = rhs by ff_reduce on [a | rhs], as :func:`reference_factor`
+    solves a basis: (d, X) with d = |det a| > 0 and X = d a^-1 rhs, or
+    None if a is singular (then some rhs column is a pivot of
+    [a | rhs], or none is and the rank is short)."""
     m = len(a)
     red = ff_reduce([list(r) + list(q) for r, q in zip(a, rhs)])
     if red is None or red[0] != list(range(m)):
@@ -246,6 +246,62 @@ def walk_systems():
     quad = MPoly(X3, {(2, 0, 0): 1, (0, 1, 1): -1, (0, 0, 2): 5})
     p2 = MultiResSystem([lin, lin, quad], [X3.names])
     return [p1p1, p2]
+
+
+def p2p2_bilinear(rng):
+    """Five random bilinear forms on P2xP2, as a MultiResSystem."""
+    X, Y = ("x0", "x1", "x2"), ("y0", "y1", "y2")
+    vars = VarTable(X + Y, blocks=((0, 1, 2), (3, 4, 5)))
+    monos = [tuple(int(k == i) for k in range(3))
+             + tuple(int(k == j) for k in range(3))
+             for i in range(3) for j in range(3)]
+    polys = [MPoly(vars, {e: rng.randint(-9, 9) or 1 for e in monos})
+             for _ in range(5)]
+    return MultiResSystem(polys, [X, Y])
+
+
+def reference_factor(cells, basis):
+    """(d, d B^-1, d * reduced costs) of a basis, d = |det B|, factored
+    from scratch by one ff_reduce of [B | I]: the refactoring that the
+    walk's fraction-free pivots replace."""
+    m = cells.m
+    # [B | I] has rank m; its first m columns are the pivots exactly when
+    # B is nonsingular, and then X = det B * B^-1.
+    pivots, d, inv = ff_reduce([[cells.cols[j][r] for j in basis]
+                                + [int(r == c) for c in range(m)]
+                                for r in range(m)])
+    assert pivots == list(range(m))
+    if d < 0:
+        d, inv = -d, [[-v for v in row] for row in inv]
+    y = [sum(cells.costs[j] * row[c] for j, row in zip(basis, inv))
+         for c in range(m)]
+    red = [d * w - sum(u * v for u, v in zip(y, col))
+           for w, col in zip(cells.costs, cells.cols)]
+    return d, inv, red
+
+
+def start_at(cells, basis):
+    """Put the walk on ``basis``, its state factored from scratch."""
+    cells.basis = basis
+    cells.d, cells.inv, cells.red = reference_factor(cells, basis)
+
+
+def walk_state(cells):
+    return cells.basis, cells.d, cells.inv, cells.red
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Every pivot the walk makes, as its (out, enter) pair."""
+    made = []
+    pivot = _CellWalk._pivot
+
+    def counted(cells, basis, d, inv, red, out, enter, alpha):
+        made.append((out, enter))
+        return pivot(cells, basis, d, inv, red, out, enter, alpha)
+
+    monkeypatch.setattr(_CellWalk, "_pivot", counted)
+    return made
 
 
 class TestCellWalk:
@@ -298,7 +354,8 @@ class TestCellWalk:
 
     def test_walk_matches_brute_force(self):
         # Each point is located twice: by the walk from the previous cell
-        # and by a fresh walk from the surplus basis.
+        # and by a fresh walk from the surplus basis.  After each, the
+        # pivoted state equals a from-scratch factorization of the cell.
         rng = random.Random(5)
         checked = 0
         for sys in walk_systems():
@@ -311,8 +368,10 @@ class TestCellWalk:
                     assert len(want) <= 1
                     fresh = _CellWalk(supports, liftings, sys.N)
                     if want:
-                        assert cells.locate(b) == want[0]
-                        assert fresh.locate(b) == want[0]
+                        for walk in (cells, fresh):
+                            assert walk.locate(b) == want[0]
+                            assert (walk.d, walk.inv, walk.red) == \
+                                reference_factor(walk, want[0])
                         checked += 1
                     else:
                         for walk in (cells, fresh):
@@ -363,9 +422,13 @@ class TestCellWalk:
                 with pytest.raises(_BadLifting):
                     cells.locate(far)
 
-    def test_coarse_lifting_raises(self):
+    def test_coarse_lifting_raises(self, pivots):
         # An affine lifting puts every support point on the lower envelope:
-        # each basis is dual feasible, none strictly.
+        # each basis is dual feasible, none strictly.  A fresh walk pivots
+        # away from the surplus basis before it fails; a walk started on
+        # the generic cell of b (factored from scratch, as no affine walk
+        # can certify it) has lambda > 0 at once, so it fails with no
+        # pivot.  Either way the failure leaves the state as it was.
         rng = random.Random(11)
         for sys in walk_systems():
             generic, bs = self.lifting(sys, rng)
@@ -376,19 +439,95 @@ class TestCellWalk:
             for fresh in (True, False):
                 cells = _CellWalk(supports, affine, sys.N)
                 if not fresh:
-                    cells.basis = start
+                    start_at(cells, start)
+                before = walk_state(cells)
+                del pivots[:]
                 with pytest.raises(_BadLifting):
                     cells.locate(bs[0])
+                assert bool(pivots) == fresh
+                assert walk_state(cells) == before
 
-    def test_start_cell_does_not_matter(self):
+    def test_start_cell_does_not_matter(self, pivots):
+        # Each start cell is reached by locating a point inside it; the
+        # walk from there makes no pivot exactly when b lies in that cell.
         rng = random.Random(9)
         for sys in walk_systems():
             cells, bs = self.lifting(sys, rng)
             found = [cells.locate(b) for b in bs]
+            starts = dict(zip(found, bs))
+            assert len(starts) >= 3
             for b, want in zip(bs, found):
-                for start in set(found):
-                    cells.basis = start
+                for start, inside in starts.items():
+                    assert cells.locate(inside) == start
+                    del pivots[:]
                     assert cells.locate(b) == want
+                    assert bool(pivots) == (start != want)
+
+    def test_pivoted_state_matches_refactoring(self, pivots):
+        # P2xP2, whose C(45, 9) column subsets are too many for brute
+        # force: after every located point, d, d B^-1 and the scaled
+        # reduced costs equal a from-scratch factorization of the cell, and
+        # the cell passes its certificate in rationals (lambda > 0 and every
+        # off-cell reduced cost > 0), which makes it the unique optimum.
+        rng = random.Random(21)
+        located = 0
+        for _ in range(3):
+            sys = p2p2_bilinear(rng)
+            supports, liftings, bs = self.walk_inputs(sys, rng)
+            cells = _CellWalk(supports, liftings, sys.N)
+            n = len(cells.idx)
+            for b in bs:
+                try:
+                    basis = cells.locate(b)
+                except _BadLifting:
+                    break
+                assert (cells.d, cells.inv, cells.red) == \
+                    reference_factor(cells, basis)
+                B = [[cells.cols[j][r] for j in basis] for r in range(cells.m)]
+                assert all(v > 0 for v in fraction_solve(B, b))
+                y = fraction_solve([list(r) for r in zip(*B)],
+                                   [cells.costs[j] for j in basis])
+                assert all(w - sum(u * v for u, v in zip(y, col)) > 0
+                           for j, (w, col) in enumerate(
+                               zip(cells.costs[:n], cells.cols[:n]))
+                           if j not in basis)
+                located += 1
+        assert located >= 100 and len(pivots) > located
+
+    def test_corrupted_pivot_raises(self, monkeypatch):
+        # A pivot handed d times a prime larger than every entry of the
+        # true update divides a nonzero row of d' B'^-1 by that prime: a
+        # remainder, so the walk raises InternalError, returns no cell
+        # and keeps its last certified state.
+        pivot = _CellWalk._pivot
+
+        def corrupted(cells, basis, d, inv, red, out, enter, alpha):
+            return pivot(cells, basis, d * (2 ** 61 - 1), inv, red, out,
+                         enter, alpha)
+
+        rng = random.Random(23)
+        walks = []
+        for sys in walk_systems() + [p2p2_bilinear(rng)]:
+            supports, liftings, bs = self.walk_inputs(sys, rng)
+            warm = _CellWalk(supports, liftings, sys.N)
+            for b in bs[:2]:
+                warm.locate(b)
+            walks.append((warm, _CellWalk(supports, liftings, sys.N), bs))
+        monkeypatch.setattr(_CellWalk, "_pivot", corrupted)
+        raised = 0
+        for warm, fresh, bs in walks:
+            for cells in (warm, fresh):
+                for b in bs:
+                    before = walk_state(cells)
+                    try:
+                        got = cells.locate(b)
+                    except InternalError:
+                        assert walk_state(cells) == before
+                        raised += 1
+                        continue
+                    # Only a point of the start cell needs no pivot.
+                    assert cells is warm and got == before[0]
+        assert raised > sum(len(bs) for _, _, bs in walks)
 
 
 def _outcome(sample, values):

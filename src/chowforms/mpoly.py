@@ -6,12 +6,15 @@ exponent tuples to nonzero integer coefficients; Python integers give
 arbitrary precision for free.  The canonical term order is graded
 lexicographic by block, then by variable index.
 
-Exact division, gcd and square-free part close the module.  The gcd is a
-verified heuristic (GCDHEU) with a primitive-PRS fallback, and answers a
-single-term argument directly.  The square-free part first tries a
-certificate: one restriction of f to a line, modulo a prime, that proves
-f square-free over the rationals; only an inconclusive certificate runs
-the gcd of the partial derivatives.
+Exact division, gcd and square-free part close the module.  The gcd
+answers a single-term argument directly; anything else goes to one
+engine, the verified heuristic gcd (GCDHEU: Char, Geddes and Gonnet,
+J. Symb. Comput. 1989) at xi = 2^K, whose candidate is read off balanced
+base-2^K digits (:func:`unpack_digits`, shared with ``polydet``).  When
+the heuristic gives up, the gcd raises IndeterminateError.  The
+square-free part first tries a certificate: one restriction of f to a
+line, modulo a prime, that proves f square-free over the rationals; only
+an inconclusive certificate runs the gcd of the partial derivatives.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import operator
 import random
 import re
 
-from .errors import ParseError, UsageError
+from .errors import IndeterminateError, ParseError, UsageError
 
 # Exponents are stored in machine-int range; degrees anywhere near this are
 # unreachable at desk scale and almost certainly indicate a bug upstream.
@@ -624,68 +627,38 @@ def _main_var(f, g):
     return None
 
 
-def _content_wrt(f, v):
-    """Gcd of the coefficients of f viewed as univariate in variable v."""
-    coeffs = list(f.coefficients((v,)).values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = gcd(g, c)
-        if g.is_constant() and abs(g.constant_value()) == 1:
-            break
-    return g.normalized()
+def unpack_digits(n, shift):
+    """Balanced base-2^shift digits of the integer ``n``, each in
+    (-2^(shift-1), 2^(shift-1)], ascending, high zeros dropped."""
+    full = 1 << shift
+    out = []
+    while n:
+        r = n & (full - 1)
+        if r > full >> 1:
+            r -= full
+        out.append(r)
+        n = (n - r) >> shift
+    return out
 
 
-def _prem(a, b, v):
-    """Sparse pseudo-remainder of a by b with respect to variable v."""
-    bc = b.coefficients((v,))
-    db = max(bc)
-    lb = bc[db]
-    r = a
-    while not r.is_zero():
-        rc = r.coefficients((v,))
-        dr = max(rc)
-        if dr < db:
-            break
-        r = lb * r - rc[dr] * MPoly.var(r.vars, r.vars.names[v],
-                                        dr[0] - db[0]) * b
-    return r
-
-
-def _balanced_digit(p, xi):
-    """Split p = r + xi * q with the coefficients of r in (-xi/2, xi/2]."""
-    rterms, qterms = {}, {}
-    for exp, c in p.terms.items():
-        r = c % xi
-        if r > xi // 2:
-            r -= xi
-        q = (c - r) // xi
-        if r:
-            rterms[exp] = r
-        if q:
-            qterms[exp] = q
-    return MPoly(p.vars, rterms), MPoly(p.vars, qterms)
-
-
-def _digits_in(p, v, xi):
+def _digits_in(p, v, K):
     """The polynomial whose coefficients in variable v are the balanced
-    base-xi digits (:func:`_balanced_digit`) of the coefficients of p:
-    the inverse of the substitution of xi for variable v
-    (``f.substitute({name: xi})``) on polynomials whose coefficients all
-    lie in (-xi/2, xi/2]."""
+    base-2^K digits (:func:`unpack_digits`) of the coefficients of p: the
+    inverse of the substitution of 2^K for variable v
+    (``f.substitute({name: 1 << K})``) on polynomials whose coefficients
+    all lie in (-2^(K-1), 2^(K-1)]."""
     terms = {}
-    j = 0
-    while not p.is_zero():
-        r, p = _balanced_digit(p, xi)
-        for exp, c in r.terms.items():
-            terms[exp[:v] + (j,) + exp[v + 1:]] = c
-        j += 1
+    for exp, c in p.terms.items():
+        for j, d in enumerate(unpack_digits(c, K)):
+            if d:
+                terms[exp[:v] + (j,) + exp[v + 1:]] = d
     return MPoly(p.vars, terms)
 
 
 def _heu_gcd_inner(f, g, tries):
     """Heuristic gcd with integer content included (evaluate the main
-    variable at a huge integer, recurse, read the candidate back off the
-    balanced base-xi digits, verify by exact division).  The integer
+    variable at xi = 2^K, recurse, read the candidate back off the
+    balanced base-2^K digits, verify by exact division).  The integer
     content of the evaluated gcd encodes the factors in the eliminated
     variable, so it must never be stripped mid-recursion.
     """
@@ -695,35 +668,32 @@ def _heu_gcd_inner(f, g, tries):
                                             g.constant_value()))
     hmax = max(max(abs(c) for c in f.terms.values()),
                max(abs(c) for c in g.terms.values()))
-    xi = 2 * hmax + 29
+    # xi > 2 * hmax + 1 exceeds Cauchy's root bound 1 + hmax of every
+    # coefficient polynomial of f and g in v, so f(xi), g(xi) are nonzero.
+    K = (2 * hmax + 29).bit_length()
     dv = max(f.partial_degree(v), g.partial_degree(v))
-    if xi.bit_length() * (dv + 1) > 3 * 10 ** 6:
-        return None
     content = math.gcd(f.content(), g.content())
     name = f.vars.names[v]
     for _ in range(tries):
-        fv = f.substitute({name: xi})
-        gv = g.substitute({name: xi})
-        if fv.is_zero() or gv.is_zero():
-            xi = xi * 23 // 3 + 29
-            continue
-        h_sub = _heu_gcd_inner(fv, gv, tries=2)
+        if K * (dv + 1) > 3 * 10 ** 6:
+            return None
+        xi = 1 << K
+        h_sub = _heu_gcd_inner(f.substitute({name: xi}),
+                               g.substitute({name: xi}), tries=2)
         if h_sub is None:
             return None
-        h = _digits_in(h_sub, v, xi)
-        if not h.is_zero():
-            # The digits may carry a spurious integer factor from the
-            # evaluated cofactors; rescale to the true integer content.
-            h = divexact(h, MPoly.const(h.vars, h.content())) * content
-            if divides(h, f) and divides(h, g):
-                return h
-        xi = xi * 23 // 3 + 29
+        # The digits may carry a spurious integer factor from the
+        # evaluated cofactors; rescale to the true integer content.
+        h = _digits_in(h_sub, v, K).primitive() * content
+        if divides(h, f) and divides(h, g):
+            return h
+        K += K // 2 + 1
     return None
 
 
 def _heu_gcd(f, g):
     """Verified heuristic gcd, primitive with positive leading coefficient;
-    None when the heuristic gave up (callers fall back to the PRS)."""
+    None when the heuristic gave up (size cap or tries used up)."""
     h = _heu_gcd_inner(f, g, tries=4)
     return None if h is None else h.normalized()
 
@@ -732,8 +702,9 @@ def gcd(f, g):
     """Greatest common divisor, primitive with positive leading coefficient
     (so the gcd of two nonzero constants is 1).
 
-    A verified heuristic big-integer path first; recursive primitive-PRS
-    (one variable at a time with content/primitive splitting) as fallback.
+    A single-term argument is answered from exponent minima, anything
+    else by the verified heuristic gcd (:func:`_heu_gcd`); when that gives
+    up, IndeterminateError.
     """
     if f.is_zero() and g.is_zero():
         raise UsageError("gcd(0, 0) is undefined")
@@ -742,8 +713,7 @@ def gcd(f, g):
     if g.is_zero():
         return f.normalized()
     f._check_same_table(g)
-    v = _main_var(f, g)
-    if v is None:
+    if _main_var(f, g) is None:
         return MPoly.const(f.vars, 1)
     if len(g.terms) == 1:
         f, g = g, f
@@ -756,22 +726,11 @@ def gcd(f, g):
             m = [min(a, b) for a, b in zip(m, exp)]
         return MPoly(f.vars, {tuple(m): 1})
     h = _heu_gcd(f, g)
-    if h is not None:
-        return h
-    cf = _content_wrt(f, v)
-    cg = _content_wrt(g, v)
-    c = gcd(cf, cg)
-    a = divexact(f, cf)
-    b = divexact(g, cg)
-    if a.partial_degree(v) < b.partial_degree(v):
-        a, b = b, a
-    while not b.is_zero():
-        r = _prem(a, b, v)
-        if r.is_zero():
-            a = b
-            break
-        a, b = b, divexact(r, _content_wrt(r, v))
-    return (c * a.normalized()).normalized()
+    if h is None:
+        raise IndeterminateError(
+            f"the heuristic gcd gave up on operands of total degree "
+            f"{f.total_degree()} and {g.total_degree()}")
+    return h
 
 
 # The prime and the seed of the line of :func:`_certified_square_free`.

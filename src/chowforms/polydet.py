@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .errors import InternalError, UsageError
-from .mpoly import MPoly, divexact
+from .mpoly import MPoly, divexact, unpack_digits
 
 
 class PolyMatrix:
@@ -313,18 +313,3 @@ def pack_rows(rows, entries, shift):
         for c in reversed(coeffs):
             v = (v << shift) + c
         rows[i][j] = v
-
-
-def unpack_digits(det, shift):
-    """Balanced base-2^shift digits of ``det``, ascending, high zeros
-    dropped."""
-    full = 1 << shift
-    out = []
-    while det:
-        r = det & (full - 1)
-        if r > full >> 1:
-            r -= full
-        out.append(r)
-        det = (det - r) >> shift
-    return out
-

@@ -17,9 +17,9 @@ import operator
 
 from .errors import (DegenerateError, IndeterminateError, InternalError,
                      UsageError)
-from .mpoly import MPoly, VarTable, divexact
+from .mpoly import MPoly, VarTable, divexact, unpack_digits
 from .polydet import (PolyMatrix, det_bareiss, det_packed, det_slice,
-                      pack_rows, packing_shift, row_norms, unpack_digits)
+                      pack_rows, packing_shift, row_norms)
 
 
 def monomials_of_degree(nvars, total):

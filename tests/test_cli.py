@@ -8,6 +8,7 @@ import time
 import pytest
 
 import chowforms
+from chowforms import mpoly
 from chowforms.cli import main, parse_problem
 from chowforms.errors import ParseError, UsageError
 from chowforms.mpoly import parse_poly
@@ -236,6 +237,22 @@ class TestExitCodes:
 
     def test_missing_file_is_2(self, tmp_path, capsys):
         assert main(["chow", str(tmp_path / "absent")]) == 2
+
+    def test_gcd_giving_up_is_3(self, tmp_path, capsys, monkeypatch):
+        # A line in P^3 by three linear forms spanning a 2-space: the
+        # general path folds the forms by gcd, and a heuristic gcd that
+        # gives up ends the run at once with exit 3.
+        path = write(tmp_path, "p", "ring x0 x1 x2 x3\n"
+                     "poly x0 + 2*x1 - x2 + 3*x3\npoly 2*x0 - x1 + x2 + x3\n"
+                     "poly 5*x0 + x2 + 5*x3\ndim 1\n")
+        assert main(["chow", path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(mpoly, "_heu_gcd", lambda f, g: None)
+        start = time.perf_counter()
+        assert main(["chow", path]) == 3
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert captured.out == "" and "heuristic gcd" in captured.err
 
     def test_linear_hurwitz_is_2(self, tmp_path, capsys):
         text = "ring x0 x1 x2\npoly x0\ndim 1\n"

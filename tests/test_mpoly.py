@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowforms import (MPoly, ParseError, UsageError, VarTable, divexact, gcd,
-                       parse_poly, square_free_part)
+from chowforms import (IndeterminateError, MPoly, ParseError, UsageError,
+                       VarTable, divexact, gcd, mpoly, parse_poly,
+                       square_free_part)
 from chowforms.mpoly import _certified_square_free, _digits_in, divides
 from conftest import rand_poly
 
@@ -145,51 +146,51 @@ class TestBitsize:
             assert f.bitsize() == expect
 
 
-def digit_width(f):
-    """An odd xi > 2 max |c|: every coefficient of f is a balanced digit."""
-    return 2 * max((abs(c) for c in f.terms.values()), default=0) + 1
+def digit_shift(f):
+    """A K with 2^K > 2 max |c| + 1: every coefficient of f is a balanced
+    base-2^K digit."""
+    return (2 * max((abs(c) for c in f.terms.values()), default=0)
+            + 1).bit_length()
 
 
-def at(f, v, xi):
-    """f with variable v set to the integer xi, as the heuristic gcd
-    substitutes it."""
-    return f.substitute({f.vars.names[v]: xi})
+def at(f, v, K):
+    """f with variable v set to 2^K, as the heuristic gcd substitutes it."""
+    return f.substitute({f.vars.names[v]: 1 << K})
 
 
 class TestKronecker:
-    """The heuristic gcd's substitution of one variable by an integer xi
-    (:func:`at`) and its inverse, the balanced base-xi digit read
-    (_digits_in)."""
+    """The heuristic gcd's substitution of one variable by 2^K (:func:`at`)
+    and its inverse, the balanced base-2^K digit read (_digits_in)."""
 
     def test_two_vars(self):
         vars = VarTable(("y1", "y2"))
-        packed = at(P("y1*y2^2 + y2", vars), 1, 10)
-        assert packed == P("100*y1 + 10", vars)
+        packed = at(P("y1*y2^2 + y2", vars), 1, 2)
+        assert packed == P("16*y1 + 4", vars)
 
     def test_constant(self, xy):
-        assert at(MPoly.const(xy, 1), 0, 7) == 1
+        assert at(MPoly.const(xy, 1), 0, 3) == 1
 
     def test_unpack_example(self):
         vars = VarTable(("y1", "y2"))
-        assert _digits_in(P("100*y1 + 10", vars), 1, 10) == \
+        assert _digits_in(P("16*y1 + 4", vars), 1, 2) == \
             P("y1*y2^2 + y2", vars)
 
     def test_unpack_zero(self, xy):
-        assert _digits_in(MPoly.zero(xy), 0, 10).is_zero()
+        assert _digits_in(MPoly.zero(xy), 0, 4).is_zero()
 
     def test_cap_violation(self, xy):
-        # 7 lies outside (-5, 5]: it is read as 10 - 3, carrying into x^2.
-        packed = at(P("7*x", xy), 0, 10)
-        assert _digits_in(packed, 0, 10) == P("x^2 - 3*x", xy)
+        # 3 lies outside (-2, 2]: it is read as 4 - 1, carrying into x^2.
+        packed = at(P("3*x", xy), 0, 2)
+        assert _digits_in(packed, 0, 2) == P("x^2 - x", xy)
 
     def test_round_trip_100(self, rng):
         for _ in range(100):
             nu = rng.randint(1, 4)
             vars = VarTable(tuple(f"y{i}" for i in range(nu)))
             f = rand_poly(rng, vars, max_deg=5, max_coeff_bits=12)
-            xi = digit_width(f) + 2 * rng.randint(0, 2)
+            K = digit_shift(f) + rng.randint(0, 2)
             v = rng.randrange(nu)
-            assert _digits_in(at(f, v, xi), v, xi) == f
+            assert _digits_in(at(f, v, K), v, K) == f
 
 
 class TestGcd:
@@ -217,6 +218,17 @@ class TestGcd:
             assert divexact(a * c, g) * g == a * c
             assert divexact(b * c, g) * g == b * c
             assert q * c.normalized() == g
+
+    def test_give_up_raises_indeterminate(self, xy, monkeypatch):
+        # When the heuristic gives up, gcd and an uncertified square-free
+        # part end at once with IndeterminateError.
+        monkeypatch.setattr(mpoly, "_heu_gcd", lambda f, g: None)
+        with pytest.raises(IndeterminateError):
+            gcd(P("(x - 1)*(x + 2)", xy), P("(x - 1)*(x + 3)", xy))
+        f = P("(x - 1)^2*(x + y)", xy)
+        assert not _certified_square_free(f)
+        with pytest.raises(IndeterminateError):
+            square_free_part(f)
 
     def test_divexact_rejects_remainder(self, rng):
         # The verification in the heuristic gcd relies on a remainder
@@ -329,9 +341,9 @@ def test_hypothesis_add_sub_inverse(t1, t2):
 def test_hypothesis_kronecker_round_trip(tlist):
     vars = VarTable(("a", "b", "c"))
     f = MPoly(vars, dict(tlist))
-    xi = digit_width(f)
+    K = digit_shift(f)
     for v in range(3):
-        assert _digits_in(at(f, v, xi), v, xi) == f
+        assert _digits_in(at(f, v, K), v, K) == f
 
 
 @settings(max_examples=60, deadline=None)

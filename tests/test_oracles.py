@@ -13,11 +13,11 @@ from chowforms import mpoly, polydet
 from chowforms.dimension import ProjectiveVariety, RandomGrid, dim_projection
 from chowforms.errors import InternalError, UsageError
 from chowforms.hurwitz import _PencilSampler, u_resultant
-from chowforms.mpoly import divexact, gcd, square_free_part
+from chowforms.mpoly import (divexact, gcd, parse_poly, square_free_part,
+                             unpack_digits)
 from chowforms.polydet import (PolyMatrix, det_bareiss, det_integer,
                                det_packed, det_slice, ff_reduce, pack_rows,
-                               packing_shift, rank_integer, row_norms,
-                               unpack_digits)
+                               packing_shift, rank_integer, row_norms)
 from chowforms.resultant import (MacaulaySystem, monomials_of_degree,
                                  resultant_dense)
 from conftest import rand_poly
@@ -321,24 +321,27 @@ def test_square_free_part_matches_sympy(f, g):
 XYZ = VarTable(("x", "y", "z"))
 
 
+def sympy_sqf_part(f):
+    want = sympy.Poly(to_sympy(f), *sympy.symbols(f.vars.names)).sqf_part()
+    return from_sympy(want.as_expr(), f.vars).normalized()
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys(XYZ, max_deg=2), polys(XYZ, max_deg=2), polys(XYZ, max_deg=2))
 @example(MPoly.const(XYZ, 1), MPoly.const(XYZ, 1), MPoly.const(XYZ, 2))
-def test_prs_gcd_and_square_free_part_match_sympy(f, g, h):
-    # With the heuristic gcd giving up at every call, gcd and
-    # square_free_part run the primitive polynomial remainder sequence
-    # (PRS) at every level of the recursion.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mpoly, "_heu_gcd", lambda f, g: None)
-        f, g = f * h, g * h
-        if not (f.is_zero() and g.is_zero()):
-            want = from_sympy(sympy.gcd(to_sympy(f), to_sympy(g)), XYZ)
-            assert gcd(f, g) == want.normalized()
-        f = f * f * g
-        if not f.is_zero():
-            want = sympy.Poly(to_sympy(f), *sympy.symbols(XYZ.names))
-            assert square_free_part(f) == \
-                from_sympy(want.sqf_part().as_expr(), XYZ).normalized()
+@example(parse_poly("-7*x^2 + y*z + 2*y", XYZ),
+         parse_poly("-8*x*z - 9*y", XYZ),
+         parse_poly("-7*x*y - x - 2*y + 9*z", XYZ))
+def test_three_variable_gcd_and_square_free_part_match_sympy(f, g, h):
+    # The second example's square-free part takes gcds of partials of
+    # degree 11 in three variables, which must finish in seconds.
+    f, g = f * h, g * h
+    if not (f.is_zero() and g.is_zero()):
+        want = from_sympy(sympy.gcd(to_sympy(f), to_sympy(g)), XYZ)
+        assert gcd(f, g) == want.normalized()
+    f = f * f * g
+    if not f.is_zero():
+        assert square_free_part(f) == sympy_sqf_part(f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,15 +356,16 @@ def test_gcd_with_a_monomial_matches_sympy(f, c, exp):
 
 @settings(max_examples=60, deadline=None)
 @given(polys(XYZ, max_deg=2), polys(XYZ, max_deg=2), polys(XYZ, max_deg=2))
-def test_certified_square_free_part_matches_prs(f, g, h):
-    # Whether the certificate holds or not, square_free_part gives what
-    # the gcd path gives with the certificate and the heuristic gcd off.
+def test_certified_square_free_part_matches_sympy(f, g, h):
+    # Whether the certificate holds or not, square_free_part gives sympy's
+    # square-free part, and what the gcd path gives with the certificate
+    # off.
     f = f * g * h
     if f.is_zero():
         return
     got = square_free_part(f)
+    assert got == sympy_sqf_part(f)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mpoly, "_heu_gcd", lambda f, g: None)
         mp.setattr(mpoly, "_certified_square_free", lambda f: False)
         assert got == square_free_part(f)
 

@@ -1,17 +1,21 @@
-"""Chow forms of pure-dimensional projective varieties.
+"""Chow forms of pure-dimensional projective varieties, the one-block
+:class:`dimension.MultiprojVariety`.
 
 The complete-intersection path appends r+1 generic linear u-forms and
-eliminates x with the perturbed Macaulay resultant; the general path
-reduces to complete intersections by verified random linear combinations
-of the defining equations and assembles the answer as a gcd.
+eliminates x with the perturbed Macaulay resultant (:func:`ci_resultant`,
+shared with the Hurwitz u-resultant); the general path
+(:func:`general_form`, shared with the multigraded Chow forms) reduces to
+complete intersections by verified random linear combinations of the
+equalized equations and assembles the answer as a gcd.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
-from .dimension import ProjectiveVariety, RandomGrid, combine, dim_leq
+from .dimension import MultiprojVariety, RandomGrid, combine, dim_leq
 from .errors import UsageError
 from .mpoly import MPoly, gcd, square_free_part
 from .polydet import rank_integer
@@ -54,28 +58,33 @@ def with_linear_forms(polys, xnames, blocks):
 
 
 def degree_equalize(V):
-    """V with every lower-degree f replaced by {x_j^(d-deg f) * f}: same
-    zero locus, all degrees equal to the maximum."""
-    d = max(f.total_degree() for f in V.polys)
+    """V with every f below the top multidegree replaced by the products
+    f * x^gap, one variable x taken from each block where f falls short
+    (in block order, variables in table order): the same zero locus, as
+    every block has a nonzero coordinate, and one common multidegree."""
+    top = [max(d[j] for d in V.mdegs) for j in range(V.l)]
     polys = []
-    for f in V.polys:
-        gap = d - f.total_degree()
-        if gap == 0:
-            polys.append(f)
-        else:
-            polys += [f * MPoly.var(V.vars, name, gap) for name in V.vars.names]
-    return ProjectiveVariety(V.vars, polys, dim=V.dim)
+    for f, d in zip(V.polys, V.mdegs):
+        pads = [[MPoly.var(V.vars, x, t - e) for x in blk]
+                for blk, t, e in zip(V.x_blocks, top, d) if t > e]
+        polys += [math.prod(combo, start=f)
+                  for combo in itertools.product(*pads)]
+    return MultiprojVariety(V.vars, polys, dim=V.dim)
 
 
-def chow_form_ci(V, r, grid=None):
-    """Chow form of a complete intersection (m = n - r polynomials).
+def _one_block(V):
+    if V.l != 1:
+        raise UsageError("a projective variety needs one variable block")
 
-    The u-coefficients enter only through r+1 generic linear forms, so the
-    result is homogeneous of degree prod deg(f_i) in every u-block; it is
-    recovered by block interpolation of the perturbed elimination, whose
-    samples are integer determinant quotients.
+
+def ci_resultant(V, r, blocks, grid, tag):
+    """x eliminated from the complete intersection V (m = n - r
+    polynomials in P^n) and one generic linear form per name tuple of
+    ``blocks``: homogeneous of degree prod deg(f_i) in every block, it is
+    interpolated from integer determinant quotients drawn under ``tag``.
     """
-    n = V.n
+    _one_block(V)
+    n = V.total_dim
     m = len(V.polys)
     if r < 0:
         raise UsageError("need r >= 0")
@@ -84,25 +93,23 @@ def chow_form_ci(V, r, grid=None):
                          f"got {m}")
     if grid is None:
         grid = RandomGrid(seed=0)
-    blocks = [u_block_names(i, n) for i in range(r + 1)]
     sys = MacaulaySystem(with_linear_forms(V.polys, V.vars.names, blocks),
                          V.vars.names)
     D = math.prod(f.total_degree() for f in V.polys)
-    R, _ = gcp_block_interpolation(sys, range(m), blocks, [D] * (r + 1), grid,
-                                   tag="chow-ci")
+    R, _ = gcp_block_interpolation(sys, range(m), blocks, [D] * len(blocks),
+                                   grid, tag=tag)
     if R.is_zero() or R.is_constant():
         raise UsageError("not a complete intersection of expected dimension: "
                          "the elimination degenerated")
-    return Form(square_free_part(R))
+    return R
 
 
-def evaluate_on_plane(cf, plane):
-    """Value of the Chow form at a concrete (r+1) x (n+1) integer matrix."""
-    point = {}
-    for i, row in enumerate(plane):
-        for j, v in enumerate(row):
-            point[f"u{i}{j}"] = v
-    return cf.poly.evaluate(point)
+def chow_form_ci(V, r, grid=None):
+    """Chow form of a complete intersection (m = n - r polynomials): the
+    square-free part of :func:`ci_resultant` on r+1 u-blocks."""
+    blocks = [u_block_names(i, V.total_dim) for i in range(r + 1)]
+    return Form(square_free_part(ci_resultant(V, r, blocks, grid,
+                                              "chow-ci")))
 
 
 def verified_lambdas(polys, x_blocks, r, bound, grid, tag):
@@ -156,42 +163,45 @@ def verified_lambdas(polys, x_blocks, r, bound, grid, tag):
 
 def generic_lc(V, r, grid):
     """Verified combination matrices (:func:`verified_lambdas`) whose
-    n-r combinations cut varieties of dimension <= r."""
+    k = total_dim - r combinations cut varieties of dimension <= r, with
+    entries bounded by ceil(m/k) k D^(k-1) + m + 1 (at most 2^15), D the
+    total degree of the common multidegree."""
     m = len(V.polys)
-    nr = V.n - r
+    k = V.total_dim - r
     if r < 0:
         raise UsageError("need r >= 0")
-    if nr < 1:
-        raise UsageError("need r < n")
-    degs = {f.total_degree() for f in V.polys}
-    if len(degs) != 1:
+    if k < 1:
+        raise UsageError("need r < total dimension")
+    if len(set(V.mdegs)) != 1:
         raise UsageError("generic_lc requires equalized degrees")
-    d = degs.pop()
-    bound = min(-(-m // nr) * nr * d ** max(nr - 1, 0) + m + 1, 2 ** 15)
-    return verified_lambdas(V.polys, (V.vars.names,), r, bound, grid, "glc")
+    D = sum(V.mdegs[0])
+    bound = min(-(-m // k) * k * D ** (k - 1) + m + 1, 2 ** 15)
+    return verified_lambdas(V.polys, V.x_blocks, r, bound, grid, "glc")
 
 
-def gcd_fold(polys):
-    """The gcd of the square-free polys, as a :class:`Form`; it divides
-    each of them, so it is square-free too."""
+def general_form(V, r, grid, form_ci):
+    """General-case form of V of dimension r: equalize the multidegrees,
+    reduce to complete intersections by verified combinations
+    (:func:`generic_lc`) and intersect their forms ``form_ci(W)`` by a
+    gcd, which divides each square-free form and so is square-free too."""
+    Veq = degree_equalize(V)
     result = None
-    for f in polys:
+    for lam in generic_lc(Veq, r, grid):
+        f = form_ci(MultiprojVariety(V.vars, combine(Veq.polys, lam))).poly
         result = f if result is None else gcd(result, f)
     return Form(result)
 
 
 def chow_form(V, r, grid):
-    """General-case Chow form: equalize, combine, intersect via gcd."""
-    Veq = degree_equalize(V)
-    return gcd_fold(
-        chow_form_ci(ProjectiveVariety(V.vars, combine(Veq.polys, lam)),
-                     r, grid).poly
-        for lam in generic_lc(Veq, r, grid))
+    """General-case Chow form of a projective variety
+    (:func:`general_form` over :func:`chow_form_ci`)."""
+    _one_block(V)
+    return general_form(V, r, grid, lambda W: chow_form_ci(W, r, grid))
 
 
 def chow_bounds(V, r):
     """Closed-form size bounds for the complete-intersection elimination."""
-    n = V.n
+    n = V.total_dim
     if r < 0:
         raise UsageError("need r >= 0")
     d = max(f.total_degree() for f in V.polys)

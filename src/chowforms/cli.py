@@ -23,14 +23,14 @@ import sys
 import time
 
 from .chow import chow_bounds, chow_form, chow_form_ci
-from .dimension import ProjectiveVariety, RandomGrid
+from .dimension import MultiprojVariety, RandomGrid
 from .errors import (ChowformsError, DegenerateError, IndeterminateError,
                      ParseError, UsageError)
 from .hurwitz import hurwitz_form
 from .mpoly import parse_poly, VarTable
-from .multiproj import (MultiprojVariety, chow_hypersurface_formats,
-                        dim_table, hurwitz_hypersurface_formats,
-                        multi_bounds, multi_chow_form, multidegree, support)
+from .multiproj import (chow_hypersurface_formats, dim_table,
+                        hurwitz_hypersurface_formats, multi_bounds,
+                        multi_chow_form, multidegree, support)
 from .polydet import PolyMatrix, det_bareiss
 from .polymatroid import Polymatroid
 from .resultant import MacaulaySystem, gcp_resultant, resultant_dense
@@ -153,15 +153,15 @@ def _poly_result(poly, algorithm):
 def run(command, problem, grid):
     """Execute one command; returns (stdout text, metadata dict)."""
     if command == "chow":
-        V = ProjectiveVariety(problem.vars, problem.polys)
+        V = MultiprojVariety(problem.vars, problem.polys)
         cf = chow_form(V, _need(problem, "dim", "dim"), grid)
         return _poly_result(cf.poly, "chow-general")
     if command == "chow-ci":
-        V = ProjectiveVariety(problem.vars, problem.polys)
+        V = MultiprojVariety(problem.vars, problem.polys)
         cf = chow_form_ci(V, _need(problem, "dim", "dim"), grid)
         return _poly_result(cf.poly, "chow-ci")
     if command == "hurwitz":
-        V = ProjectiveVariety(problem.vars, problem.polys)
+        V = MultiprojVariety(problem.vars, problem.polys)
         hf = hurwitz_form(V, _need(problem, "dim", "dim"), grid)
         return _poly_result(hf.poly, "hurwitz")
     if command == "multichow":
@@ -205,7 +205,7 @@ def run(command, problem, grid):
             V = _multi_variety(problem)
             report = multi_bounds(V, _need(problem, "format", "format"))
         else:
-            V = ProjectiveVariety(problem.vars, problem.polys)
+            V = MultiprojVariety(problem.vars, problem.polys)
             report = chow_bounds(V, _need(problem, "dim", "dim"))
         return json.dumps(report, sort_keys=True), {"algorithm": "bounds"}
     raise UsageError(f"unknown command {command!r}")

@@ -1,15 +1,16 @@
-"""Monte Carlo geometric predicates built on resultants.
+"""The one variety model, :class:`MultiprojVariety` (projective space is
+its case of one block), and Monte Carlo geometric predicates on it.
 
 One predicate, :func:`dim_leq`, decides whether a coordinate-block
-projection of a multiprojective variety has dimension at most r (r = -1:
-the variety is empty); :func:`dim_projection` bisects on it.  It restricts
-the variety to a generic affine chart per block, cuts it with generic
-affine hyperplanes and asks :func:`affine_solvable`, which reduces to
-small elimination instances: linear equations are substituted away
-exactly (over the rationals, with denominators cleared), leftover
-polynomials are combined into a square system by random linear
-combinations, and the verdict is read off the trailing coefficient of a
-generalized characteristic polynomial.
+projection of a variety has dimension at most r (r = -1: the variety is
+empty); :func:`dim_projection` bisects on it.  It restricts the variety
+to a generic affine chart per block, cuts it with generic affine
+hyperplanes and asks :func:`affine_solvable`, which reduces to small
+elimination instances: linear equations are substituted away exactly
+(over the rationals, with denominators cleared), leftover polynomials
+are combined into a square system by random linear combinations, and the
+verdict is read off the trailing coefficient of a generalized
+characteristic polynomial.
 
 Verdict sidedness: an "empty" answer is a certificate whenever the random
 slice/combination was generic (a nonzero resultant of a larger system);
@@ -31,25 +32,55 @@ from .polydet import gauss_jordan
 from .resultant import MacaulaySystem, _BadGrid, _fresh_name, gcp_sampler
 
 
-class ProjectiveVariety:
-    """V(f_1..f_m) in P^n: homogeneous polynomials over one x-block."""
+class MultiprojVariety:
+    """Zero locus of multihomogeneous polynomials in a product of
+    projective spaces, with the block structure of its coordinates;
+    V in P^n has one block (``l == 1``) and ``total_dim == n``."""
 
     def __init__(self, vars, polys, dim=None):
-        if vars.nblocks != 1:
-            raise UsageError("ProjectiveVariety expects a single variable block")
+        if vars.nblocks < 1:
+            raise UsageError("variable table must carry at least one block")
+        if not polys:
+            raise UsageError("need at least one defining polynomial")
+        self.vars = vars
+        self.x_blocks = tuple(tuple(vars.names[i] for i in blk)
+                              for blk in vars.blocks)
+        self.nvec = tuple(len(b) - 1 for b in self.x_blocks)
+        if any(n < 1 for n in self.nvec):
+            raise UsageError("each block needs at least two variables")
+        self.l = len(self.nvec)
+        mdegs = []
         for f in polys:
             if f.vars != vars:
                 raise UsageError("polynomials use different VarTables")
             if f.is_zero():
-                raise UsageError("zero polynomial among the defining equations")
-            if not f.is_homogeneous_in(range(vars.nvars)):
-                raise UsageError("defining polynomials must be homogeneous")
-        if not polys:
-            raise UsageError("need at least one defining polynomial")
-        self.vars = vars
+                raise UsageError("zero polynomial among the generators")
+            if not all(f.is_homogeneous_in(blk) for blk in vars.blocks):
+                raise UsageError("defining polynomials must be "
+                                 "multihomogeneous in the blocks")
+            mdegs.append(f.block_degrees())
         self.polys = tuple(polys)
-        self.n = vars.nvars - 1
+        self.mdegs = tuple(mdegs)
         self.dim = dim
+
+    @property
+    def total_dim(self):
+        return sum(self.nvec)
+
+    def codim(self):
+        if self.dim is None:
+            raise UsageError("variety dimension is not set")
+        return self.total_dim - self.dim
+
+    def check_format(self, alpha):
+        """alpha as a tuple; UsageError unless it has one entry per block
+        and 0 <= alpha_i <= n_i."""
+        alpha = tuple(alpha)
+        if len(alpha) != self.l or not all(
+                0 <= a <= n for a, n in zip(alpha, self.nvec)):
+            raise UsageError(f"format {alpha} does not fit the block sizes "
+                             f"{self.nvec}")
+        return alpha
 
 
 class RandomGrid:

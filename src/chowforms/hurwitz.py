@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 
-from .chow import Form, u_block_names, with_linear_forms
+from .chow import Form, ci_resultant, u_block_names
 from .dimension import RandomGrid
 from .errors import IndeterminateError, InternalError, UsageError
 from .mpoly import gcd, square_free_part
 from .polydet import det_integer
-from .resultant import (MacaulaySystem, _BadGrid, block_interpolation,
-                        gcp_block_interpolation)
+from .resultant import _BadGrid, block_interpolation
 
 # Pencil coordinates are drawn from [1, PENCIL_BOUND]: nonzero, so that
 # the end point b of the pencil lies on no coordinate hyperplane, and small,
@@ -38,39 +37,20 @@ def m_block_names(n):
     return tuple(f"m{j}" for j in range(n + 1))
 
 
-def _check_ci(V, r):
-    n = V.n
-    m = len(V.polys)
-    if m != n - r:
-        raise UsageError(f"complete intersection needs {n - r} polynomials, "
-                         f"got {m}")
-    deg = math.prod(f.total_degree() for f in V.polys)
-    if deg < 2:
-        raise UsageError("the variety must have degree at least 2")
-    return deg
-
-
 def u_resultant(V, r, grid=None):
-    """R1: x eliminated from {f_1..f_{n-r}, U_1..U_r, M}.
+    """R1: x eliminated from {f_1..f_{n-r}, U_1..U_r, M}
+    (:func:`chow.ci_resultant`).
 
     Homogeneous of degree deg(V) in the m-block and in each u-block; its
     m-linear factors over the algebraic closure evaluate M at the points
     where the plane {U_1 = ... = U_r = 0} meets V.
     """
-    deg = _check_ci(V, r)
-    if grid is None:
-        grid = RandomGrid(seed=0)
-    n = V.n
+    if math.prod(f.total_degree() for f in V.polys) < 2:
+        raise UsageError("the variety must have degree at least 2")
+    n = V.total_dim
     blocks = [u_block_names(i, n) for i in range(1, r + 1)]
     blocks.append(m_block_names(n))
-    sys = MacaulaySystem(with_linear_forms(V.polys, V.vars.names, blocks),
-                         V.vars.names)
-    R1, _ = gcp_block_interpolation(sys, range(len(V.polys)), blocks,
-                                    [deg] * (r + 1), grid, tag="hurwitz-u")
-    if R1.is_zero() or R1.is_constant():
-        raise UsageError("u-resultant degenerated; the input is not a "
-                         "complete intersection of the expected dimension")
-    return R1
+    return ci_resultant(V, r, blocks, grid, "hurwitz-u")
 
 
 class _PencilSampler:
@@ -181,11 +161,12 @@ def hurwitz_form(V, r, grid=None):
     if grid is None:
         grid = RandomGrid(seed=0)
     R1 = u_resultant(V, r, grid)
+    n = V.total_dim
     H = None
-    for k in range(V.n + 1):
+    for k in range(n + 1):
         rng = grid.rng("hurwitz-pencil", k)
         pencil = tuple(tuple(rng.randint(1, PENCIL_BOUND)
-                             for _ in range(V.n + 1)) for _ in range(2))
+                             for _ in range(n + 1)) for _ in range(2))
         R2 = discriminant_via_partials(R1, grid, pencil)
         if R2.is_zero():
             raise UsageError("discriminant vanished identically; the "

@@ -1,5 +1,5 @@
-"""Multiprojective varieties: supports, multidegrees, hypersurface formats
-and multigraded Chow forms.
+"""Supports, multidegrees, hypersurface formats and multigraded Chow
+forms of multiprojective varieties (:class:`dimension.MultiprojVariety`).
 
 A format is a componentwise dimension vector for a product of linear
 subspaces, one factor per projective block.  The support of a variety
@@ -13,63 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 
-from .chow import Form, gcd_fold, verified_lambdas, with_linear_forms
+from .chow import Form, general_form, with_linear_forms
 from .dimension import RandomGrid, combine, dim_projection, random_form
 from .errors import IndeterminateError, UsageError
 from .mixedres import MultiResSystem, resultant_multihomogeneous_interp
 from .mpoly import MPoly, square_free_part
 from .polydet import det_integer
 from .polymatroid import from_dim_table
-
-
-class MultiprojVariety:
-    """Zero locus of multihomogeneous polynomials in a product of
-    projective spaces, with the block structure of its coordinates."""
-
-    def __init__(self, vars, polys, dim=None):
-        if vars.nblocks < 1:
-            raise UsageError("variable table must carry at least one block")
-        if not polys:
-            raise UsageError("need at least one defining polynomial")
-        self.vars = vars
-        self.x_blocks = tuple(tuple(vars.names[i] for i in blk)
-                              for blk in vars.blocks)
-        self.nvec = tuple(len(b) - 1 for b in self.x_blocks)
-        if any(n < 1 for n in self.nvec):
-            raise UsageError("each block needs at least two variables")
-        self.l = len(self.nvec)
-        mdegs = []
-        for f in polys:
-            if f.vars != vars:
-                raise UsageError("polynomials use different VarTables")
-            if f.is_zero():
-                raise UsageError("zero polynomial among the generators")
-            if not all(f.is_homogeneous_in(blk) for blk in vars.blocks):
-                raise UsageError("defining polynomials must be "
-                                 "multihomogeneous in the blocks")
-            mdegs.append(f.block_degrees())
-        self.polys = tuple(polys)
-        self.mdegs = tuple(mdegs)
-        self.dim = dim
-
-    @property
-    def total_dim(self):
-        return sum(self.nvec)
-
-    def codim(self):
-        if self.dim is None:
-            raise UsageError("variety dimension is not set")
-        return self.total_dim - self.dim
-
-    def check_format(self, alpha):
-        """alpha as a tuple; UsageError unless it has one entry per block
-        and 0 <= alpha_i <= n_i."""
-        alpha = tuple(alpha)
-        if len(alpha) != self.l or not all(
-                0 <= a <= n for a, n in zip(alpha, self.nvec)):
-            raise UsageError(f"format {alpha} does not fit the block sizes "
-                             f"{self.nvec}")
-        return alpha
 
 
 def _nonempty_subsets(l):
@@ -120,49 +70,13 @@ def hurwitz_hypersurface_formats(V, table, mdeg_fn):
     return candidates - {beta for beta in sorted(supp) if mdeg_fn(beta) == 1}
 
 
-def multi_degree_equalize(V):
-    """Pad every polynomial up to the componentwise-max multidegree by
-    multiplying with all monomials filling the per-block gaps; the zero
-    locus is unchanged."""
-    dmax = tuple(max(d[j] for d in V.mdegs) for j in range(V.l))
-    out = []
-    for f, d in zip(V.polys, V.mdegs):
-        gaps = [dm - dj for dm, dj in zip(dmax, d)]
-        if not any(gaps):
-            out.append(f)
-            continue
-        pads = []
-        for blk, gap in zip(V.x_blocks, gaps):
-            mons = []
-            for exps in itertools.product(range(gap + 1), repeat=len(blk)):
-                if sum(exps) == gap:
-                    m = MPoly.const(V.vars, 1)
-                    for name, e in zip(blk, exps):
-                        if e:
-                            m = m * MPoly.var(V.vars, name, e)
-                    mons.append(m)
-            pads.append(mons)
-        for combo in itertools.product(*pads):
-            g = f
-            for m in combo:
-                g = g * m
-            out.append(g)
-    return MultiprojVariety(V.vars, out, dim=V.dim)
-
-
-def multi_chow_form_ci(V, alpha, grid=None, table=None):
+def multi_chow_form_ci(V, alpha, grid=None):
     """Chow form of a multiprojective complete intersection for format
     alpha: eliminate all x-blocks from the system extended by n_i - alpha_i
-    generic linear forms per block, then take the square-free part.
-
-    When a projection-dimension ``table`` is supplied, the format is first
-    checked to cut out a hypersurface in the product of Grassmannians."""
+    generic linear forms per block, then take the square-free part."""
     if grid is None:
         grid = RandomGrid(seed=0)
     alpha = V.check_format(alpha)
-    if table is not None and \
-            alpha not in chow_hypersurface_formats(V, table):
-        raise UsageError(f"format {alpha} does not give a hypersurface")
     need = sum(alpha) + 1  # codimension of a CI with this Chow format
     if len(V.polys) != need:
         raise UsageError(f"complete intersection for this format needs "
@@ -248,28 +162,12 @@ def multidegree(V, alpha, grid, table=None):
                      "be degenerate for this variety")
 
 
-def multi_generic_lc(V, r, grid):
-    """Verified combination matrices (:func:`chow.verified_lambdas`) as
-    in the projective case, with the multihomogeneous degree bound."""
-    m = len(V.polys)
-    k = V.total_dim - r
-    if k < 1:
-        raise UsageError("need r < total dimension")
-    if len({d for d in V.mdegs}) != 1:
-        raise UsageError("multi_generic_lc requires equalized multidegrees")
-    bound = min(-(-m // k) * k * sum(V.mdegs[0]) ** k + m + 1, 2 ** 15)
-    return verified_lambdas(V.polys, V.x_blocks, r, bound, grid, "mglc")
-
-
 def multi_chow_form(V, r, alpha, grid):
-    """General-case multigraded Chow form: equalize multidegrees, reduce to
-    complete intersections by verified combinations, fold with gcd."""
+    """General-case multigraded Chow form (:func:`chow.general_form`
+    over :func:`multi_chow_form_ci`)."""
     alpha = V.check_format(alpha)
-    Veq = multi_degree_equalize(V)
-    return gcd_fold(
-        multi_chow_form_ci(MultiprojVariety(V.vars, combine(Veq.polys, lam)),
-                           alpha, grid).poly
-        for lam in multi_generic_lc(Veq, r, grid))
+    return general_form(V, r, grid,
+                        lambda W: multi_chow_form_ci(W, alpha, grid))
 
 
 def multi_bounds(V, alpha):

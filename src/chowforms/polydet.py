@@ -2,7 +2,6 @@
 
 Engines, in increasing sophistication:
 
-* :func:`det_cofactor` — Laplace expansion, dimension <= 6, test oracle.
 * :func:`det_bareiss` — fraction-free elimination directly over MPoly
   entries with exact division; the workhorse for symbolic resultants.
 * :func:`det_packed` — a matrix of univariate integer polynomials
@@ -46,28 +45,6 @@ class PolyMatrix:
     def __repr__(self):
         body = "\n".join("  [" + ", ".join(str(e) for e in r) + "]" for r in self.entries)
         return f"PolyMatrix(dim={self.dim},\n{body})"
-
-
-def det_cofactor(M):
-    """Exact determinant by Laplace expansion; oracle only, dim <= 6."""
-    if M.dim > 6:
-        raise UsageError("det_cofactor is limited to dimension <= 6")
-    return _cofactor(M.entries, M.vars)
-
-
-def _cofactor(rows, vars):
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    total = MPoly.zero(vars)
-    for j in range(m):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = a * _cofactor(minor, vars)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 def det_integer(rows, prev=1):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chowforms import MPoly, VarTable
+from chowforms import MPoly, UsageError, VarTable
 
 
 def pytest_configure(config):
@@ -53,6 +53,38 @@ def kronecker_matrix(M, caps):
     base = [[0] * M.dim for _ in range(M.dim)]
     return base, [(i, j, kronecker_coeffs(e, caps))
                   for i, row in enumerate(M.entries) for j, e in enumerate(row)]
+
+
+def det_cofactor(M):
+    """Exact determinant of a PolyMatrix by Laplace expansion; an oracle
+    for dimension <= 6."""
+    if M.dim > 6:
+        raise UsageError("det_cofactor is limited to dimension <= 6")
+    return _cofactor(M.entries, M.vars)
+
+
+def _cofactor(rows, vars):
+    m = len(rows)
+    if m == 1:
+        return rows[0][0]
+    total = MPoly.zero(vars)
+    for j in range(m):
+        a = rows[0][j]
+        if a.is_zero():
+            continue
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = a * _cofactor(minor, vars)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def evaluate_on_plane(cf, plane):
+    """Value of the Chow form at a concrete (r+1) x (n+1) integer matrix."""
+    point = {}
+    for i, row in enumerate(plane):
+        for j, v in enumerate(row):
+            point[f"u{i}{j}"] = v
+    return cf.poly.evaluate(point)
 
 
 @pytest.fixture

@@ -10,21 +10,20 @@ from fractions import Fraction
 import pytest
 
 from chowforms import MPoly, VarTable
-from chowforms.chow import (chow_bounds, chow_form, chow_form_ci,
-                            evaluate_on_plane)
+from chowforms.chow import chow_bounds, chow_form, chow_form_ci
 from chowforms.cli import main
-from chowforms.dimension import ProjectiveVariety, RandomGrid
+from chowforms.dimension import MultiprojVariety, RandomGrid
 from chowforms.errors import DegenerateError
 from chowforms.hurwitz import hurwitz_form
 from chowforms.mpoly import parse_poly
-from chowforms.multiproj import (MultiprojVariety, chow_hypersurface_formats,
-                                 dim_table, hurwitz_hypersurface_formats,
-                                 multi_bounds, multi_chow_form_ci,
-                                 multidegree, support)
-from chowforms.polydet import det_cofactor, det_integer, det_packed
+from chowforms.multiproj import (chow_hypersurface_formats, dim_table,
+                                 hurwitz_hypersurface_formats, multi_bounds,
+                                 multi_chow_form_ci, multidegree, support)
+from chowforms.polydet import det_integer, det_packed
 from chowforms.polymatroid import Polymatroid
 from chowforms.resultant import MacaulaySystem, gcp_resultant, resultant_dense
-from conftest import kronecker_coeffs, kronecker_matrix
+from conftest import (det_cofactor, evaluate_on_plane, kronecker_coeffs,
+                      kronecker_matrix)
 from test_multiproj import box_variety, check_against_oracle
 
 X2 = VarTable(("x0", "x1"))
@@ -75,9 +74,9 @@ def rand_poly(rng, vars, max_deg, max_coeff_bits, max_terms):
 
 
 def twisted_cubic():
-    return ProjectiveVariety(X4, [P("x0*x2 - x1^2", X4),
-                                  P("x1*x3 - x2^2", X4),
-                                  P("x0*x3 - x1*x2", X4)])
+    return MultiprojVariety(X4, [P("x0*x2 - x1^2", X4),
+                                 P("x1*x3 - x2^2", X4),
+                                 P("x0*x3 - x1*x2", X4)])
 
 
 def conic_product():
@@ -91,13 +90,13 @@ PRODUCT_DIMS = {(0,): 1, (1,): 1, (0, 1): 2}
 
 @pytest.fixture(scope="module")
 def conic_cf():
-    V = ProjectiveVariety(X3, [P("x0*x2 - x1^2", X3)])
+    V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])
     return chow_form_ci(V, 1, GRID)
 
 
 @pytest.fixture(scope="module")
 def line_cf():
-    V = ProjectiveVariety(X4, [P("x2", X4), P("x3", X4)])
+    V = MultiprojVariety(X4, [P("x2", X4), P("x3", X4)])
     return chow_form_ci(V, 1, GRID)
 
 
@@ -108,13 +107,13 @@ def cubic_cf():
 
 @pytest.fixture(scope="module")
 def parabola_hf():
-    V = ProjectiveVariety(X3, [P("x0*x2 - x1^2", X3)])
+    V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])
     return hurwitz_form(V, 1, GRID)
 
 
 @pytest.fixture(scope="module")
 def circle_hf():
-    V = ProjectiveVariety(X3, [P("x0^2 + x1^2 - x2^2", X3)])
+    V = MultiprojVariety(X3, [P("x0^2 + x1^2 - x2^2", X3)])
     return hurwitz_form(V, 1, GRID)
 
 
@@ -157,7 +156,7 @@ class TestChowGroundTruths:
         assert line_cf.poly.to_text() == "u00*u11 - u01*u10"
 
     def test_point_in_p2(self):
-        V = ProjectiveVariety(X3, [P("x1", X3), P("x2", X3)])
+        V = MultiprojVariety(X3, [P("x1", X3), P("x2", X3)])
         assert chow_form_ci(V, 0, GRID).poly.to_text() == "u00"
 
     def test_conic_cross_product_oracle(self, conic_cf):
@@ -302,8 +301,8 @@ class TestBitsizeAndDegreeBounds:
 
     def test_chow_degree_bounds(self, line_cf, conic_cf, cubic_cf):
         cases = [
-            (line_cf, ProjectiveVariety(X4, [P("x2", X4), P("x3", X4)])),
-            (conic_cf, ProjectiveVariety(X3, [P("x0*x2 - x1^2", X3)])),
+            (line_cf, MultiprojVariety(X4, [P("x2", X4), P("x3", X4)])),
+            (conic_cf, MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])),
             (cubic_cf, twisted_cubic()),
         ]
         for cf, V in cases:
@@ -311,7 +310,7 @@ class TestBitsizeAndDegreeBounds:
             assert all(d <= bound for d in cf.poly.block_degrees())
 
     def test_hurwitz_degree_bounds(self, parabola_hf, circle_hf):
-        V = ProjectiveVariety(X3, [P("x0*x2 - x1^2", X3)])
+        V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])
         bound = chow_bounds(V, 1)["degree_bound"]
         assert all(d <= bound for d in parabola_hf.poly.block_degrees())
         assert all(d <= bound for d in circle_hf.poly.block_degrees())

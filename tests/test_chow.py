@@ -5,9 +5,10 @@ import pytest
 from chowforms import MPoly, VarTable, chow
 from chowforms.errors import UsageError
 from chowforms.mpoly import parse_poly
-from chowforms.dimension import ProjectiveVariety, RandomGrid
+from chowforms.dimension import MultiprojVariety, RandomGrid
 from chowforms.chow import (chow_bounds, chow_form, chow_form_ci,
-                            degree_equalize, evaluate_on_plane, generic_lc)
+                            degree_equalize, generic_lc)
+from conftest import evaluate_on_plane
 
 X2 = VarTable(("x0", "x1"))
 X3 = VarTable(("x0", "x1", "x2"))
@@ -20,8 +21,8 @@ def P(text, vars):
 
 
 def twisted_cubic():
-    return ProjectiveVariety(X4, [P("x0*x2 - x1^2", X4), P("x1*x3 - x2^2", X4),
-                                  P("x0*x3 - x1*x2", X4)])
+    return MultiprojVariety(X4, [P("x0*x2 - x1^2", X4), P("x1*x3 - x2^2", X4),
+                                 P("x0*x3 - x1*x2", X4)])
 
 
 def cross(u, v):
@@ -32,16 +33,16 @@ def cross(u, v):
 
 class TestGroundTruths:
     def test_point_in_p1(self):
-        V = ProjectiveVariety(X2, [MPoly.var(X2, "x1")])
+        V = MultiprojVariety(X2, [MPoly.var(X2, "x1")])
         assert chow_form_ci(V, 0).poly.to_text() == "u00"
 
     def test_line_in_p3(self):
-        V = ProjectiveVariety(X4, [MPoly.var(X4, "x2"), MPoly.var(X4, "x3")])
+        V = MultiprojVariety(X4, [MPoly.var(X4, "x2"), MPoly.var(X4, "x3")])
         assert chow_form_ci(V, 1).poly.to_text() == "u00*u11 - u01*u10"
 
     def test_conic_against_cross_product_oracle(self, rng):
         f = P("x0*x2 - x1^2", X3)
-        cf = chow_form_ci(ProjectiveVariety(X3, [f]), 1)
+        cf = chow_form_ci(MultiprojVariety(X3, [f]), 1)
         assert cf.block_degrees == (2, 2)
         agree = 0
         for _ in range(50):
@@ -57,26 +58,33 @@ class TestGroundTruths:
         assert agree == 50
 
     def test_wrong_codimension_rejected(self):
-        V = ProjectiveVariety(X3, [P("x0*x2 - x1^2", X3)])
+        V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])
         with pytest.raises(UsageError):
             chow_form_ci(V, 0)
 
 
 class TestDegreeEqualize:
     def test_noop_when_equal(self):
-        V = ProjectiveVariety(X3, [P("x0^2 + x1*x2", X3), P("x1^2", X3)])
+        V = MultiprojVariety(X3, [P("x0^2 + x1*x2", X3), P("x1^2", X3)])
         assert degree_equalize(V).polys == V.polys
 
     def test_pads_with_monomials(self):
-        V = ProjectiveVariety(X3, [P("x0", X3), P("x1^2", X3)])
+        V = MultiprojVariety(X3, [P("x0", X3), P("x1^2", X3)])
         W = degree_equalize(V)
         assert len(W.polys) == 4  # x0 * each variable, then x1^2
         assert {f.total_degree() for f in W.polys} == {2}
+        assert W.polys == (P("x0^2", X3), P("x0*x1", X3), P("x0*x2", X3),
+                           P("x1^2", X3))
+        # A gap of 2: x_j^2 * f for each variable x_j, in table order.
+        f = P("x0 - x1", X4)
+        W = degree_equalize(MultiprojVariety(X4, [f, P("x2^3", X4)]))
+        assert W.polys == tuple(f * MPoly.var(X4, x, 2) for x in X4.names) \
+            + (P("x2^3", X4),)
 
 
 class TestGenericLc:
     def test_square_case_is_identity(self):
-        V = ProjectiveVariety(X4, [P("x2", X4), P("x3", X4)])
+        V = MultiprojVariety(X4, [P("x2", X4), P("x3", X4)])
         lams = generic_lc(V, 1, GRID)
         assert len(lams) == 1
         assert lams[0] == [[1, 0], [0, 1]]
@@ -92,8 +100,8 @@ class TestGenericLc:
         # Three multiples of one form span 1 < n - r = 2 dimensions: every
         # Lambda has coefficient rank 1, so each draw is rejected before
         # any dimension check, and the draws stop at 8 * retries.
-        V = ProjectiveVariety(X4, [P("x0 + x1", X4), P("2*x0 + 2*x1", X4),
-                                   P("-x0 - x1", X4)])
+        V = MultiprojVariety(X4, [P("x0 + x1", X4), P("2*x0 + 2*x1", X4),
+                                  P("-x0 - x1", X4)])
         grid = RandomGrid(seed=7, retries=2)
         tags = []
         inner = RandomGrid.rng
@@ -109,7 +117,7 @@ class TestGenericLc:
         assert tags == [("glc", draw) for draw in range(16)]
 
     def test_unequal_degrees_rejected(self):
-        V = ProjectiveVariety(X3, [P("x0", X3), P("x1^2", X3)])
+        V = MultiprojVariety(X3, [P("x0", X3), P("x1^2", X3)])
         with pytest.raises(UsageError):
             generic_lc(V, 0, GRID)
 
@@ -153,7 +161,7 @@ class TestTwistedCubic:
 class TestInvariance:
     def test_unimodular_change_of_coordinates(self, rng):
         f = P("x0*x2 - x1^2", X3)
-        V = ProjectiveVariety(X3, [f])
+        V = MultiprojVariety(X3, [f])
         cf = chow_form_ci(V, 1)
         for trial in range(3):
             A = _random_unimodular(rng, 3)
@@ -163,7 +171,7 @@ class TestInvariance:
                            for j in range(3))
                     for i, n in enumerate(X3.names)}
             fA = f.substitute(imgs)
-            cfA = chow_form_ci(ProjectiveVariety(X3, [fA]), 1)
+            cfA = chow_form_ci(MultiprojVariety(X3, [fA]), 1)
             # Chow form transforms by U -> U * A^(-1)
             sub = {}
             for i in range(2):
@@ -177,7 +185,7 @@ class TestInvariance:
 
 class TestBounds:
     def test_conic_bounds(self):
-        V = ProjectiveVariety(X3, [P("x0*x2 - x1^2", X3)])
+        V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])
         b = chow_bounds(V, 1)
         assert b["degree_bound"] == 2
         assert b["macaulay_dim"] == 6  # C(2*1 + 1 + 2, 2) with d=2, n=2

@@ -226,6 +226,26 @@ class TestPolymatroidCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["chow", "chow-ci", "hurwitz"])
+    @pytest.mark.parametrize("text", [
+        "ring x0\npoly x0\ndim 0\n",
+        POINT_PAIR,
+        "ring x0 x1 y0 y1\nblocks (x0 x1)(y0 y1)\npoly x0*y0 + x1*y1\n"
+        "dim 1\n"], ids=["one-variable", "point-pair", "bilinear-curve"])
+    def test_projective_command_off_projective_space_is_2(self, command, text,
+                                                          tmp_path, capsys):
+        # A projective command needs one block of at least two variables.
+        assert main([command, write(tmp_path, "p", text)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_bounds_on_one_variable_ring_is_2(self, tmp_path, capsys):
+        # Every block of a variety has at least two variables.
+        assert main(["bounds", write(tmp_path, "p",
+                                     "ring x0\npoly x0\ndim 0\n")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least two variables" in captured.err
+
     def test_parse_error_is_4(self, tmp_path, capsys):
         assert main(["chow", write(tmp_path, "p", "ring x0\npoly x0 +\n")]) \
             == 4

@@ -7,7 +7,7 @@ import pytest
 from chowforms import MPoly, VarTable, dimension
 from chowforms.errors import InternalError, UsageError
 from chowforms.mpoly import parse_poly
-from chowforms.dimension import (ProjectiveVariety, RandomGrid, affine_solvable,
+from chowforms.dimension import (MultiprojVariety, RandomGrid, affine_solvable,
                                  dim_leq, dim_projection, solve_affine_linear,
                                  substitute_affine)
 from chowforms.resultant import (MacaulaySystem, _BadGrid, gcp_resultant,
@@ -23,8 +23,8 @@ def P(text, vars):
 
 
 def twisted_cubic():
-    return ProjectiveVariety(X4, [P("x0*x2 - x1^2", X4), P("x1*x3 - x2^2", X4),
-                                  P("x0*x3 - x1*x2", X4)])
+    return MultiprojVariety(X4, [P("x0*x2 - x1^2", X4), P("x1*x3 - x2^2", X4),
+                                 P("x0*x3 - x1*x2", X4)])
 
 
 def proj_dim_leq(V, r):
@@ -40,16 +40,16 @@ class TestProjectiveZero:
     """Emptiness is dim_leq with r = -1."""
 
     def test_unit_ideal_empty(self):
-        V = ProjectiveVariety(X3, [MPoly.const(X3, 2)])
+        V = MultiprojVariety(X3, [MPoly.const(X3, 2)])
         assert proj_dim_leq(V, -1)
 
     def test_all_coordinate_pairs_has_points(self):
         # V(x0*x1, x0*x2, x1*x2) = the three coordinate points.
-        V = ProjectiveVariety(X3, [P("x0*x1", X3), P("x0*x2", X3), P("x1*x2", X3)])
+        V = MultiprojVariety(X3, [P("x0*x1", X3), P("x0*x2", X3), P("x1*x2", X3)])
         assert not proj_dim_leq(V, -1)
 
     def test_full_coordinate_ideal_empty(self):
-        V = ProjectiveVariety(X3, [MPoly.var(X3, n) for n in X3.names])
+        V = MultiprojVariety(X3, [MPoly.var(X3, n) for n in X3.names])
         assert proj_dim_leq(V, -1)
 
     def test_constructed_common_zero(self, rng):
@@ -60,7 +60,7 @@ class TestProjectiveZero:
                 a, b = rng.randint(-9, 9), rng.randint(-9, 9)
                 fs.append(MPoly(X3, {(2, 0, 0): a, (0, 2, 0): b,
                                      (0, 0, 2): -a - b}))
-            V = ProjectiveVariety(X3, fs)
+            V = MultiprojVariety(X3, fs)
             assert not proj_dim_leq(V, -1)
 
 
@@ -72,12 +72,12 @@ def cubic_verdicts():
 
 class TestDimLeq:
     def test_hyperplane(self):
-        V = ProjectiveVariety(X3, [MPoly.var(X3, "x0")])
+        V = MultiprojVariety(X3, [MPoly.var(X3, "x0")])
         assert proj_dim_leq(V, 1)
         assert not proj_dim_leq(V, 0)
 
     def test_point(self):
-        V = ProjectiveVariety(X3, [MPoly.var(X3, "x0"), MPoly.var(X3, "x1")])
+        V = MultiprojVariety(X3, [MPoly.var(X3, "x0"), MPoly.var(X3, "x1")])
         assert proj_dim_leq(V, 0)
 
     def test_twisted_cubic_is_a_curve(self, cubic_verdicts):
@@ -90,7 +90,7 @@ class TestDimLeq:
         assert verdicts == sorted(verdicts)
 
     def test_bad_r_rejected(self):
-        V = ProjectiveVariety(X3, [MPoly.var(X3, "x0")])
+        V = MultiprojVariety(X3, [MPoly.var(X3, "x0")])
         for r in (-2, 3):
             with pytest.raises(UsageError):
                 proj_dim_leq(V, r)
@@ -100,11 +100,11 @@ class TestFindDimension:
     """dim_projection onto the one block is the dimension."""
 
     def test_empty(self):
-        V = ProjectiveVariety(X3, [MPoly.const(X3, 1)])
+        V = MultiprojVariety(X3, [MPoly.const(X3, 1)])
         assert proj_dim(V) == -1
 
     def test_hypersurface(self):
-        V = ProjectiveVariety(X3, [P("x0*x2 - x1^2", X3)])
+        V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])
         assert proj_dim(V) == 1
 
     def test_twisted_cubic(self):

@@ -3,7 +3,7 @@ import pytest
 from chowforms import MPoly, VarTable, gcd
 from chowforms.errors import UsageError
 from chowforms.mpoly import parse_poly
-from chowforms.dimension import ProjectiveVariety, RandomGrid
+from chowforms.dimension import MultiprojVariety, RandomGrid
 from chowforms.hurwitz import (_PencilSampler, discriminant_via_partials,
                                hurwitz_form, u_resultant)
 
@@ -19,11 +19,11 @@ def P(text, vars):
 
 
 def parabola():
-    return ProjectiveVariety(X3, [P("x0*x2 - x1^2", X3)])
+    return MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])
 
 
 def circle():
-    return ProjectiveVariety(X3, [P("x0^2 + x1^2 - x2^2", X3)])
+    return MultiprojVariety(X3, [P("x0^2 + x1^2 - x2^2", X3)])
 
 
 def quadratic_form(vars, A):
@@ -70,12 +70,12 @@ class TestUResultant:
         assert R1.block_degrees() == (2, 2)  # = deg V in u-block and m-block
 
     def test_cubic_degrees(self):
-        V = ProjectiveVariety(X3, [P("x0^3 + x1^3 + x2^3", X3)])
+        V = MultiprojVariety(X3, [P("x0^3 + x1^3 + x2^3", X3)])
         R1 = u_resultant(V, 1, GRID)
         assert R1.block_degrees() == (3, 3)
 
     def test_quadric_surface_two_u_blocks(self):
-        V = ProjectiveVariety(X4, [P("x0*x3 - x1*x2", X4)])
+        V = MultiprojVariety(X4, [P("x0*x3 - x1*x2", X4)])
         R1 = u_resultant(V, 2, GRID)
         assert R1.block_degrees() == (2, 2, 2)
 
@@ -94,7 +94,7 @@ class TestUResultant:
         assert tangent.normalized() == expected.normalized()
 
     def test_linear_variety_rejected(self):
-        V = ProjectiveVariety(X3, [MPoly.var(X3, "x0")])
+        V = MultiprojVariety(X3, [MPoly.var(X3, "x0")])
         with pytest.raises(UsageError):
             u_resultant(V, 1, GRID)
 
@@ -175,7 +175,7 @@ class TestConicFixtures:
             A = rand_symmetric(rng, 3)
             if det3(A) == 0:
                 continue
-            V = ProjectiveVariety(X3, [quadratic_form(X3, A)])
+            V = MultiprojVariety(X3, [quadratic_form(X3, A)])
             H = hurwitz_form(V, 1, GRID)
             U = ("u10", "u11", "u12")
             expected = quadratic_form(VarTable(U), adjugate3(A))
@@ -209,7 +209,7 @@ class TestConicFixtures:
 
 class TestFermatCubic:
     def test_dual_sextic(self):
-        V = ProjectiveVariety(X3, [P("x0^3 + x1^3 + x2^3", X3)])
+        V = MultiprojVariety(X3, [P("x0^3 + x1^3 + x2^3", X3)])
         H = hurwitz_form(V, 1, GRID)
         assert H.block_degrees == (6,)
         expected = P("u10^6 + u11^6 + u12^6 - 2*u10^3*u11^3 "
@@ -221,13 +221,13 @@ class TestSingularFixtures:
     def test_triangle_vertices(self):
         # Three lines: a line through a vertex e_k meets two of them at
         # e_k, so the Hurwitz form is u10 * u11 * u12.
-        V = ProjectiveVariety(X3, [P("x0*x1*x2", X3)])
+        V = MultiprojVariety(X3, [P("x0*x1*x2", X3)])
         H = hurwitz_form(V, 1, GRID)
         assert H.poly == P("u10*u11*u12", H.poly.vars)
 
     def test_points_rejected(self):
         X2 = VarTable(("x0", "x1"))
-        V = ProjectiveVariety(X2, [P("x0^2 + 3*x0*x1 - x1^2", X2)])
+        V = MultiprojVariety(X2, [P("x0^2 + 3*x0*x1 - x1^2", X2)])
         with pytest.raises(UsageError, match="dim >= 1"):
             hurwitz_form(V, 0, GRID)
 

@@ -1,7 +1,7 @@
 """Static checks on the library sources: standard-library imports only,
 no rational or floating-point arithmetic, no imported name left unused,
-one interpolation loop, one quotient sampler, one formats engine and
-no basis refactored by the Canny-Emiris cell walk.
+one interpolation loop, one quotient sampler, one formats engine, one
+variety model and no basis refactored by the Canny-Emiris cell walk.
 ``__init__.py`` is exempt from the unused import check, since its
 imports are re-exports."""
 
@@ -135,3 +135,17 @@ def test_cell_walk_never_refactors():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert names & {"ff_reduce", "gauss_jordan"} == set()
+
+
+def test_one_variety_model():
+    # Projective space is the one-block multiprojective variety: one
+    # variety class, one equalizer, one generic_lc and one CI elimination
+    # behind the projective and multiprojective drivers.
+    classes = [node.name for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and node.name.endswith("Variety")]
+    assert classes == ["MultiprojVariety"]
+    assert _callers("verified_lambdas") == ["chow.generic_lc"]
+    assert _callers("gcp_block_interpolation") == ["chow.ci_resultant"]
+    assert _callers("degree_equalize") == ["chow.general_form"]

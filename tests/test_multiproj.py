@@ -3,15 +3,15 @@ import itertools
 import pytest
 
 from chowforms import chow, multiproj
-from chowforms.chow import chow_form, chow_form_ci
-from chowforms.dimension import ProjectiveVariety, RandomGrid
+from chowforms.chow import (chow_form, chow_form_ci, degree_equalize,
+                            generic_lc)
+from chowforms.dimension import MultiprojVariety, RandomGrid
 from chowforms.errors import IndeterminateError, UsageError
 from chowforms.mpoly import MPoly, VarTable, parse_poly
-from chowforms.multiproj import (MultiprojVariety, chow_hypersurface_formats,
-                                 dim_table, hurwitz_hypersurface_formats,
-                                 multi_bounds, multi_chow_form,
-                                 multi_chow_form_ci, multi_degree_equalize,
-                                 multi_generic_lc, multidegree, support)
+from chowforms.multiproj import (chow_hypersurface_formats, dim_table,
+                                 hurwitz_hypersurface_formats, multi_bounds,
+                                 multi_chow_form, multi_chow_form_ci,
+                                 multidegree, support)
 
 GRID = RandomGrid(seed=2)
 
@@ -302,7 +302,7 @@ class TestChowFormCI:
                               dim=1)
         cf = multi_chow_form_ci(V1, (0,), GRID)
         ref = chow_form_ci(
-            ProjectiveVariety(X3, [P("x0*x2 - x1^2", X3)]), 1, GRID)
+            MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)]), 1, GRID)
         rename = {}
         for j, blk in enumerate(("u1_0", "u1_1")):
             for k in range(3):
@@ -319,8 +319,8 @@ class TestProductChowForms:
     def test_format_21_is_second_factor(self, product):
         cf = multi_chow_form_ci(product, (2, 1), GRID)
         assert cf.block_degrees == (0, 2, 2)
-        C2 = ProjectiveVariety(X4, [P("x3", X4),
-                                    P("x0^2 + x1^2 - x2^2", X4)])
+        C2 = MultiprojVariety(X4, [P("x3", X4),
+                                   P("x0^2 + x1^2 - x2^2", X4)])
         ref = chow_form(C2, 1, GRID)
         rename = {f"u{j}{k}": f"u2_{j}_{k}"
                   for j in range(2) for k in range(4)}
@@ -330,7 +330,7 @@ class TestProductChowForms:
     def test_format_12_is_first_factor(self, product):
         cf = multi_chow_form_ci(product, (1, 2), GRID)
         assert cf.block_degrees == (2, 2, 0)
-        C1 = ProjectiveVariety(X4, [P("x3", X4), P("x0*x2 - x1^2", X4)])
+        C1 = MultiprojVariety(X4, [P("x3", X4), P("x0*x2 - x1^2", X4)])
         ref = chow_form(C1, 1, GRID)
         rename = {f"u{j}{k}": f"u1_{j}_{k}"
                   for j in range(2) for k in range(4)}
@@ -340,7 +340,7 @@ class TestProductChowForms:
 
 class TestEqualizeAndGeneralCase:
     def test_equalize_degrees_and_zero_locus(self, product):
-        W = multi_degree_equalize(product)
+        W = degree_equalize(product)
         assert len(set(W.mdegs)) == 1
         # (1:0:0:0) x (1:0:1:0) lies on the product of the conics.
         point = {"x0": 1, "x1": 0, "x2": 0, "x3": 0,
@@ -348,9 +348,28 @@ class TestEqualizeAndGeneralCase:
         for f in W.polys:
             assert f.evaluate(point) == 0
 
+    def test_equalize_gap_two_keeps_the_zero_locus(self):
+        # {(1:2)} x {(3:5), (1:-1)}, cut out in multidegrees (1,0), (0,2).
+        V = MultiprojVariety(P1P1, [P("2*x0 - x1", P1P1),
+                                    P("(5*y0 - 3*y1)*(y0 + y1)", P1P1)],
+                             dim=0)
+        W = degree_equalize(V)
+        assert W.mdegs == ((1, 2),) * 4
+        coords = [c for c in itertools.product(range(-3, 6), repeat=2)
+                  if c != (0, 0)]
+        zeros = 0
+        for x, y in itertools.product(coords, coords):
+            point = dict(zip(P1P1.names, x + y))
+            on_v = all(f.evaluate(point) == 0 for f in V.polys)
+            assert all(f.evaluate(point) == 0 for f in W.polys) == on_v
+            zeros += on_v
+        # Representatives in the box: 3 of (1:2) times 1 of (3:5) plus 6
+        # of (1:-1).
+        assert zeros == 3 * (1 + 6)
+
     def test_equalize_identity_when_equal(self):
         V = MultiprojVariety(P1P1, [P("x0*y0 + x1*y1", P1P1)], dim=1)
-        assert multi_degree_equalize(V).polys == V.polys
+        assert degree_equalize(V).polys == V.polys
 
     def test_general_chow_form_of_redundant_point_pair(self):
         # {(1:2)} x {(3:5)} cut out by three dependent generators.
@@ -382,8 +401,8 @@ class TestMultiGenericLc:
         monkeypatch.setattr(RandomGrid, "rng", rng)
         monkeypatch.setattr(chow, "dim_leq", None)
         with pytest.raises(UsageError, match="coefficient rank"):
-            multi_generic_lc(V, 0, grid)
-        assert tags == [("mglc", draw) for draw in range(16)]
+            generic_lc(V, 0, grid)
+        assert tags == [("glc", draw) for draw in range(16)]
 
 
 class TestBounds:

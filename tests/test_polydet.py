@@ -4,10 +4,11 @@ import random
 import pytest
 
 from chowforms import (MPoly, PolyMatrix, UsageError, VarTable, det_bareiss,
-                       det_cofactor, det_integer, parse_poly)
+                       det_integer, parse_poly)
 from chowforms.mpoly import unpack_digits
 from chowforms.polydet import det_packed, pack_rows, packing_shift, row_norms
-from conftest import kronecker_coeffs, kronecker_matrix, rand_poly
+from conftest import (det_cofactor, kronecker_coeffs, kronecker_matrix,
+                      rand_poly)
 
 
 def mat(vars, rows):

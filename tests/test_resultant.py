@@ -4,7 +4,7 @@ import pytest
 
 from chowforms import MPoly, VarTable, resultant
 from chowforms.chow import chow_form_ci, u_block_names, with_linear_forms
-from chowforms.dimension import ProjectiveVariety, RandomGrid
+from chowforms.dimension import MultiprojVariety, RandomGrid
 from chowforms.errors import (DegenerateError, IndeterminateError,
                               InternalError, UsageError)
 from chowforms.mpoly import parse_poly
@@ -415,7 +415,7 @@ class TestSampleAtZero:
             return inner(fixed, at)
 
         monkeypatch.setattr(resultant, "det_slice", counted)
-        V = ProjectiveVariety(X3, [parse_poly("x0*x2 - x1^2", X3)])
+        V = MultiprojVariety(X3, [parse_poly("x0*x2 - x1^2", X3)])
         sys, blocks = chow_ci_system(V.polys, 1)
         log = _SliceLog(monkeypatch, sys, blocks)
         chow_form_ci(V, 1, RandomGrid(seed=0))

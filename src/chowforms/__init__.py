@@ -5,7 +5,6 @@ from .dimension import MultiprojVariety, RandomGrid, dim_projection
 from .errors import (ChowformsError, DegenerateError, IndeterminateError,
                      InternalError, ParseError, UsageError)
 from .hurwitz import hurwitz_form
-from .mixedres import MultiResSystem
 from .mpoly import (MPoly, VarTable, divexact, gcd, parse_poly,
                     square_free_part)
 from .multiproj import (chow_hypersurface_formats, dim_table,
@@ -14,7 +13,7 @@ from .multiproj import (chow_hypersurface_formats, dim_table,
                         support)
 from .polydet import PolyMatrix, det_bareiss, det_integer
 from .polymatroid import Polymatroid, from_dim_table
-from .resultant import MacaulaySystem, gcp_resultant, resultant_dense
+from .resultant import MultiResSystem, gcp_resultant, resultant_dense
 
 __all__ = [
     "Form", "chow_bounds", "chow_form", "chow_form_ci",
@@ -22,7 +21,6 @@ __all__ = [
     "ChowformsError", "DegenerateError", "IndeterminateError",
     "InternalError", "ParseError", "UsageError",
     "hurwitz_form",
-    "MultiResSystem",
     "MPoly", "VarTable", "divexact", "gcd",
     "parse_poly", "square_free_part",
     "chow_hypersurface_formats",
@@ -31,5 +29,5 @@ __all__ = [
     "multidegree", "support",
     "PolyMatrix", "det_bareiss", "det_integer",
     "Polymatroid", "from_dim_table",
-    "MacaulaySystem", "gcp_resultant", "resultant_dense",
+    "MultiResSystem", "gcp_resultant", "resultant_dense",
 ]

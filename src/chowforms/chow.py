@@ -1,9 +1,9 @@
 """Chow forms of pure-dimensional projective varieties, the one-block
 :class:`dimension.MultiprojVariety`.
 
-The complete-intersection path appends r+1 generic linear u-forms and
-eliminates x with the perturbed Macaulay resultant (:func:`ci_resultant`,
-shared with the Hurwitz u-resultant); the general path
+The complete-intersection path appends generic linear u-forms and
+eliminates every x-block (:func:`ci_resultant`, shared with the Hurwitz
+u-resultant and the multigraded Chow forms); the general path
 (:func:`general_form`, shared with the multigraded Chow forms) reduces to
 complete intersections by verified random linear combinations of the
 equalized equations and assembles the answer as a gcd.
@@ -17,9 +17,10 @@ import operator
 
 from .dimension import MultiprojVariety, RandomGrid, combine, dim_leq
 from .errors import UsageError
+from .mixedres import resultant_multihomogeneous_interp
 from .mpoly import MPoly, gcd, square_free_part
 from .polydet import rank_integer
-from .resultant import MacaulaySystem, gcp_block_interpolation
+from .resultant import MultiResSystem, gcp_block_interpolation
 
 
 class Form:
@@ -72,32 +73,39 @@ def degree_equalize(V):
     return MultiprojVariety(V.vars, polys, dim=V.dim)
 
 
-def _one_block(V):
+def _projective(V, r):
     if V.l != 1:
         raise UsageError("a projective variety needs one variable block")
-
-
-def ci_resultant(V, r, blocks, grid, tag):
-    """x eliminated from the complete intersection V (m = n - r
-    polynomials in P^n) and one generic linear form per name tuple of
-    ``blocks``: homogeneous of degree prod deg(f_i) in every block, it is
-    interpolated from integer determinant quotients drawn under ``tag``.
-    """
-    _one_block(V)
-    n = V.total_dim
-    m = len(V.polys)
     if r < 0:
         raise UsageError("need r >= 0")
-    if m != n - r:
-        raise UsageError(f"complete intersection needs {n - r} polynomials, "
+
+
+def ci_resultant(V, forms, grid, tag):
+    """Every x-block eliminated from the complete intersection V and one
+    generic linear form per u-block, ``forms[i]`` naming those on x-block
+    i.  Homogeneous in each u-block of degree its Bezout number, the
+    resultant is interpolated from determinant quotients drawn under
+    ``tag``: of the perturbed Macaulay pair on one x-block, of
+    Canny-Emiris pairs on several."""
+    u_blocks = [blk for blocks in forms for blk in blocks]
+    m = len(V.polys)
+    need = V.total_dim + 1 - len(u_blocks)
+    if m != need:
+        raise UsageError(f"complete intersection needs {need} polynomials, "
                          f"got {m}")
     if grid is None:
         grid = RandomGrid(seed=0)
-    sys = MacaulaySystem(with_linear_forms(V.polys, V.vars.names, blocks),
-                         V.vars.names)
-    D = math.prod(f.total_degree() for f in V.polys)
-    R, _ = gcp_block_interpolation(sys, range(m), blocks, [D] * len(blocks),
-                                   grid, tag=tag)
+    polys = V.polys
+    for xs, blocks in zip(V.x_blocks, forms):
+        polys = with_linear_forms(polys, xs, blocks)
+    sys = MultiResSystem(polys, V.x_blocks)
+    degrees = sys.bezout_bounds()[m:]
+    if V.l == 1:
+        R, _ = gcp_block_interpolation(sys, range(m), u_blocks, degrees, grid,
+                                       tag=tag)
+    else:
+        R = resultant_multihomogeneous_interp(sys, u_blocks, degrees, grid,
+                                              tag=tag)
     if R.is_zero() or R.is_constant():
         raise UsageError("not a complete intersection of expected dimension: "
                          "the elimination degenerated")
@@ -107,9 +115,9 @@ def ci_resultant(V, r, blocks, grid, tag):
 def chow_form_ci(V, r, grid=None):
     """Chow form of a complete intersection (m = n - r polynomials): the
     square-free part of :func:`ci_resultant` on r+1 u-blocks."""
+    _projective(V, r)
     blocks = [u_block_names(i, V.total_dim) for i in range(r + 1)]
-    return Form(square_free_part(ci_resultant(V, r, blocks, grid,
-                                              "chow-ci")))
+    return Form(square_free_part(ci_resultant(V, [blocks], grid, "chow-ci")))
 
 
 def verified_lambdas(polys, x_blocks, r, bound, grid, tag):
@@ -195,7 +203,7 @@ def general_form(V, r, grid, form_ci):
 def chow_form(V, r, grid):
     """General-case Chow form of a projective variety
     (:func:`general_form` over :func:`chow_form_ci`)."""
-    _one_block(V)
+    _projective(V, r)
     return general_form(V, r, grid, lambda W: chow_form_ci(W, r, grid))
 
 

@@ -33,7 +33,7 @@ from .multiproj import (chow_hypersurface_formats, dim_table,
                         multi_chow_form, multidegree, support)
 from .polydet import PolyMatrix, det_bareiss
 from .polymatroid import Polymatroid
-from .resultant import MacaulaySystem, gcp_resultant, resultant_dense
+from .resultant import MultiResSystem, gcp_resultant, resultant_dense
 
 COMMANDS = ("chow", "chow-ci", "hurwitz", "multichow", "support", "formats",
             "resultant", "det", "polymatroid", "bounds")
@@ -101,7 +101,6 @@ def parse_problem(text):
         flat = tuple(n for b in blocks for n in b)
         if sorted(flat) != sorted(ring):
             raise ParseError("blocks must partition the ring variables")
-        idx = {}
         pos = 0
         out_blocks = []
         for b in blocks:
@@ -184,7 +183,7 @@ def run(command, problem, grid):
         return "\n".join(v for v in lines if v), {"algorithm": "formats"}
     if command == "resultant":
         elim = problem.blocks[0] if problem.blocks else problem.vars.names
-        sys_ = MacaulaySystem(problem.polys, elim)
+        sys_ = MultiResSystem(problem.polys, [elim])
         try:
             res = resultant_dense(sys_)
             algorithm = "macaulay"
@@ -219,7 +218,8 @@ def run_polymatroid(op, text):
         n = tuple(int(v) for v in data["n"])
         table = {tuple(int(i) for i in key.split()): int(v)
                  for key, v in data["table"].items()}
-    except (json.JSONDecodeError, KeyError, ValueError, AttributeError) as exc:
+    except (KeyError, ValueError, AttributeError, TypeError,
+            OverflowError) as exc:
         raise ParseError(f"bad polymatroid JSON input: {exc}")
     table.setdefault((), 0)
     P = Polymatroid(n, table)
@@ -267,7 +267,7 @@ def main(argv=None):
                 problem = parse_problem(fh.read())
             grid = RandomGrid(seed=opts.seed, retries=opts.retries)
             out, meta = run(opts.command, problem, grid)
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
     except IndeterminateError as exc:

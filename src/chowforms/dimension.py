@@ -29,7 +29,7 @@ from math import prod
 from .errors import InternalError, UsageError
 from .mpoly import MPoly, VarTable
 from .polydet import gauss_jordan
-from .resultant import MacaulaySystem, _BadGrid, _fresh_name, gcp_sampler
+from .resultant import MultiResSystem, _BadGrid, _fresh_name, gcp_sampler
 
 
 class MultiprojVariety:
@@ -322,7 +322,7 @@ def _affine_round(polys, vars, rng, bound):
         homog.append(MPoly(wide, terms))
     m_form = MPoly.var(wide, "m0") * MPoly.var(wide, "w") + \
         random_form(wide, vars.names, rng, bound)
-    sys = MacaulaySystem(homog + [m_form], ("w",) + vars.names)
+    sys = MultiResSystem(homog + [m_form], [("w",) + vars.names])
     # The GCP has degree prod d_i in the coefficients of the m-form, so
     # every s-coefficient has m0-degree at most that.
     _, values = _gcp_trailing(sys, range(len(homog)), wide.index("m0"),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .chow import Form, ci_resultant, u_block_names
+from .chow import Form, _projective, ci_resultant, u_block_names
 from .dimension import RandomGrid
 from .errors import IndeterminateError, InternalError, UsageError
 from .mpoly import gcd, square_free_part
@@ -47,10 +47,11 @@ def u_resultant(V, r, grid=None):
     """
     if math.prod(f.total_degree() for f in V.polys) < 2:
         raise UsageError("the variety must have degree at least 2")
+    _projective(V, r)
     n = V.total_dim
     blocks = [u_block_names(i, n) for i in range(1, r + 1)]
     blocks.append(m_block_names(n))
-    return ci_resultant(V, r, blocks, grid, "hurwitz-u")
+    return ci_resultant(V, [blocks], grid, "hurwitz-u")
 
 
 class _PencilSampler:

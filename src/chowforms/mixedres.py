@@ -24,88 +24,13 @@ import itertools
 import operator
 
 from .errors import IndeterminateError, InternalError, UsageError
-from .mpoly import MPoly, VarTable
+from .mpoly import MPoly
 from .polydet import PolyMatrix
 from .resultant import _QuotientSampler, _Remainder, block_interpolation
 
 
 class _BadLifting(Exception):
     """Internal: this lifting/perturbation did not produce a usable matrix."""
-
-
-class MultiResSystem:
-    """Square multihomogeneous elimination instance over l projective blocks.
-
-    ``x_blocks`` lists the homogeneous variable names of each block (the
-    first name of a block is the dehomogenizing one); there must be exactly
-    sum(n_i) + 1 polynomials, each multihomogeneous across the blocks.
-    """
-
-    def __init__(self, polys, x_blocks):
-        if not polys:
-            raise UsageError("empty system")
-        vars = polys[0].vars
-        self.block_idx = tuple(tuple(vars.index(n) for n in blk) for blk in x_blocks)
-        self.nsizes = tuple(len(b) - 1 for b in self.block_idx)
-        if any(n < 1 for n in self.nsizes):
-            raise UsageError("each block needs at least two variables")
-        N = sum(self.nsizes)
-        if len(polys) != N + 1:
-            raise UsageError(f"need exactly {N + 1} polynomials, got {len(polys)}")
-        mdegs = []
-        for f in polys:
-            if f.vars != vars:
-                raise UsageError("system polynomials use different VarTables")
-            if f.is_zero():
-                raise UsageError("zero polynomial in system")
-            if not all(f.is_homogeneous_in(blk) for blk in self.block_idx):
-                raise UsageError("system polynomials must be multihomogeneous "
-                                 "in the x-blocks")
-            exp = next(iter(f.terms))
-            mdegs.append(tuple(sum(exp[i] for i in blk)
-                               for blk in self.block_idx))
-        self.vars = vars
-        self.polys = tuple(polys)
-        self.mdegs = tuple(mdegs)
-        self.N = N
-        self.l = len(self.block_idx)
-
-    def bezout_bounds(self):
-        """Degree of the resultant in the coefficients of each polynomial:
-        the multihomogeneous Bezout count of the remaining system."""
-        aux = VarTable(tuple(f"t{j}" for j in range(self.l)))
-        target = tuple(self.nsizes)
-        out = []
-        for k in range(len(self.polys)):
-            prod = MPoly.const(aux, 1)
-            for i, d in enumerate(self.mdegs):
-                if i == k:
-                    continue
-                prod = prod * MPoly(aux, {tuple(int(j == b) for j in range(self.l)): d[b]
-                                          for b in range(self.l) if d[b]})
-            out.append(prod.terms.get(target, 0))
-        return out
-
-    def affine_support(self, i):
-        """Full product-of-simplices support of poly i in affine exponents
-        (per block, the first variable is dropped)."""
-        per_block = []
-        for j, blk in enumerate(self.block_idx):
-            d = self.mdegs[i][j]
-            n = self.nsizes[j]
-            pts = [e for e in itertools.product(range(d + 1), repeat=n)
-                   if sum(e) <= d]
-            per_block.append(pts)
-        return [sum(combo, ()) for combo in itertools.product(*per_block)]
-
-    def coeff_table(self, i):
-        """Map affine exponent (per block, the first variable dropped) ->
-        coefficient MPoly over the full table, x-exponents zeroed; the
-        first exponent of each block follows from the multidegree."""
-        affine = [k for blk in self.block_idx for k in blk[1:]]
-        firsts = [blk[0] for blk in self.block_idx]
-        return {key[:self.N]: cf for key, cf
-                in self.polys[i].coefficients(affine + firsts).items()}
 
 
 class _CellWalk:
@@ -307,6 +232,8 @@ def resultant_multihomogeneous_interp(sys, param_blocks, degrees, grid,
     A result is accepted once two independent liftings agree on the
     normalized polynomial (zero when det H vanishes identically).
     """
+    if any(n < 1 for n in sys.nsizes):
+        raise UsageError("each block needs at least two variables")
     rng = grid.rng(tag)
     fast = [sys.vars.index(n) for n in param_blocks[-1][1:]]
     one = [[MPoly.const(sys.vars, 1)]]

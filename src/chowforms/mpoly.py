@@ -419,6 +419,9 @@ class MPoly:
 # 64 per term plus the coefficient bits.
 MAX_PARSE_DEGREE = 1000
 MAX_PARSE_BITS = 2 ** 21
+# Cap on the nesting of parentheses and unary minus signs, which the
+# recursive-descent parser follows by recursion.
+MAX_PARSE_DEPTH = 100
 
 
 def _check_expansion(what, degree, terms, nvars, bits):
@@ -469,6 +472,7 @@ class _Parser:
         self.tokens = tokens
         self.vars = vars
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -523,7 +527,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind != "int":
                 self.fail("expected integer exponent after '^'")
-            e = int(val)
+            e = self.integer()
             t = len(base.terms)
             _check_expansion(f"power '^{e}'", base.total_degree() * e,
                              math.comb(t + e - 1, e) if t else 1,
@@ -532,27 +536,38 @@ class _Parser:
             return base ** e
         return base
 
+    def integer(self):
+        try:
+            return int(self.peek()[1])
+        except ValueError:  # longer than int() converts
+            self.fail("integer literal too long")
+
     def atom(self):
         kind, val, _ = self.peek()
         if kind == "int":
+            c = self.integer()
             self.next()
-            return MPoly.const(self.vars, int(val))
+            return MPoly.const(self.vars, c)
         if kind == "name":
             if val not in self.vars._index:
                 self.fail(f"unknown variable {val!r}")
             self.next()
             return MPoly.var(self.vars, val)
-        if kind == "op" and val == "(":
+        if kind == "op" and val in "(-":
+            if self.depth == MAX_PARSE_DEPTH:
+                self.fail(f"parentheses and signs nested deeper than "
+                          f"{MAX_PARSE_DEPTH}")
+            self.depth += 1
             self.next()
-            inner = self.expr()
-            kind, val, _ = self.peek()
-            if not (kind == "op" and val == ")"):
-                self.fail("expected ')'")
-            self.next()
+            if val == "-":
+                inner = -self.factor()
+            else:
+                inner = self.expr()
+                if self.peek()[:2] != ("op", ")"):
+                    self.fail("expected ')'")
+                self.next()
+            self.depth -= 1
             return inner
-        if kind == "op" and val == "-":
-            self.next()
-            return -self.factor()
         self.fail("expected a term")
 
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 
-from .chow import Form, general_form, with_linear_forms
-from .dimension import RandomGrid, combine, dim_projection, random_form
+from .chow import Form, ci_resultant, general_form
+from .dimension import combine, dim_projection, random_form
 from .errors import IndeterminateError, UsageError
-from .mixedres import MultiResSystem, resultant_multihomogeneous_interp
+from .mixedres import resultant_multihomogeneous_interp
 from .mpoly import MPoly, square_free_part
 from .polydet import det_integer
 from .polymatroid import from_dim_table
+from .resultant import MultiResSystem
 
 
 def _nonempty_subsets(l):
@@ -72,32 +73,15 @@ def hurwitz_hypersurface_formats(V, table, mdeg_fn):
 
 def multi_chow_form_ci(V, alpha, grid=None):
     """Chow form of a multiprojective complete intersection for format
-    alpha: eliminate all x-blocks from the system extended by n_i - alpha_i
-    generic linear forms per block, then take the square-free part."""
-    if grid is None:
-        grid = RandomGrid(seed=0)
+    alpha: the square-free part of :func:`chow.ci_resultant` with
+    n_i - alpha_i generic linear forms on block i, coefficient names
+    u<i>_<j>_<k> with i counted from 1."""
     alpha = V.check_format(alpha)
-    need = sum(alpha) + 1  # codimension of a CI with this Chow format
-    if len(V.polys) != need:
-        raise UsageError(f"complete intersection for this format needs "
-                         f"{need} polynomials, got {len(V.polys)}")
-    # n_i - alpha_i generic linear forms on block i, coefficient names
-    # u<i>_<j>_<k> with i counted from 1.
-    polys = list(V.polys)
-    u_blocks = []
-    for i, (xs, n, a) in enumerate(zip(V.x_blocks, V.nvec, alpha), start=1):
-        blocks = [tuple(f"u{i}_{j}_{k}" for k in range(n + 1))
-                  for j in range(n - a)]
-        polys = with_linear_forms(polys, xs, blocks)
-        u_blocks += blocks
-    sys = MultiResSystem(polys, V.x_blocks)
-    degrees = sys.bezout_bounds()[len(V.polys):]
-    R = resultant_multihomogeneous_interp(sys, u_blocks, degrees, grid,
-                                          tag=f"mchow-{alpha}")
-    if R.is_zero() or R.is_constant():
-        raise UsageError("the multigraded elimination degenerated; the "
-                         "incidence variety is not a hypersurface here")
-    return Form(square_free_part(R))
+    forms = [[tuple(f"u{i}_{j}_{k}" for k in range(n + 1))
+              for j in range(n - a)]
+             for i, (n, a) in enumerate(zip(V.nvec, alpha), start=1)]
+    return Form(square_free_part(ci_resultant(V, forms, grid,
+                                              f"mchow-{alpha}")))
 
 
 def multidegree(V, alpha, grid, table=None):
@@ -164,8 +148,12 @@ def multidegree(V, alpha, grid, table=None):
 
 def multi_chow_form(V, r, alpha, grid):
     """General-case multigraded Chow form (:func:`chow.general_form`
-    over :func:`multi_chow_form_ci`)."""
+    over :func:`multi_chow_form_ci`); a format whose size is not
+    total_dim - r - 1 is refused before any draw."""
     alpha = V.check_format(alpha)
+    if sum(alpha) != V.total_dim - r - 1:
+        raise UsageError(f"format {alpha} does not fit dim {r}: its entries "
+                         f"must sum to {V.total_dim - r - 1}")
     return general_form(V, r, grid,
                         lambda W: multi_chow_form_ci(W, alpha, grid))
 

@@ -12,8 +12,15 @@ elongation respectively.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import UsageError
+
+# Size caps, checked before the work they bound: is_valid compares all 4^l
+# pairs of subsets, and points() tests every point of the box against
+# every subset.
+MAX_GROUND_SET = 8
+MAX_BOX_TESTS = 10 ** 6
 
 
 def _subsets(l):
@@ -28,6 +35,9 @@ class Polymatroid:
     def __init__(self, n, table):
         self.n = tuple(n)
         self.l = len(self.n)
+        if self.l > MAX_GROUND_SET:
+            raise UsageError(f"ground set of {self.l} elements is larger "
+                             f"than {MAX_GROUND_SET}")
         self.table = {tuple(sorted(k)): v for k, v in table.items()}
         for I in _subsets(self.l):
             if I not in self.table:
@@ -72,6 +82,10 @@ class Polymatroid:
         """All integer points of the polymatroid polytope."""
         box = [range(min(self.n[i], self.table[(i,)]) + 1)
                for i in range(self.l)]
+        count = math.prod(map(len, box))
+        if count << self.l > MAX_BOX_TESTS:
+            raise UsageError(f"the box holds {count} points, too many to "
+                             f"enumerate")
         return {z for z in itertools.product(*box) if self.member(z)}
 
     def bases(self):

@@ -1,11 +1,11 @@
-"""Dense (Macaulay) resultants and the generalized characteristic polynomial.
+"""Square elimination instances and their dense (Macaulay) resultants.
 
-A :class:`MacaulaySystem` is a square homogeneous elimination instance:
-n+1 polynomials, homogeneous in the eliminated block x_0..x_n, whose
-coefficients may involve further parameter variables.  The resultant is
-the quotient det M / det M_0 of two Macaulay determinants; when det M_0
-vanishes identically, :func:`gcp_resultant` perturbs the system with a
-fresh variable s and returns the trailing s-coefficient instead.
+A :class:`MultiResSystem` is sum(n_i) + 1 polynomials, multihomogeneous
+in the eliminated blocks, whose coefficients may involve further
+parameter variables; its one-block case is the Macaulay instance.  Its
+resultant is the quotient det M / det M_0 of two Macaulay determinants;
+when det M_0 vanishes identically, :func:`gcp_resultant` perturbs the
+system with a fresh variable s and returns the trailing s-coefficient.
 """
 
 from __future__ import annotations
@@ -56,44 +56,88 @@ def drop_variables(f, drop_idx):
     return MPoly(target, out)
 
 
-class MacaulaySystem:
-    """n+1 polynomials homogeneous in an eliminated block of n+1 variables."""
+class MultiResSystem:
+    """Square multihomogeneous elimination instance over l projective blocks.
 
-    def __init__(self, polys, elim_names):
+    ``x_blocks`` lists the homogeneous variable names of each block (the
+    first name of a block is the dehomogenizing one); there must be exactly
+    sum(n_i) + 1 polynomials, each multihomogeneous across the blocks and of
+    positive degree in some block.
+    """
+
+    def __init__(self, polys, x_blocks):
         if not polys:
             raise UsageError("empty system")
         vars = polys[0].vars
-        elim_idx = [vars.index(n) for n in elim_names]
-        if len(polys) != len(elim_idx):
-            raise UsageError(
-                f"need exactly {len(elim_idx)} polynomials for {len(elim_idx)} "
-                f"eliminated variables, got {len(polys)}")
-        degrees = []
+        self.block_idx = tuple(tuple(vars.index(n) for n in blk) for blk in x_blocks)
+        self.nsizes = tuple(len(b) - 1 for b in self.block_idx)
+        N = sum(self.nsizes)
+        if len(polys) != N + 1:
+            raise UsageError(f"need exactly {N + 1} polynomials, got {len(polys)}")
+        mdegs = []
         for f in polys:
             if f.vars != vars:
                 raise UsageError("system polynomials use different VarTables")
-            if f.is_zero() or not f.is_homogeneous_in(elim_idx):
-                raise UsageError("system polynomials must be homogeneous in the "
-                                 "eliminated variables")
-            d = max(sum(exp[i] for i in elim_idx) for exp in f.terms)
-            if d < 1:
-                raise UsageError("every polynomial must have degree >= 1 in the "
-                                 "eliminated variables")
-            degrees.append(d)
+            if f.is_zero():
+                raise UsageError("zero polynomial in system")
+            if not all(f.is_homogeneous_in(blk) for blk in self.block_idx):
+                raise UsageError("system polynomials must be multihomogeneous "
+                                 "in the x-blocks")
+            exp = next(iter(f.terms))
+            mdegs.append(tuple(sum(exp[i] for i in blk)
+                               for blk in self.block_idx))
+            if not any(mdegs[-1]):
+                raise UsageError("every polynomial must have positive degree "
+                                 "in the eliminated variables")
         self.vars = vars
         self.polys = tuple(polys)
-        self.elim_names = tuple(elim_names)
-        self.elim_idx = tuple(elim_idx)
-        self.degrees = tuple(degrees)
-        self.n = len(elim_idx) - 1
+        self.mdegs = tuple(mdegs)
+        self.N = N
+        self.l = len(self.block_idx)
 
-    @property
-    def critical_degree(self):
-        return sum(d - 1 for d in self.degrees) + 1
+    def bezout_bounds(self):
+        """Degree of the resultant in the coefficients of each polynomial,
+        the multihomogeneous Bezout count of the others: the coefficient of
+        prod_b t_b^(n_b) in prod_i sum_b d_ib t_b over their multidegrees."""
+        out = []
+        for k in range(len(self.polys)):
+            terms = {(0,) * self.l: 1}  # the partial product below the target
+            for d in self.mdegs[:k] + self.mdegs[k + 1:]:
+                step = {}
+                for e, c in terms.items():
+                    for b, (db, eb, nb) in enumerate(zip(d, e, self.nsizes)):
+                        if db and eb < nb:
+                            f = e[:b] + (eb + 1,) + e[b + 1:]
+                            step[f] = step.get(f, 0) + c * db
+                terms = step
+            out.append(terms.get(self.nsizes, 0))
+        return out
+
+    def affine_support(self, i):
+        """Full product-of-simplices support of poly i in affine exponents
+        (per block, the first variable is dropped)."""
+        per_block = []
+        for j, blk in enumerate(self.block_idx):
+            d = self.mdegs[i][j]
+            n = self.nsizes[j]
+            pts = [e for e in itertools.product(range(d + 1), repeat=n)
+                   if sum(e) <= d]
+            per_block.append(pts)
+        return [sum(combo, ()) for combo in itertools.product(*per_block)]
+
+    def coeff_table(self, i):
+        """Map affine exponent (per block, the first variable dropped) ->
+        coefficient MPoly over the full table, x-exponents zeroed; the
+        first exponent of each block follows from the multidegree."""
+        affine = [k for blk in self.block_idx for k in blk[1:]]
+        firsts = [blk[0] for blk in self.block_idx]
+        return {key[:self.N]: cf for key, cf
+                in self.polys[i].coefficients(affine + firsts).items()}
 
 
 def macaulay_matrix(sys):
-    """Classical Macaulay pair (M, M0) at the critical degree.
+    """Classical Macaulay pair (M, M0) of a one-block system at the
+    critical degree t = sum(d_i - 1) + 1.
 
     Columns are the degree-t monomials in the eliminated variables; the row
     for monomial x^a is (x^a / x_i^{d_i}) * f_i with i the least index whose
@@ -101,23 +145,23 @@ def macaulay_matrix(sys):
     monomials (divisible by x_i^{d_i} for more than one i), so that the
     resultant is det M / det M0.
     """
-    t = sys.critical_degree
-    elim_idx = sys.elim_idx
-    k = len(elim_idx)
-    cols = monomials_of_degree(k, t)
+    (x_idx,) = sys.block_idx
+    degrees = [d for d, in sys.mdegs]
+    k = len(x_idx)
+    cols = monomials_of_degree(k, sum(d - 1 for d in degrees) + 1)
     col_pos = {a: j for j, a in enumerate(cols)}
-    coeffs = [f.coefficients(elim_idx) for f in sys.polys]
+    coeffs = [f.coefficients(x_idx) for f in sys.polys]
     zero = MPoly.zero(sys.vars)
     rows = []
     reduced = []
     for a in cols:
-        owners = [i for i in range(k) if a[i] >= sys.degrees[i]]
+        owners = [i for i in range(k) if a[i] >= degrees[i]]
         if not owners:
             raise InternalError("critical-degree monomial with no owner")
         i = owners[0]
         reduced.append(len(owners) == 1)
         shift = list(a)
-        shift[i] -= sys.degrees[i]
+        shift[i] -= degrees[i]
         row = [zero] * len(cols)
         for key, cf in coeffs[i].items():
             row[col_pos[tuple(map(operator.add, key, shift))]] = cf
@@ -143,7 +187,7 @@ def resultant_dense(sys):
         raise DegenerateError("Macaulay minor vanishes identically; "
                               "use gcp_resultant")
     d = det_bareiss(M)
-    return drop_variables(divexact(d, d0), sys.elim_idx)
+    return drop_variables(divexact(d, d0), sys.block_idx[0])
 
 
 def _fresh_name(vars, base):
@@ -167,13 +211,14 @@ def perturbed_macaulay(sys, perturb_indices=None):
     sname = _fresh_name(sys.vars, "s")
     wide = sys.vars.extend((sname,))
     s = MPoly.var(wide, sname)
+    xs = [sys.vars.names[i] for i in sys.block_idx[0]]
     polys = []
-    for i, f in enumerate(sys.polys):
+    for i, (f, (d,)) in enumerate(zip(sys.polys, sys.mdegs)):
         g = f.substitute({}, wide)
         if i in perturb:
-            g = g + s * MPoly.var(wide, sys.elim_names[i], sys.degrees[i])
+            g = g + s * MPoly.var(wide, xs[i], d)
         polys.append(g)
-    psys = MacaulaySystem(polys, sys.elim_names)
+    psys = MultiResSystem(polys, [xs])
     M, M0 = macaulay_matrix(psys)
     return M, M0, wide, sname
 
@@ -199,7 +244,7 @@ def gcp_resultant(sys, perturb_indices=None):
     s_idx = wide.index(sname)
     by_s = rhat.coefficients((s_idx,))
     low = min(by_s)
-    return drop_variables(by_s[low], list(sys.elim_idx) + [s_idx]), low[0]
+    return drop_variables(by_s[low], sys.block_idx[0] + (s_idx,)), low[0]
 
 
 class _BadGrid(Exception):

@@ -21,7 +21,7 @@ from chowforms.multiproj import (chow_hypersurface_formats, dim_table,
                                  multi_chow_form_ci, multidegree, support)
 from chowforms.polydet import det_integer, det_packed
 from chowforms.polymatroid import Polymatroid
-from chowforms.resultant import MacaulaySystem, gcp_resultant, resultant_dense
+from chowforms.resultant import MultiResSystem, gcp_resultant, resultant_dense
 from conftest import (det_cofactor, evaluate_on_plane, kronecker_coeffs,
                       kronecker_matrix)
 from test_multiproj import box_variety, check_against_oracle
@@ -126,7 +126,7 @@ class TestSylvesterOracle:
         for _ in range(200):
             a = rand_binform(rng, rng.randint(1, 4))
             b = rand_binform(rng, rng.randint(1, 4))
-            sys = MacaulaySystem([binform(a), binform(b)], ("x0", "x1"))
+            sys = MultiResSystem([binform(a), binform(b)], [("x0", "x1")])
             r = resultant_dense(sys).constant_value()
             s = sylvester_det(a, b)
             assert r == s or r == -s
@@ -441,7 +441,7 @@ class TestDegenerateRescue:
 
         U0 = v("u00") * v("x0") + v("u01") * v("x1") + v("u02") * v("x2")
         fs = [v("x0") * v("x2"), v("x1") * v("x2"), U0]
-        sys = MacaulaySystem(fs, ("x0", "x1", "x2"))
+        sys = MultiResSystem(fs, [("x0", "x1", "x2")])
         with pytest.raises(DegenerateError):
             resultant_dense(sys)
         g, _ = gcp_resultant(sys, [0, 1])

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import chowforms
-from chowforms import mpoly
+from chowforms import chow, mpoly
 from chowforms.cli import main, parse_problem
 from chowforms.errors import ParseError, UsageError
 from chowforms.mpoly import parse_poly
@@ -160,6 +160,14 @@ class TestCommands:
                 "poly u*x0 + v*x1\npoly x0 - x1\n")
         assert main(["resultant", write(tmp_path, "p", text)]) == 0
         assert capsys.readouterr().out.strip() == "u + v"
+
+    def test_resultant_one_variable_ring(self, tmp_path, capsys):
+        # One polynomial in one eliminated variable: a block of a single
+        # variable is a Macaulay instance, and Res(3*x^2) = 3 normalizes
+        # to 1.
+        text = "ring x\npoly 3*x^2\n"
+        assert main(["resultant", write(tmp_path, "p", text)]) == 0
+        assert capsys.readouterr().out == "1\n"
 
     def test_det(self, tmp_path, capsys):
         text = ("ring x y\npoly x\npoly 1\npoly 1\npoly y\n")
@@ -323,6 +331,81 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "defining polynomials must be multihomogeneous" in captured.err
+
+    def test_format_of_wrong_size_is_2_before_any_draw(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # A point set in P1 x P1 needs a format of size 1; format (0, 0)
+        # is refused before a combination is drawn.
+        calls = []
+        original = chow.verified_lambdas
+        monkeypatch.setattr(chow, "verified_lambdas",
+                            lambda *a: calls.append(a) or original(*a))
+        text = ("ring x0 x1 y0 y1\nblocks (x0 x1)(y0 y1)\n"
+                "poly x0*y0 + x1*y1\npoly x0*y1 - x1*y0\n"
+                "poly x0*y0 - 2*x1*y1\ndim 0\nformat 0 0\n")
+        assert main(["multichow", write(tmp_path, "p", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and calls == []
+        assert "format (0, 0)" in captured.err and "dim 0" in captured.err
+
+    @pytest.mark.parametrize("expr", [
+        "(" * 400 + "x0" + ")" * 400, "-" * 2000 + "x0"],
+        ids=["parentheses", "minus-signs"])
+    def test_deep_nesting_is_4_within_seconds(self, expr, tmp_path, capsys):
+        text = f"ring x0 x1\npoly {expr}\n"
+        start = time.monotonic()
+        assert main(["det", write(tmp_path, "p", text)]) == 4
+        assert time.monotonic() - start < 2
+        assert "nested deeper" in capsys.readouterr().err
+
+    def test_overlong_integer_is_4(self, tmp_path, capsys):
+        # Longer than int() converts from text (4300 digits by default).
+        text = "ring x0 x1\npoly " + "7" * 5000 + "*x0\n"
+        assert main(["det", write(tmp_path, "p", text)]) == 4
+        assert "integer literal too long" in capsys.readouterr().err
+
+    def test_nesting_of_fifty_parses(self, tmp_path, capsys):
+        text = "ring x0 x1\npoly " + "(" * 50 + "-x0" + ")" * 50 + "\n"
+        assert main(["det", write(tmp_path, "p", text)]) == 0
+        assert capsys.readouterr().out == "-x0\n"
+
+    def test_non_utf8_file_is_4_within_seconds(self, tmp_path, capsys):
+        path = tmp_path / "p"
+        path.write_bytes(b"ring x0 x1\npoly \xff\xfe x0\n")
+        start = time.monotonic()
+        assert main(["det", str(path)]) == 4
+        assert time.monotonic() - start < 2
+        assert "utf-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"n": 1, "table": {}}', "[1, 2]"],
+                             ids=["scalar-n", "top-level-list"])
+    def test_polymatroid_json_of_wrong_shape_is_4_within_seconds(
+            self, text, tmp_path, capsys):
+        start = time.monotonic()
+        assert main(["polymatroid", "bases",
+                     write(tmp_path, "t.json", text)]) == 4
+        assert time.monotonic() - start < 2
+        assert "bad polymatroid JSON" in capsys.readouterr().err
+
+    def test_polymatroid_huge_box_is_2_within_seconds(self, tmp_path,
+                                                      capsys):
+        text = '{"n": [100000000], "table": {"0": 100000000}}'
+        start = time.monotonic()
+        assert main(["polymatroid", "bases",
+                     write(tmp_path, "t.json", text)]) == 2
+        assert time.monotonic() - start < 2
+        assert "too many to enumerate" in capsys.readouterr().err
+
+    def test_polymatroid_large_ground_set_is_2_within_seconds(self, tmp_path,
+                                                              capsys):
+        # The subsets of 20 elements are never listed, let alone compared
+        # in pairs.
+        text = json.dumps({"n": [1] * 20, "table": {"0": 1}})
+        start = time.monotonic()
+        assert main(["polymatroid", "bases",
+                     write(tmp_path, "t.json", text)]) == 2
+        assert time.monotonic() - start < 2
+        assert "ground set of 20 elements" in capsys.readouterr().err
 
     def test_oversized_power_is_2_within_seconds(self, tmp_path, capsys):
         text = "ring x0 x1 x2\npoly (x0+x1+x2)^400\ndim 1\n"

@@ -10,7 +10,7 @@ from chowforms.mpoly import parse_poly
 from chowforms.dimension import (MultiprojVariety, RandomGrid, affine_solvable,
                                  dim_leq, dim_projection, solve_affine_linear,
                                  substitute_affine)
-from chowforms.resultant import (MacaulaySystem, _BadGrid, gcp_resultant,
+from chowforms.resultant import (MultiResSystem, _BadGrid, gcp_resultant,
                                  perturbed_macaulay)
 
 X3 = VarTable(("x0", "x1", "x2"))
@@ -246,8 +246,8 @@ class TestSampledVerdicts:
         # det M0 does not depend on the sampled variable, so a minor that
         # vanishes at the first sample vanishes identically.
         T = VarTable(("x0", "x1", "m"))
-        sys = MacaulaySystem([P("x0 - x1", T), P("x0 + m*x1", T)],
-                             ("x0", "x1"))
+        sys = MultiResSystem([P("x0 - x1", T), P("x0 + m*x1", T)],
+                             [("x0", "x1")])
         tried = []
 
         def sample(point, keep=None):
@@ -264,8 +264,8 @@ class TestSampledVerdicts:
         # first three samples only, so three samples would give
         # valuation 1.
         T = VarTable(("x0", "x1", "m"))
-        sys = MacaulaySystem([P("x0 - x1", T), P("x0 + m*x1", T)],
-                             ("x0", "x1"))
+        sys = MultiResSystem([P("x0 - x1", T), P("x0 + m*x1", T)],
+                             [("x0", "x1")])
         m = T.index("m")
 
         class Sampler:

@@ -1,7 +1,8 @@
 """Static checks on the library sources: standard-library imports only,
 no rational or floating-point arithmetic, no imported name left unused,
 one interpolation loop, one quotient sampler, one formats engine, one
-variety model and no basis refactored by the Canny-Emiris cell walk.
+variety model, one elimination instance and one complete-intersection
+elimination, and no basis refactored by the Canny-Emiris cell walk.
 ``__init__.py`` is exempt from the unused import check, since its
 imports are re-exports."""
 
@@ -149,3 +150,18 @@ def test_one_variety_model():
     assert _callers("verified_lambdas") == ["chow.generic_lc"]
     assert _callers("gcp_block_interpolation") == ["chow.ci_resultant"]
     assert _callers("degree_equalize") == ["chow.general_form"]
+
+
+def test_one_ci_elimination():
+    # One square elimination instance, whose one-block case is the
+    # Macaulay instance, and one complete-intersection elimination, which
+    # appends the u-forms and picks the engine by the number of x-blocks.
+    classes = [node.name for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and node.name.endswith("System")]
+    assert classes == ["MultiResSystem"]
+    assert _callers("with_linear_forms") == ["chow.ci_resultant"]
+    assert _callers("gcp_block_interpolation") == ["chow.ci_resultant"]
+    assert sorted(_callers("resultant_multihomogeneous_interp")) == [
+        "chow.ci_resultant", "multiproj.multidegree"]

@@ -7,12 +7,12 @@ import pytest
 from chowforms import MPoly, VarTable
 from chowforms.dimension import RandomGrid
 from chowforms.errors import IndeterminateError, InternalError, UsageError
-from chowforms.mixedres import (MultiResSystem, _BadLifting, _build_matrix,
+from chowforms.mixedres import (_BadLifting, _build_matrix,
                                 _CellWalk, _lattice_points,
                                 resultant_multihomogeneous_interp)
 from chowforms.mpoly import divexact, parse_poly
 from chowforms.polydet import PolyMatrix, det_bareiss, det_integer, ff_reduce
-from chowforms.resultant import (MacaulaySystem, _BadGrid, _det_in_s,
+from chowforms.resultant import (MultiResSystem, _BadGrid, _det_in_s,
                                  _QuotientSampler, _Remainder,
                                  drop_variables, resultant_dense)
 
@@ -92,7 +92,7 @@ class TestSingleBlock:
         for trial in range(5):
             fs = [MPoly(X3, {e: rng.randint(-6, 6) for e in quad_exps})
                   for _ in range(3)]
-            dense = resultant_dense(MacaulaySystem(fs, X3.names))
+            dense = resultant_dense(MultiResSystem(fs, [X3.names]))
             sys = MultiResSystem(fs, [X3.names])
             sparse = resultant_multihomogeneous(sys, seed=trial)
             d, s = dense.constant_value(), sparse.constant_value()

@@ -18,7 +18,7 @@ from chowforms.mpoly import (divexact, gcd, parse_poly, square_free_part,
 from chowforms.polydet import (PolyMatrix, det_bareiss, det_integer,
                                det_packed, det_slice, ff_reduce, pack_rows,
                                packing_shift, rank_integer, row_norms)
-from chowforms.resultant import (MacaulaySystem, monomials_of_degree,
+from chowforms.resultant import (MultiResSystem, monomials_of_degree,
                                  resultant_dense)
 from conftest import rand_poly
 
@@ -286,7 +286,7 @@ def binary_forms(draw, max_deg=3):
 @settings(max_examples=60, deadline=None)
 @given(binary_forms(), binary_forms())
 def test_resultant_dense_matches_sympy(f, g):
-    sys = MacaulaySystem([f, g], ("x0", "x1"))
+    sys = MultiResSystem([f, g], [("x0", "x1")])
     got = resultant_dense(sys)
     x0, x1, _ = sympy.symbols(XYA.names)
     want = sympy.resultant(to_sympy(f).subs(x1, 1), to_sympy(g).subs(x1, 1),

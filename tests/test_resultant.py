@@ -9,7 +9,7 @@ from chowforms.errors import (DegenerateError, IndeterminateError,
                               InternalError, UsageError)
 from chowforms.mpoly import parse_poly
 from chowforms.polydet import PolyMatrix, det_integer
-from chowforms.resultant import (MacaulaySystem, _BadGrid, _block_grid,
+from chowforms.resultant import (MultiResSystem, _BadGrid, _block_grid,
                                  _compile, _det_in_s, _newton_assemble,
                                  _Remainder,
                                  _udiv_exact, gcp_block_interpolation,
@@ -47,7 +47,7 @@ class TestMacaulayMatrix:
         rows = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
         fs = [MPoly(X3, {(1, 0, 0): r[0], (0, 1, 0): r[1], (0, 0, 1): r[2]})
               for r in rows]
-        sys = MacaulaySystem(fs, ("x0", "x1", "x2"))
+        sys = MultiResSystem(fs, [("x0", "x1", "x2")])
         M, M0 = macaulay_matrix(sys)
         assert M.dim == 3
         assert M0.dim == 1 and M0.entries[0][0] == 1
@@ -57,7 +57,7 @@ class TestMacaulayMatrix:
         for _ in range(20):
             d, e = rng.randint(1, 4), rng.randint(1, 4)
             a, b = rand_binform(rng, d), rand_binform(rng, e)
-            sys = MacaulaySystem([binform(a), binform(b)], ("x0", "x1"))
+            sys = MultiResSystem([binform(a), binform(b)], [("x0", "x1")])
             M, M0 = macaulay_matrix(sys)
             assert M.dim == d + e  # Sylvester size
             r = resultant_dense(sys).constant_value()
@@ -67,27 +67,27 @@ class TestMacaulayMatrix:
     def test_ternary_quadrics_size(self, rng):
         quad_exps = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
         fs = [MPoly(X3, {e: rng.randint(-5, 5) for e in quad_exps}) for _ in range(3)]
-        sys = MacaulaySystem(fs, ("x0", "x1", "x2"))
+        sys = MultiResSystem(fs, [("x0", "x1", "x2")])
         M, _ = macaulay_matrix(sys)
         assert M.dim == 15  # monomials of degree 4 in 3 variables: C(6,2)
         assert len(monomials_of_degree(3, 4)) == 15
 
     def test_degenerate_degree_zero(self):
         with pytest.raises(UsageError):
-            MacaulaySystem([MPoly.const(X2, 3), binform([1, 1])], ("x0", "x1"))
+            MultiResSystem([MPoly.const(X2, 3), binform([1, 1])], [("x0", "x1")])
 
 
 class TestResultantDense:
     def test_shared_root(self):
         f = binform([1, -1])
-        sys = MacaulaySystem([f, f], ("x0", "x1"))
+        sys = MultiResSystem([f, f], [("x0", "x1")])
         assert resultant_dense(sys).is_zero()
 
     def test_sylvester_oracle_batch(self, rng):
         for _ in range(50):
             a = rand_binform(rng, rng.randint(1, 4))
             b = rand_binform(rng, rng.randint(1, 4))
-            sys = MacaulaySystem([binform(a), binform(b)], ("x0", "x1"))
+            sys = MultiResSystem([binform(a), binform(b)], [("x0", "x1")])
             r = resultant_dense(sys).constant_value()
             s = sylvester_det(a, b)
             assert r == s or r == -s
@@ -105,7 +105,7 @@ class TestResultantDense:
                 f = f - val * MPoly(X3, {(2, 0, 0): 1})  # subtract val*x0^2 (x0=1 at p)
                 assert f.evaluate(p) == 0
                 fs.append(f)
-            sys = MacaulaySystem(fs, ("x0", "x1", "x2"))
+            sys = MultiResSystem(fs, [("x0", "x1", "x2")])
             try:
                 assert resultant_dense(sys).is_zero()
             except DegenerateError:
@@ -114,12 +114,12 @@ class TestResultantDense:
 
 class TestGcp:
     def test_equals_dense_nondegenerate(self):
-        sys = MacaulaySystem([binform([1, 2, 3]), binform([2, 1, 5])], ("x0", "x1"))
+        sys = MultiResSystem([binform([1, 2, 3]), binform([2, 1, 5])], [("x0", "x1")])
         g, val = gcp_resultant(sys)
         assert g == resultant_dense(sys) and val == 0
 
     def test_no_common_root_squares(self):
-        sys = MacaulaySystem([binform([1, 0, 0]), binform([0, 0, 1])], ("x0", "x1"))
+        sys = MultiResSystem([binform([1, 0, 0]), binform([0, 0, 1])], [("x0", "x1")])
         g, _ = gcp_resultant(sys)
         assert g.constant_value() == 1
         # Oracle: Sylvester of the perturbed pair, trailing s-coefficient.
@@ -240,15 +240,15 @@ def rescue_system():
         return MPoly.var(vars, n)
 
     U0 = v("u00") * v("x0") + v("u01") * v("x1") + v("u02") * v("x2")
-    return MacaulaySystem([v("x0") * v("x2"), v("x1") * v("x2"), U0],
-                          ("x0", "x1", "x2"))
+    return MultiResSystem([v("x0") * v("x2"), v("x1") * v("x2"), U0],
+                          [("x0", "x1", "x2")])
 
 
 def chow_ci_system(polys, r):
     """The chow-ci elimination system: polys plus r+1 generic u-forms."""
     xnames = polys[0].vars.names
     blocks = [u_block_names(i, len(xnames) - 1) for i in range(r + 1)]
-    return (MacaulaySystem(with_linear_forms(polys, xnames, blocks), xnames),
+    return (MultiResSystem(with_linear_forms(polys, xnames, blocks), [xnames]),
             blocks)
 
 
@@ -446,8 +446,8 @@ class TestSampleAtZero:
         # Unperturbed, x1*(x0 + x1) and (u0 + u1)*x1 share the root
         # (1:0) for every u: the resultant vanishes identically.
         X = VarTable(("x0", "x1", "u0", "u1"), blocks=((0, 1), (2, 3)))
-        sys = MacaulaySystem([parse_poly("x1*x0 + x1^2", X),
-                              parse_poly("u0*x1 + u1*x1", X)], ("x0", "x1"))
+        sys = MultiResSystem([parse_poly("x1*x0 + x1^2", X),
+                              parse_poly("u0*x1 + u1*x1", X)], [("x0", "x1")])
         with pytest.raises(UsageError, match="vanishes identically"):
             gcp_block_interpolation(sys, [], [("u0", "u1")], [1],
                                     RandomGrid(seed=1))

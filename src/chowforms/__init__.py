@@ -1,6 +1,6 @@
 """Exact Chow forms, Hurwitz forms and resultants over the integers."""
 
-from .chow import Form, chow_bounds, chow_form, chow_form_ci
+from .chow import chow_bounds, chow_form, chow_form_ci
 from .dimension import MultiprojVariety, RandomGrid, dim_projection
 from .errors import (ChowformsError, DegenerateError, IndeterminateError,
                      InternalError, ParseError, UsageError)
@@ -16,7 +16,7 @@ from .polymatroid import Polymatroid, from_dim_table
 from .resultant import MultiResSystem, gcp_resultant, resultant_dense
 
 __all__ = [
-    "Form", "chow_bounds", "chow_form", "chow_form_ci",
+    "chow_bounds", "chow_form", "chow_form_ci",
     "MultiprojVariety", "RandomGrid", "dim_projection",
     "ChowformsError", "DegenerateError", "IndeterminateError",
     "InternalError", "ParseError", "UsageError",

@@ -25,7 +25,7 @@ import time
 from .chow import chow_bounds, chow_form, chow_form_ci
 from .dimension import MultiprojVariety, RandomGrid
 from .errors import (ChowformsError, DegenerateError, IndeterminateError,
-                     ParseError, UsageError)
+                     ParseError, UsageError, quote)
 from .hurwitz import hurwitz_form
 from .mpoly import parse_poly, VarTable
 from .multiproj import (chow_hypersurface_formats, dim_table,
@@ -94,7 +94,7 @@ def parse_problem(text):
             if not format:
                 raise ParseError(f"line {lineno}: format needs integers")
         else:
-            raise ParseError(f"line {lineno}: unknown directive {head!r}")
+            raise ParseError(f"line {lineno}: unknown directive {quote(head)}")
     if ring is None:
         raise ParseError("missing ring declaration")
     if blocks is not None:
@@ -136,11 +136,15 @@ def _need(problem, field, what):
     return value
 
 
+def _variety(problem):
+    return MultiprojVariety(problem.vars, problem.polys,
+                            dim=_need(problem, "dim", "dim"))
+
+
 def _multi_variety(problem):
     if problem.blocks is None:
         raise UsageError("this command needs a blocks declaration")
-    dim = _need(problem, "dim", "dim")
-    return MultiprojVariety(problem.vars, problem.polys, dim=dim)
+    return _variety(problem)
 
 
 def _poly_result(poly, algorithm):
@@ -152,22 +156,16 @@ def _poly_result(poly, algorithm):
 def run(command, problem, grid):
     """Execute one command; returns (stdout text, metadata dict)."""
     if command == "chow":
-        V = MultiprojVariety(problem.vars, problem.polys)
-        cf = chow_form(V, _need(problem, "dim", "dim"), grid)
-        return _poly_result(cf.poly, "chow-general")
+        return _poly_result(chow_form(_variety(problem), grid),
+                            "chow-general")
     if command == "chow-ci":
-        V = MultiprojVariety(problem.vars, problem.polys)
-        cf = chow_form_ci(V, _need(problem, "dim", "dim"), grid)
-        return _poly_result(cf.poly, "chow-ci")
+        return _poly_result(chow_form_ci(_variety(problem), grid), "chow-ci")
     if command == "hurwitz":
-        V = MultiprojVariety(problem.vars, problem.polys)
-        hf = hurwitz_form(V, _need(problem, "dim", "dim"), grid)
-        return _poly_result(hf.poly, "hurwitz")
+        return _poly_result(hurwitz_form(_variety(problem), grid), "hurwitz")
     if command == "multichow":
         V = _multi_variety(problem)
         fmt = _need(problem, "format", "format")
-        cf = multi_chow_form(V, V.dim, fmt, grid)
-        return _poly_result(cf.poly, "multichow")
+        return _poly_result(multi_chow_form(V, fmt, grid), "multichow")
     if command == "support":
         V = _multi_variety(problem)
         table = dim_table(V, grid)
@@ -204,8 +202,7 @@ def run(command, problem, grid):
             V = _multi_variety(problem)
             report = multi_bounds(V, _need(problem, "format", "format"))
         else:
-            V = MultiprojVariety(problem.vars, problem.polys)
-            report = chow_bounds(V, _need(problem, "dim", "dim"))
+            report = chow_bounds(_variety(problem))
         return json.dumps(report, sort_keys=True), {"algorithm": "bounds"}
     raise UsageError(f"unknown command {command!r}")
 
@@ -247,7 +244,6 @@ def main(argv=None):
                         help="problem file; for polymatroid: operation "
                              "then JSON file")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--retries", type=int, default=3)
     parser.add_argument("--json", action="store_true",
                         help="emit metadata as JSON")
     opts = parser.parse_args(argv)
@@ -265,7 +261,7 @@ def main(argv=None):
                 raise UsageError(f"usage: {opts.command} <file>")
             with open(opts.args[0], encoding="utf-8") as fh:
                 problem = parse_problem(fh.read())
-            grid = RandomGrid(seed=opts.seed, retries=opts.retries)
+            grid = RandomGrid(seed=opts.seed)
             out, meta = run(opts.command, problem, grid)
     except (ParseError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

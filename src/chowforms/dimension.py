@@ -35,7 +35,10 @@ from .resultant import MultiResSystem, _BadGrid, _fresh_name, gcp_sampler
 class MultiprojVariety:
     """Zero locus of multihomogeneous polynomials in a product of
     projective spaces, with the block structure of its coordinates;
-    V in P^n has one block (``l == 1``) and ``total_dim == n``."""
+    V in P^n has one block (``l == 1``) and ``total_dim == n``.
+
+    ``dim`` is the one dimension of V that the form drivers, formats and
+    bounds read; when given it must lie in [0, total_dim]."""
 
     def __init__(self, vars, polys, dim=None):
         if vars.nblocks < 1:
@@ -48,6 +51,11 @@ class MultiprojVariety:
         self.nvec = tuple(len(b) - 1 for b in self.x_blocks)
         if any(n < 1 for n in self.nvec):
             raise UsageError("each block needs at least two variables")
+        if dim is not None and dim < 0:
+            raise UsageError("need r >= 0")
+        if dim is not None and dim > self.total_dim:
+            raise UsageError(f"need r <= {self.total_dim}, the dimension of "
+                             f"the ambient space")
         self.l = len(self.nvec)
         mdegs = []
         for f in polys:
@@ -73,13 +81,17 @@ class MultiprojVariety:
         return self.total_dim - self.dim
 
     def check_format(self, alpha):
-        """alpha as a tuple; UsageError unless it has one entry per block
-        and 0 <= alpha_i <= n_i."""
+        """alpha as a tuple; UsageError unless it has one entry per block,
+        0 <= alpha_i <= n_i, and its size is that of a Chow format,
+        codim V - 1."""
         alpha = tuple(alpha)
         if len(alpha) != self.l or not all(
                 0 <= a <= n for a, n in zip(alpha, self.nvec)):
             raise UsageError(f"format {alpha} does not fit the block sizes "
                              f"{self.nvec}")
+        if sum(alpha) != self.codim() - 1:
+            raise UsageError(f"format {alpha} does not fit dim {self.dim}: "
+                             f"its entries must sum to {self.codim() - 1}")
         return alpha
 
 
@@ -88,12 +100,10 @@ class RandomGrid:
     [1, bound], and ``retries`` bounds the attempts of each check."""
 
     bound = 2 ** 15
+    retries = 3
 
-    def __init__(self, seed=0, retries=3):
-        if retries < 1:
-            raise UsageError("retries must be positive")
+    def __init__(self, seed=0):
         self.seed = seed
-        self.retries = retries
 
     def rng(self, *tag):
         return random.Random(f"{self.seed}|" + "|".join(map(str, tag)))

@@ -35,3 +35,11 @@ class ParseError(ChowformsError):
 
 class InternalError(ChowformsError):
     """An invariant that should be unreachable was violated."""
+
+
+def quote(token):
+    """repr of an input token for an error message: a token longer than
+    40 characters is cut to its first 40 and its length."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token)} characters)"

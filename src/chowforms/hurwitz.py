@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .chow import Form, _projective, ci_resultant, u_block_names
-from .dimension import RandomGrid
+from .chow import _projective, ci_resultant, u_block_names
 from .errors import IndeterminateError, InternalError, UsageError
 from .mpoly import gcd, square_free_part
 from .polydet import det_integer
@@ -37,8 +36,8 @@ def m_block_names(n):
     return tuple(f"m{j}" for j in range(n + 1))
 
 
-def u_resultant(V, r, grid=None):
-    """R1: x eliminated from {f_1..f_{n-r}, U_1..U_r, M}
+def u_resultant(V, grid):
+    """R1: x eliminated from {f_1..f_{n-r}, U_1..U_r, M}, r = dim V
     (:func:`chow.ci_resultant`).
 
     Homogeneous of degree deg(V) in the m-block and in each u-block; its
@@ -47,9 +46,9 @@ def u_resultant(V, r, grid=None):
     """
     if math.prod(f.total_degree() for f in V.polys) < 2:
         raise UsageError("the variety must have degree at least 2")
-    _projective(V, r)
+    _projective(V)
     n = V.total_dim
-    blocks = [u_block_names(i, n) for i in range(1, r + 1)]
+    blocks = [u_block_names(i, n) for i in range(1, V.dim + 1)]
     blocks.append(m_block_names(n))
     return ci_resultant(V, [blocks], grid, "hurwitz-u")
 
@@ -147,7 +146,7 @@ def discriminant_via_partials(R1, grid, pencil):
     return out[0]
 
 
-def hurwitz_form(V, r, grid=None):
+def hurwitz_form(V, grid):
     """Square-free Hurwitz form: the gcd of the discriminants of the
     u-resultant on random pencils (:func:`discriminant_via_partials`).
 
@@ -156,12 +155,11 @@ def hurwitz_form(V, r, grid=None):
     pencils are gcd-folded, stopping once another pencil no longer shrinks
     the fold, and the square-free part of the fold is the Hurwitz form.
     """
-    if r < 1:
+    _projective(V)
+    if V.dim < 1:
         raise UsageError("Hurwitz forms need dim >= 1: a finite set of "
                          "points has no tangent planes")
-    if grid is None:
-        grid = RandomGrid(seed=0)
-    R1 = u_resultant(V, r, grid)
+    R1 = u_resultant(V, grid)
     n = V.total_dim
     H = None
     for k in range(n + 1):
@@ -182,4 +180,4 @@ def hurwitz_form(V, r, grid=None):
         H = folded
     if H.is_constant():
         raise InternalError("the pencil discriminants share no common factor")
-    return Form(square_free_part(H))
+    return square_free_part(H)

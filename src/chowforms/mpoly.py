@@ -25,7 +25,7 @@ import operator
 import random
 import re
 
-from .errors import IndeterminateError, ParseError, UsageError
+from .errors import IndeterminateError, ParseError, UsageError, quote
 
 # Exponents are stored in machine-int range; degrees anywhere near this are
 # unreachable at desk scale and almost certainly indicate a bug upstream.
@@ -484,7 +484,7 @@ class _Parser:
 
     def fail(self, msg):
         kind, val, col = self.peek()
-        raise ParseError(msg + (f" (got {val!r})" if kind != "end" else " (at end of input)"),
+        raise ParseError(msg + (f" (got {quote(val)})" if kind != "end" else " (at end of input)"),
                          column=col + 1)
 
     def expr(self):
@@ -550,7 +550,7 @@ class _Parser:
             return MPoly.const(self.vars, c)
         if kind == "name":
             if val not in self.vars._index:
-                self.fail(f"unknown variable {val!r}")
+                self.fail("unknown variable")
             self.next()
             return MPoly.var(self.vars, val)
         if kind == "op" and val in "(-":
@@ -577,7 +577,7 @@ def parse_poly(text, vars):
     result = p.expr()
     kind, val, col = p.peek()
     if kind != "end":
-        raise ParseError(f"trailing input {val!r}", column=col + 1)
+        raise ParseError(f"trailing input {quote(val)}", column=col + 1)
     return result
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .chow import Form, ci_resultant, general_form
+from .chow import ci_resultant, general_form
 from .dimension import combine, dim_projection, random_form
 from .errors import IndeterminateError, UsageError
 from .mixedres import resultant_multihomogeneous_interp
@@ -71,7 +71,7 @@ def hurwitz_hypersurface_formats(V, table, mdeg_fn):
     return candidates - {beta for beta in sorted(supp) if mdeg_fn(beta) == 1}
 
 
-def multi_chow_form_ci(V, alpha, grid=None):
+def multi_chow_form_ci(V, alpha, grid):
     """Chow form of a multiprojective complete intersection for format
     alpha: the square-free part of :func:`chow.ci_resultant` with
     n_i - alpha_i generic linear forms on block i, coefficient names
@@ -80,8 +80,7 @@ def multi_chow_form_ci(V, alpha, grid=None):
     forms = [[tuple(f"u{i}_{j}_{k}" for k in range(n + 1))
               for j in range(n - a)]
              for i, (n, a) in enumerate(zip(V.nvec, alpha), start=1)]
-    return Form(square_free_part(ci_resultant(V, forms, grid,
-                                              f"mchow-{alpha}")))
+    return square_free_part(ci_resultant(V, forms, grid, f"mchow-{alpha}"))
 
 
 def multidegree(V, alpha, grid, table=None):
@@ -146,32 +145,25 @@ def multidegree(V, alpha, grid, table=None):
                      "be degenerate for this variety")
 
 
-def multi_chow_form(V, r, alpha, grid):
+def multi_chow_form(V, alpha, grid):
     """General-case multigraded Chow form (:func:`chow.general_form`
-    over :func:`multi_chow_form_ci`); a format whose size is not
-    total_dim - r - 1 is refused before any draw."""
+    over :func:`multi_chow_form_ci`); a format that does not fit V
+    (:meth:`dimension.MultiprojVariety.check_format`) is refused before
+    any draw."""
     alpha = V.check_format(alpha)
-    if sum(alpha) != V.total_dim - r - 1:
-        raise UsageError(f"format {alpha} does not fit dim {r}: its entries "
-                         f"must sum to {V.total_dim - r - 1}")
-    return general_form(V, r, grid,
-                        lambda W: multi_chow_form_ci(W, alpha, grid))
+    return general_form(V, grid, lambda W: multi_chow_form_ci(W, alpha, grid))
 
 
 def multi_bounds(V, alpha):
     """Closed-form size bounds for the format-alpha elimination."""
     alpha = V.check_format(alpha)
-    n = V.total_dim
-    r = n - sum(alpha) - 1
+    c = V.codim()
     d = max(max(dv) for dv in V.mdegs)
-    total = 0
-    for i in range(V.l):
-        parts = list(alpha)
-        parts[i] += 1
-        total += math.factorial(n - r) // math.prod(
-            math.factorial(p) for p in parts) if sum(parts) == n - r else 0
-    degree_bound = d ** (n - r) * total
+    # sum_i of the multinomial c! / prod_j (alpha + e_i)_j!
+    total = sum(math.factorial(c) // math.prod(
+        math.factorial(a + (i == j)) for j, a in enumerate(alpha))
+        for i in range(V.l))
     A = sum((ni - ai) * (ni + 1) for ni, ai in zip(V.nvec, alpha))
-    return {"degree_bound": degree_bound,
+    return {"degree_bound": d ** c * total,
             "variable_count": A,
-            "block_degree_bound": d ** (n - r)}
+            "block_degree_bound": d ** c}

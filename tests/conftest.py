@@ -84,7 +84,7 @@ def evaluate_on_plane(cf, plane):
     for i, row in enumerate(plane):
         for j, v in enumerate(row):
             point[f"u{i}{j}"] = v
-    return cf.poly.evaluate(point)
+    return cf.evaluate(point)
 
 
 @pytest.fixture

@@ -76,7 +76,7 @@ def rand_poly(rng, vars, max_deg, max_coeff_bits, max_terms):
 def twisted_cubic():
     return MultiprojVariety(X4, [P("x0*x2 - x1^2", X4),
                                  P("x1*x3 - x2^2", X4),
-                                 P("x0*x3 - x1*x2", X4)])
+                                 P("x0*x3 - x1*x2", X4)], dim=1)
 
 
 def conic_product():
@@ -90,31 +90,31 @@ PRODUCT_DIMS = {(0,): 1, (1,): 1, (0, 1): 2}
 
 @pytest.fixture(scope="module")
 def conic_cf():
-    V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])
-    return chow_form_ci(V, 1, GRID)
+    V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)], dim=1)
+    return chow_form_ci(V, GRID)
 
 
 @pytest.fixture(scope="module")
 def line_cf():
-    V = MultiprojVariety(X4, [P("x2", X4), P("x3", X4)])
-    return chow_form_ci(V, 1, GRID)
+    V = MultiprojVariety(X4, [P("x2", X4), P("x3", X4)], dim=1)
+    return chow_form_ci(V, GRID)
 
 
 @pytest.fixture(scope="module")
 def cubic_cf():
-    return chow_form(twisted_cubic(), 1, GRID)
+    return chow_form(twisted_cubic(), GRID)
 
 
 @pytest.fixture(scope="module")
 def parabola_hf():
-    V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])
-    return hurwitz_form(V, 1, GRID)
+    V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)], dim=1)
+    return hurwitz_form(V, GRID)
 
 
 @pytest.fixture(scope="module")
 def circle_hf():
-    V = MultiprojVariety(X3, [P("x0^2 + x1^2 - x2^2", X3)])
-    return hurwitz_form(V, 1, GRID)
+    V = MultiprojVariety(X3, [P("x0^2 + x1^2 - x2^2", X3)], dim=1)
+    return hurwitz_form(V, GRID)
 
 
 class TestSylvesterOracle:
@@ -153,23 +153,23 @@ class TestChowGroundTruths:
     """Criterion 3: closed-form Chow forms of a line, a point and a conic."""
 
     def test_line_in_p3(self, line_cf):
-        assert line_cf.poly.to_text() == "u00*u11 - u01*u10"
+        assert line_cf.to_text() == "u00*u11 - u01*u10"
 
     def test_point_in_p2(self):
-        V = MultiprojVariety(X3, [P("x1", X3), P("x2", X3)])
-        assert chow_form_ci(V, 0, GRID).poly.to_text() == "u00"
+        V = MultiprojVariety(X3, [P("x1", X3), P("x2", X3)], dim=0)
+        assert chow_form_ci(V, GRID).to_text() == "u00"
 
     def test_conic_cross_product_oracle(self, conic_cf):
         # The line {u0.x = u1.x = 0} in the plane is the single point
         # u0 x u1, so the Chow form is f(u0 x u1) up to sign.
-        U = conic_cf.poly.vars
+        U = conic_cf.vars
         u = [[MPoly.var(U, f"u{i}{k}") for k in range(3)] for i in range(2)]
         cx = [u[0][1] * u[1][2] - u[0][2] * u[1][1],
               u[0][2] * u[1][0] - u[0][0] * u[1][2],
               u[0][0] * u[1][1] - u[0][1] * u[1][0]]
         f = P("x0*x2 - x1^2", X3)
         oracle = f.substitute(dict(zip(X3.names, cx)), target=U)
-        assert conic_cf.poly == oracle.normalized()
+        assert conic_cf == oracle.normalized()
 
 
 class TestTwistedCubic:
@@ -177,9 +177,10 @@ class TestTwistedCubic:
     (three generators, codimension two)."""
 
     def test_per_block_degree_three_within_bound(self, cubic_cf):
-        assert cubic_cf.block_degrees == (3, 3)
-        b = chow_bounds(twisted_cubic(), 1)
-        assert all(d <= b["degree_bound"] == 4 for d in cubic_cf.block_degrees)
+        assert cubic_cf.block_degrees() == (3, 3)
+        b = chow_bounds(twisted_cubic())
+        assert all(d <= b["degree_bound"] == 4
+                   for d in cubic_cf.block_degrees())
 
     def test_vanishes_on_100_incident_lines(self, cubic_cf):
         rng = random.Random(104)
@@ -211,7 +212,7 @@ class TestSpecialLinearInvariance:
     fixes every computed Chow form exactly."""
 
     def _check(self, cf, n, rng):
-        U = cf.poly.vars
+        U = cf.vars
         for _ in range(20):
             A = _random_unimodular(rng, 2)
             sub = {}
@@ -219,7 +220,7 @@ class TestSpecialLinearInvariance:
                 for k in range(n):
                     sub[f"u{i}{k}"] = sum(
                         A[i][j] * MPoly.var(U, f"u{j}{k}") for j in range(2))
-            assert cf.poly.substitute(sub) == cf.poly
+            assert cf.substitute(sub) == cf
 
     def test_line(self, line_cf):
         self._check(line_cf, 4, random.Random(106))
@@ -236,12 +237,12 @@ class TestHurwitzDualConics:
     explicit tangent and secant lines."""
 
     def test_parabola_dual(self, parabola_hf):
-        expected = P("u11^2 - 4*u10*u12", parabola_hf.poly.vars)
-        assert parabola_hf.poly == expected.normalized()
+        expected = P("u11^2 - 4*u10*u12", parabola_hf.vars)
+        assert parabola_hf == expected.normalized()
 
     def test_circle_dual(self, circle_hf):
-        expected = P("u10^2 + u11^2 - u12^2", circle_hf.poly.vars)
-        assert circle_hf.poly == expected.normalized()
+        expected = P("u10^2 + u11^2 - u12^2", circle_hf.vars)
+        assert circle_hf == expected.normalized()
 
     def test_parabola_tangency_oracle(self, parabola_hf):
         rng = random.Random(109)
@@ -249,11 +250,11 @@ class TestHurwitzDualConics:
             t = rng.randint(-20, 20)
             # Tangent to x0*x2 = x1^2 at (1 : t : t^2).
             tangent = {"u10": t * t, "u11": -2 * t, "u12": 1}
-            assert parabola_hf.poly.evaluate(tangent) == 0
+            assert parabola_hf.evaluate(tangent) == 0
             s = t + rng.randint(1, 9)
             # Secant through (1 : t : t^2) and (1 : s : s^2).
             secant = {"u10": t * s, "u11": -(t + s), "u12": 1}
-            assert parabola_hf.poly.evaluate(secant) != 0
+            assert parabola_hf.evaluate(secant) != 0
 
     def test_circle_tangency_oracle(self, circle_hf):
         rng = random.Random(110)
@@ -262,11 +263,11 @@ class TestHurwitzDualConics:
             # Rational point (2t : t^2-1 : t^2+1) on x0^2 + x1^2 = x2^2;
             # the tangent there is proportional to the gradient.
             tangent = {"u10": 2 * t, "u11": t * t - 1, "u12": -(t * t + 1)}
-            assert circle_hf.poly.evaluate(tangent) == 0
+            assert circle_hf.evaluate(tangent) == 0
             # A line through the interior point (0:0:1) is a secant.
             a, b = rng.randint(1, 9), rng.randint(-9, 9)
-            assert circle_hf.poly.evaluate({"u10": a, "u11": b,
-                                            "u12": 0}) != 0
+            assert circle_hf.evaluate({"u10": a, "u11": b,
+                                       "u12": 0}) != 0
 
 
 class TestBitsizeAndDegreeBounds:
@@ -301,19 +302,20 @@ class TestBitsizeAndDegreeBounds:
 
     def test_chow_degree_bounds(self, line_cf, conic_cf, cubic_cf):
         cases = [
-            (line_cf, MultiprojVariety(X4, [P("x2", X4), P("x3", X4)])),
-            (conic_cf, MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])),
+            (line_cf, MultiprojVariety(X4, [P("x2", X4), P("x3", X4)],
+                                       dim=1)),
+            (conic_cf, MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)], dim=1)),
             (cubic_cf, twisted_cubic()),
         ]
         for cf, V in cases:
-            bound = chow_bounds(V, 1)["degree_bound"]
-            assert all(d <= bound for d in cf.poly.block_degrees())
+            bound = chow_bounds(V)["degree_bound"]
+            assert all(d <= bound for d in cf.block_degrees())
 
     def test_hurwitz_degree_bounds(self, parabola_hf, circle_hf):
-        V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])
-        bound = chow_bounds(V, 1)["degree_bound"]
-        assert all(d <= bound for d in parabola_hf.poly.block_degrees())
-        assert all(d <= bound for d in circle_hf.poly.block_degrees())
+        V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)], dim=1)
+        bound = chow_bounds(V)["degree_bound"]
+        assert all(d <= bound for d in parabola_hf.block_degrees())
+        assert all(d <= bound for d in circle_hf.block_degrees())
 
     def test_multiproj_degree_bounds(self):
         vt = VarTable(("x0", "x1", "y0", "y1"), ((0, 1), (2, 3)))
@@ -321,7 +323,7 @@ class TestBitsizeAndDegreeBounds:
             vt, [P("2*x0 - x1", vt), P("5*y0 - 3*y1", vt)], dim=0)
         cf = multi_chow_form_ci(V, (1, 0), GRID)
         bound = multi_bounds(V, (1, 0))["block_degree_bound"]
-        assert all(d <= bound for d in cf.poly.block_degrees())
+        assert all(d <= bound for d in cf.block_degrees())
 
 
 class TestProductFormatTables:

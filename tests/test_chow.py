@@ -22,7 +22,7 @@ def P(text, vars):
 
 def twisted_cubic():
     return MultiprojVariety(X4, [P("x0*x2 - x1^2", X4), P("x1*x3 - x2^2", X4),
-                                 P("x0*x3 - x1*x2", X4)])
+                                 P("x0*x3 - x1*x2", X4)], dim=1)
 
 
 def cross(u, v):
@@ -33,17 +33,20 @@ def cross(u, v):
 
 class TestGroundTruths:
     def test_point_in_p1(self):
-        V = MultiprojVariety(X2, [MPoly.var(X2, "x1")])
-        assert chow_form_ci(V, 0).poly.to_text() == "u00"
+        V = MultiprojVariety(X2, [MPoly.var(X2, "x1")], dim=0)
+        assert chow_form_ci(V, RandomGrid(seed=0)).to_text() == "u00"
 
     def test_line_in_p3(self):
-        V = MultiprojVariety(X4, [MPoly.var(X4, "x2"), MPoly.var(X4, "x3")])
-        assert chow_form_ci(V, 1).poly.to_text() == "u00*u11 - u01*u10"
+        V = MultiprojVariety(X4, [MPoly.var(X4, "x2"), MPoly.var(X4, "x3")],
+                             dim=1)
+        assert chow_form_ci(V, RandomGrid(seed=0)).to_text() == \
+            "u00*u11 - u01*u10"
 
     def test_conic_against_cross_product_oracle(self, rng):
         f = P("x0*x2 - x1^2", X3)
-        cf = chow_form_ci(MultiprojVariety(X3, [f]), 1)
-        assert cf.block_degrees == (2, 2)
+        cf = chow_form_ci(MultiprojVariety(X3, [f], dim=1),
+                          RandomGrid(seed=0))
+        assert cf.block_degrees() == (2, 2)
         agree = 0
         for _ in range(50):
             u = tuple(rng.randint(-9, 9) for _ in range(3))
@@ -58,9 +61,9 @@ class TestGroundTruths:
         assert agree == 50
 
     def test_wrong_codimension_rejected(self):
-        V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])
+        V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)], dim=0)
         with pytest.raises(UsageError):
-            chow_form_ci(V, 0)
+            chow_form_ci(V, RandomGrid(seed=0))
 
 
 class TestDegreeEqualize:
@@ -84,14 +87,14 @@ class TestDegreeEqualize:
 
 class TestGenericLc:
     def test_square_case_is_identity(self):
-        V = MultiprojVariety(X4, [P("x2", X4), P("x3", X4)])
-        lams = generic_lc(V, 1, GRID)
+        V = MultiprojVariety(X4, [P("x2", X4), P("x3", X4)], dim=1)
+        lams = generic_lc(V, GRID)
         assert len(lams) == 1
         assert lams[0] == [[1, 0], [0, 1]]
 
     def test_twisted_cubic_two_matrices(self):
         V = degree_equalize(twisted_cubic())
-        lams = generic_lc(V, 1, GRID)
+        lams = generic_lc(V, GRID)
         assert len(lams) == 2
         assert all(len(lam) == 2 and len(lam[0]) == 3 for lam in lams)
 
@@ -101,8 +104,9 @@ class TestGenericLc:
         # Lambda has coefficient rank 1, so each draw is rejected before
         # any dimension check, and the draws stop at 8 * retries.
         V = MultiprojVariety(X4, [P("x0 + x1", X4), P("2*x0 + 2*x1", X4),
-                                  P("-x0 - x1", X4)])
-        grid = RandomGrid(seed=7, retries=2)
+                                  P("-x0 - x1", X4)], dim=1)
+        grid = RandomGrid(seed=7)
+        grid.retries = 2
         tags = []
         inner = RandomGrid.rng
 
@@ -113,23 +117,23 @@ class TestGenericLc:
         monkeypatch.setattr(RandomGrid, "rng", rng)
         monkeypatch.setattr(chow, "dim_leq", None)
         with pytest.raises(UsageError, match="coefficient rank"):
-            generic_lc(V, 1, grid)
+            generic_lc(V, grid)
         assert tags == [("glc", draw) for draw in range(16)]
 
     def test_unequal_degrees_rejected(self):
-        V = MultiprojVariety(X3, [P("x0", X3), P("x1^2", X3)])
+        V = MultiprojVariety(X3, [P("x0", X3), P("x1^2", X3)], dim=0)
         with pytest.raises(UsageError):
-            generic_lc(V, 0, GRID)
+            generic_lc(V, GRID)
 
 
 @pytest.fixture(scope="module")
 def cubic_cf():
-    return chow_form(twisted_cubic(), 1, RandomGrid(seed=7))
+    return chow_form(twisted_cubic(), RandomGrid(seed=7))
 
 
 class TestTwistedCubic:
     def test_degree_three(self, cubic_cf):
-        assert cubic_cf.block_degrees == (3, 3)
+        assert cubic_cf.block_degrees() == (3, 3)
 
     def test_vanishes_on_incident_lines(self, cubic_cf):
         rng = random.Random(42)
@@ -154,15 +158,15 @@ class TestTwistedCubic:
         assert nonzero >= 18
 
     def test_seed_determinism(self, cubic_cf):
-        again = chow_form(twisted_cubic(), 1, RandomGrid(seed=7))
-        assert again.poly == cubic_cf.poly
+        again = chow_form(twisted_cubic(), RandomGrid(seed=7))
+        assert again == cubic_cf
 
 
 class TestInvariance:
     def test_unimodular_change_of_coordinates(self, rng):
         f = P("x0*x2 - x1^2", X3)
-        V = MultiprojVariety(X3, [f])
-        cf = chow_form_ci(V, 1)
+        V = MultiprojVariety(X3, [f], dim=1)
+        cf = chow_form_ci(V, RandomGrid(seed=0))
         for trial in range(3):
             A = _random_unimodular(rng, 3)
             Ainv = _unimodular_inverse(A)
@@ -171,34 +175,35 @@ class TestInvariance:
                            for j in range(3))
                     for i, n in enumerate(X3.names)}
             fA = f.substitute(imgs)
-            cfA = chow_form_ci(MultiprojVariety(X3, [fA]), 1)
+            cfA = chow_form_ci(MultiprojVariety(X3, [fA], dim=1),
+                               RandomGrid(seed=0))
             # Chow form transforms by U -> U * A^(-1)
             sub = {}
             for i in range(2):
                 for j in range(3):
                     sub[f"u{i}{j}"] = sum(
-                        Ainv[k][j] * MPoly.var(cf.poly.vars, f"u{i}{k}")
+                        Ainv[k][j] * MPoly.var(cf.vars, f"u{i}{k}")
                         for k in range(3))
-            expected = cf.poly.substitute(sub).normalized()
-            assert cfA.poly == expected
+            expected = cf.substitute(sub).normalized()
+            assert cfA == expected
 
 
 class TestBounds:
     def test_conic_bounds(self):
-        V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)])
-        b = chow_bounds(V, 1)
+        V = MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)], dim=1)
+        b = chow_bounds(V)
         assert b["degree_bound"] == 2
         assert b["macaulay_dim"] == 6  # C(2*1 + 1 + 2, 2) with d=2, n=2
         assert b["bezout_bounds"] == [1, 2, 2]
 
     def test_twisted_cubic_bounds(self):
-        b = chow_bounds(twisted_cubic(), 1)
+        b = chow_bounds(twisted_cubic())
         assert b["degree_bound"] == 4
         assert b["macaulay_dim"] == 20
 
     def test_actual_degree_within_bound(self, cubic_cf):
-        b = chow_bounds(twisted_cubic(), 1)
-        assert all(d <= b["degree_bound"] for d in cubic_cf.block_degrees)
+        b = chow_bounds(twisted_cubic())
+        assert all(d <= b["degree_bound"] for d in cubic_cf.block_degrees())
 
 
 def _forms_through(p, q):

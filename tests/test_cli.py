@@ -310,6 +310,47 @@ class TestExitCodes:
         assert captured.out == ""
         assert "need r >= 0" in captured.err
 
+    def test_dim_above_the_ambient_space_bounds_is_2(self, tmp_path, capsys):
+        text = "ring x0 x1 x2\npoly x0\ndim 5\n"
+        start = time.monotonic()
+        assert main(["bounds", write(tmp_path, "p", text)]) == 2
+        assert time.monotonic() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need r <= 2" in captured.err
+
+    @pytest.mark.parametrize("command", ["hurwitz", "chow-ci", "chow"])
+    def test_huge_dim_is_2_within_seconds(self, command, tmp_path, capsys):
+        text = "ring x0 x1 x2\npoly x0*x2 - x1^2\ndim 100000000\n"
+        start = time.monotonic()
+        assert main([command, write(tmp_path, "p", text)]) == 2
+        assert time.monotonic() - start < 2
+        assert "need r <= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["support", "formats", "multichow"])
+    def test_negative_multigraded_dim_is_2_within_seconds(self, command,
+                                                           tmp_path, capsys):
+        text = ("ring x0 x1 y0 y1\nblocks (x0 x1)(y0 y1)\n"
+                "poly x0*y0 + x1*y1\ndim -1\nformat 0 0\n")
+        start = time.monotonic()
+        assert main([command, write(tmp_path, "p", text)]) == 2
+        assert time.monotonic() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need r >= 0" in captured.err
+
+    def test_retries_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chow", write(tmp_path, "p", LINE_P3), "--retries", "5"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("token", ["7" * 5000 + "*x0", "z" * 5000],
+                             ids=["integer", "variable"])
+    def test_long_token_is_quoted_short(self, token, tmp_path, capsys):
+        text = f"ring x0 x1\npoly {token}\n"
+        assert main(["det", write(tmp_path, "p", text)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 200 and "line 2" in err
+
     @pytest.mark.parametrize("command, fmt", [
         ("bounds", "0"), ("bounds", "-1 0"), ("bounds", "5 0"),
         ("multichow", "-1 0")])
@@ -337,8 +378,8 @@ class TestExitCodes:
         # A point set in P1 x P1 needs a format of size 1; format (0, 0)
         # is refused before a combination is drawn.
         calls = []
-        original = chow.verified_lambdas
-        monkeypatch.setattr(chow, "verified_lambdas",
+        original = chow.generic_lc
+        monkeypatch.setattr(chow, "generic_lc",
                             lambda *a: calls.append(a) or original(*a))
         text = ("ring x0 x1 y0 y1\nblocks (x0 x1)(y0 y1)\n"
                 "poly x0*y0 + x1*y1\npoly x0*y1 - x1*y0\n"

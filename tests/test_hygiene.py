@@ -2,7 +2,8 @@
 no rational or floating-point arithmetic, no imported name left unused,
 one interpolation loop, one quotient sampler, one formats engine, one
 variety model, one elimination instance and one complete-intersection
-elimination, and no basis refactored by the Canny-Emiris cell walk.
+elimination, one driver contract, and no basis refactored by the
+Canny-Emiris cell walk.
 ``__init__.py`` is exempt from the unused import check, since its
 imports are re-exports."""
 
@@ -147,7 +148,6 @@ def test_one_variety_model():
                if isinstance(node, ast.ClassDef)
                and node.name.endswith("Variety")]
     assert classes == ["MultiprojVariety"]
-    assert _callers("verified_lambdas") == ["chow.generic_lc"]
     assert _callers("gcp_block_interpolation") == ["chow.ci_resultant"]
     assert _callers("degree_equalize") == ["chow.general_form"]
 
@@ -165,3 +165,36 @@ def test_one_ci_elimination():
     assert _callers("gcp_block_interpolation") == ["chow.ci_resultant"]
     assert sorted(_callers("resultant_multihomogeneous_interp")) == [
         "chow.ci_resultant", "multiproj.multidegree"]
+
+
+def _signature(module, name):
+    """(parameter names, number of defaults) of a top-level function."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    return [a.arg for a in fn.args.args], len(fn.args.defaults)
+
+
+def test_one_driver_contract():
+    # The dimension lives on the variety: every form driver is f(V, grid)
+    # or f(V, alpha, grid), with the grid always passed, and returns the
+    # polynomial itself.
+    assert {(module, name): _signature(module, name) for module, name in [
+        ("chow", "chow_form"), ("chow", "chow_form_ci"),
+        ("chow", "general_form"), ("chow", "generic_lc"),
+        ("chow", "chow_bounds"), ("hurwitz", "u_resultant"),
+        ("hurwitz", "hurwitz_form"), ("multiproj", "multi_chow_form"),
+        ("multiproj", "multi_chow_form_ci")]} == {
+        ("chow", "chow_form"): (["V", "grid"], 0),
+        ("chow", "chow_form_ci"): (["V", "grid"], 0),
+        ("chow", "general_form"): (["V", "grid", "form_ci"], 0),
+        ("chow", "generic_lc"): (["V", "grid"], 0),
+        ("chow", "chow_bounds"): (["V"], 0),
+        ("hurwitz", "u_resultant"): (["V", "grid"], 0),
+        ("hurwitz", "hurwitz_form"): (["V", "grid"], 0),
+        ("multiproj", "multi_chow_form"): (["V", "alpha", "grid"], 0),
+        ("multiproj", "multi_chow_form_ci"): (["V", "alpha", "grid"], 0)}
+    assert [node.name for path in MODULES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and node.name == "Form"] == []
+    assert _callers("generic_lc") == ["chow.general_form"]

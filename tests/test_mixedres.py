@@ -673,9 +673,10 @@ class TestHomogeneousInterpolation:
         # away from 1 can tell apart.
         sys, blocks, bezout = incidence_system(random.Random(5), 1, [(1, 2)])
         degrees = [bezout[0] + shift, bezout[1]]
+        grid = RandomGrid(seed=1)
+        grid.retries = 1
         with pytest.raises(IndeterminateError):
-            resultant_multihomogeneous_interp(sys, blocks, degrees,
-                                              RandomGrid(seed=1, retries=1))
+            resultant_multihomogeneous_interp(sys, blocks, degrees, grid)
 
     def test_vanishing_resultant_interpolates_to_zero(self):
         # Every polynomial vanishes at x = (0:1), y = (0:1) for all t, so

@@ -1,7 +1,7 @@
+import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,12 +58,12 @@ def dense_mul_oracle(f, g):
     """Schoolbook dense-array convolution, independent of the sparse path."""
     n = f.vars.nvars
     shape = tuple(f.partial_degree(i) + g.partial_degree(i) + 1 for i in range(n))
-    out = np.zeros(shape, dtype=object)
+    out = dict.fromkeys(itertools.product(*map(range, shape)), 0)
     for e1, c1 in f.terms.items():
         for e2, c2 in g.terms.items():
             idx = tuple(a + b for a, b in zip(e1, e2))
             out[idx] += c1 * c2
-    terms = {idx: out[idx] for idx in np.ndindex(shape) if out[idx] != 0}
+    terms = {idx: c for idx, c in out.items() if c != 0}
     return MPoly(f.vars, terms)
 
 

@@ -279,15 +279,15 @@ class TestChowFormCI:
     def test_bilinear_hypersurface(self):
         V = MultiprojVariety(P1P1, [P("x0*y0 + x1*y1", P1P1)], dim=1)
         cf = multi_chow_form_ci(V, (0, 0), GRID)
-        expected = P("u1_0_0*u2_0_0 + u1_0_1*u2_0_1", cf.poly.vars)
-        assert cf.poly == expected.normalized()
+        expected = P("u1_0_0*u2_0_0 + u1_0_1*u2_0_1", cf.vars)
+        assert cf == expected.normalized()
 
     def test_point_pair_linear_forms(self):
         V = point_pair()
         cf = multi_chow_form_ci(V, (1, 0), GRID)
-        assert cf.poly == P("3*u2_0_0 + 5*u2_0_1", cf.poly.vars).normalized()
+        assert cf == P("3*u2_0_0 + 5*u2_0_1", cf.vars).normalized()
         cf = multi_chow_form_ci(V, (0, 1), GRID)
-        assert cf.poly == P("u1_0_0 + 2*u1_0_1", cf.poly.vars).normalized()
+        assert cf == P("u1_0_0 + 2*u1_0_1", cf.vars).normalized()
 
     def test_wrong_polynomial_count_rejected(self, product):
         with pytest.raises(UsageError):
@@ -302,13 +302,13 @@ class TestChowFormCI:
                               dim=1)
         cf = multi_chow_form_ci(V1, (0,), GRID)
         ref = chow_form_ci(
-            MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)]), 1, GRID)
+            MultiprojVariety(X3, [P("x0*x2 - x1^2", X3)], dim=1), GRID)
         rename = {}
         for j, blk in enumerate(("u1_0", "u1_1")):
             for k in range(3):
                 rename[f"u{j}{k}"] = f"{blk}_{k}"
-        moved = renamed(ref.poly, cf.poly.vars, rename)
-        assert cf.poly == moved.normalized()
+        moved = renamed(ref, cf.vars, rename)
+        assert cf == moved.normalized()
 
 
 @pytest.mark.slow
@@ -318,24 +318,25 @@ class TestProductChowForms:
 
     def test_format_21_is_second_factor(self, product):
         cf = multi_chow_form_ci(product, (2, 1), GRID)
-        assert cf.block_degrees == (0, 2, 2)
+        assert cf.block_degrees() == (0, 2, 2)
         C2 = MultiprojVariety(X4, [P("x3", X4),
-                                   P("x0^2 + x1^2 - x2^2", X4)])
-        ref = chow_form(C2, 1, GRID)
+                                   P("x0^2 + x1^2 - x2^2", X4)], dim=1)
+        ref = chow_form(C2, GRID)
         rename = {f"u{j}{k}": f"u2_{j}_{k}"
                   for j in range(2) for k in range(4)}
-        moved = renamed(ref.poly, cf.poly.vars, rename)
-        assert cf.poly == moved.normalized()
+        moved = renamed(ref, cf.vars, rename)
+        assert cf == moved.normalized()
 
     def test_format_12_is_first_factor(self, product):
         cf = multi_chow_form_ci(product, (1, 2), GRID)
-        assert cf.block_degrees == (2, 2, 0)
-        C1 = MultiprojVariety(X4, [P("x3", X4), P("x0*x2 - x1^2", X4)])
-        ref = chow_form(C1, 1, GRID)
+        assert cf.block_degrees() == (2, 2, 0)
+        C1 = MultiprojVariety(X4, [P("x3", X4), P("x0*x2 - x1^2", X4)],
+                              dim=1)
+        ref = chow_form(C1, GRID)
         rename = {f"u{j}{k}": f"u1_{j}_{k}"
                   for j in range(2) for k in range(4)}
-        moved = renamed(ref.poly, cf.poly.vars, rename)
-        assert cf.poly == moved.normalized()
+        moved = renamed(ref, cf.vars, rename)
+        assert cf == moved.normalized()
 
 
 class TestEqualizeAndGeneralCase:
@@ -376,8 +377,8 @@ class TestEqualizeAndGeneralCase:
         polys = [P("2*x0 - x1", P1P1), P("5*y0 - 3*y1", P1P1),
                  P("(2*x0 - x1)*(y0 + y1)", P1P1)]
         V = MultiprojVariety(P1P1, polys, dim=0)
-        cf = multi_chow_form(V, 0, (1, 0), GRID)
-        assert cf.poly == P("3*u2_0_0 + 5*u2_0_1", cf.poly.vars).normalized()
+        cf = multi_chow_form(V, (1, 0), GRID)
+        assert cf == P("3*u2_0_0 + 5*u2_0_1", cf.vars).normalized()
 
 
 class TestMultiGenericLc:
@@ -390,7 +391,8 @@ class TestMultiGenericLc:
         V = MultiprojVariety(P1P1, [P("x0*y0 + x1*y1", P1P1),
                                     P("2*x0*y0 + 2*x1*y1", P1P1),
                                     P("-x0*y0 - x1*y1", P1P1)], dim=0)
-        grid = RandomGrid(seed=7, retries=2)
+        grid = RandomGrid(seed=7)
+        grid.retries = 2
         tags = []
         inner = RandomGrid.rng
 
@@ -401,13 +403,14 @@ class TestMultiGenericLc:
         monkeypatch.setattr(RandomGrid, "rng", rng)
         monkeypatch.setattr(chow, "dim_leq", None)
         with pytest.raises(UsageError, match="coefficient rank"):
-            generic_lc(V, 0, grid)
+            generic_lc(V, grid)
         assert tags == [("glc", draw) for draw in range(16)]
 
 
 class TestBounds:
     def test_product_bounds(self, product):
-        b = multi_bounds(product, (2, 2))
+        b = multi_bounds(MultiprojVariety(product.vars, product.polys, dim=1),
+                         (2, 2))
         assert b["block_degree_bound"] == 2 ** 5
         assert b["variable_count"] == (3 - 2) * 4 + (3 - 2) * 4
         assert b["degree_bound"] > 0
@@ -423,4 +426,4 @@ class TestDeterminism:
         V = MultiprojVariety(P1P1, [P("x0*y0 + x1*y1", P1P1)], dim=1)
         a = multi_chow_form_ci(V, (0, 0), RandomGrid(seed=9))
         b = multi_chow_form_ci(V, (0, 0), RandomGrid(seed=9))
-        assert a.poly == b.poly
+        assert a == b

@@ -400,7 +400,8 @@ def test_pencil_sampler_matches_sympy_discriminant(rng):
         vars = VarTable(tuple(f"x{i}" for i in range(nvars)))
         f = MPoly(vars, {e: rng.randint(-3, 3)
                          for e in monomials_of_degree(nvars, d)})
-        R1 = u_resultant(MultiprojVariety(vars, [f]), r, RandomGrid(seed=5))
+        R1 = u_resultant(MultiprojVariety(vars, [f], dim=r),
+                         RandomGrid(seed=5))
         m_idx = R1.vars.blocks[-1]
         D = R1.block_degree(len(R1.vars.blocks) - 1)
         for _ in range(6):

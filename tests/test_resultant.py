@@ -415,10 +415,10 @@ class TestSampleAtZero:
             return inner(fixed, at)
 
         monkeypatch.setattr(resultant, "det_slice", counted)
-        V = MultiprojVariety(X3, [parse_poly("x0*x2 - x1^2", X3)])
+        V = MultiprojVariety(X3, [parse_poly("x0*x2 - x1^2", X3)], dim=1)
         sys, blocks = chow_ci_system(V.polys, 1)
         log = _SliceLog(monkeypatch, sys, blocks)
-        chow_form_ci(V, 1, RandomGrid(seed=0))
+        chow_form_ci(V, RandomGrid(seed=0))
         assert [k for k, _ in log.slices] == [1] * 6
         assert [k for k, _, _ in log.samples] == [1] * 35
         assert reductions == [2] * 6

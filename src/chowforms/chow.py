@@ -3,7 +3,8 @@
 
 The complete-intersection path appends generic linear u-forms and
 eliminates every x-block (:func:`ci_resultant`, shared with the Hurwitz
-u-resultant and the multigraded Chow forms); the general path
+u-resultant and the multigraded Chow forms), or for one polynomial
+evaluates it at the points the forms cut out; the general path
 (:func:`general_form`, shared with the multigraded Chow forms) reduces to
 complete intersections by verified random linear combinations of the
 equalized equations and assembles the answer as a gcd.
@@ -18,8 +19,8 @@ import operator
 from .dimension import MultiprojVariety, combine, dim_leq
 from .errors import UsageError
 from .mixedres import resultant_multihomogeneous_interp
-from .mpoly import MPoly, gcd, square_free_part
-from .polydet import rank_integer
+from .mpoly import MPoly, VarTable, gcd, square_free_part
+from .polydet import PolyMatrix, det_bareiss, rank_integer
 from .resultant import MultiResSystem, gcp_block_interpolation
 
 
@@ -67,31 +68,59 @@ def _projective(V):
 def ci_resultant(V, forms, grid, tag):
     """Every x-block eliminated from the complete intersection V and one
     generic linear form per u-block, ``forms[i]`` naming those on x-block
-    i.  Homogeneous in each u-block of degree its Bezout number, the
-    resultant is interpolated from determinant quotients drawn under
-    ``tag``: of the perturbed Macaulay pair on one x-block, of
-    Canny-Emiris pairs on several."""
+    i, over a table with one block per u-block.
+
+    When V has one polynomial f and each x-block i carries exactly n_i
+    u-blocks, the forms on block i cut out one point xi_i and the
+    resultant is f(xi_1, ..., xi_l) up to sign
+    (:func:`hypersurface_resultant`); nothing is drawn.  Otherwise,
+    homogeneous in each u-block of degree its Bezout number, it is
+    interpolated from determinant quotients drawn under ``tag``: of the
+    perturbed Macaulay pair on one x-block, of Canny-Emiris pairs on
+    several."""
     u_blocks = [blk for blocks in forms for blk in blocks]
     m = len(V.polys)
     need = V.total_dim + 1 - len(u_blocks)
     if m != need:
         raise UsageError(f"complete intersection needs {need} polynomials, "
                          f"got {m}")
-    polys = V.polys
-    for xs, blocks in zip(V.x_blocks, forms):
-        polys = with_linear_forms(polys, xs, blocks)
-    sys = MultiResSystem(polys, V.x_blocks)
-    degrees = sys.bezout_bounds()[m:]
-    if V.l == 1:
-        R, _ = gcp_block_interpolation(sys, range(m), u_blocks, degrees, grid,
-                                       tag=tag)
+    if m == 1 and tuple(map(len, forms)) == V.nvec:
+        R = hypersurface_resultant(V.polys[0], V.x_blocks, forms)
     else:
-        R = resultant_multihomogeneous_interp(sys, u_blocks, degrees, grid,
-                                              tag=tag)
+        polys = V.polys
+        for xs, blocks in zip(V.x_blocks, forms):
+            polys = with_linear_forms(polys, xs, blocks)
+        sys = MultiResSystem(polys, V.x_blocks)
+        degrees = sys.bezout_bounds()[m:]
+        if V.l == 1:
+            R, _ = gcp_block_interpolation(sys, range(m), u_blocks, degrees,
+                                           grid, tag=tag)
+        else:
+            R = resultant_multihomogeneous_interp(sys, u_blocks, degrees,
+                                                  grid, tag=tag)
     if R.is_zero() or R.is_constant():
         raise UsageError("not a complete intersection of expected dimension: "
                          "the elimination degenerated")
     return R
+
+
+def hypersurface_resultant(f, x_blocks, forms):
+    """Res(f, U...) of one polynomial f and n_i generic linear forms on
+    each x-block i of n_i + 1 variables, ``forms[i]`` naming their
+    coefficient blocks: the forms on block i cut out the one point xi_i
+    with xi_i,j = (-1)^j times the minor of block i's u-matrix without
+    column j, and the resultant is f(xi_1, ..., xi_l) up to sign, over a
+    table with one block per u-block."""
+    table = VarTable(())
+    for blk in itertools.chain(*forms):
+        table = table.extend(blk)
+    point = {}
+    for xs, blocks in zip(x_blocks, forms):
+        rows = [[MPoly.var(table, u) for u in blk] for blk in blocks]
+        for j, x in enumerate(xs):
+            minor = det_bareiss(PolyMatrix([r[:j] + r[j + 1:] for r in rows]))
+            point[x] = -minor if j % 2 else minor
+    return f.substitute(point, table)
 
 
 def chow_form_ci(V, grid):

@@ -155,7 +155,8 @@ def test_one_variety_model():
 def test_one_ci_elimination():
     # One square elimination instance, whose one-block case is the
     # Macaulay instance, and one complete-intersection elimination, which
-    # appends the u-forms and picks the engine by the number of x-blocks.
+    # takes the closed form for one polynomial, else appends the u-forms
+    # and picks the engine by the number of x-blocks.
     classes = [node.name for path in MODULES
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.ClassDef)
@@ -165,6 +166,7 @@ def test_one_ci_elimination():
     assert _callers("gcp_block_interpolation") == ["chow.ci_resultant"]
     assert sorted(_callers("resultant_multihomogeneous_interp")) == [
         "chow.ci_resultant", "multiproj.multidegree"]
+    assert _callers("hypersurface_resultant") == ["chow.ci_resultant"]
 
 
 def _signature(module, name):

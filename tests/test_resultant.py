@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chowforms import MPoly, VarTable, resultant
+from chowforms import MPoly, VarTable, chow, resultant
 from chowforms.chow import chow_form_ci, u_block_names, with_linear_forms
 from chowforms.dimension import MultiprojVariety, RandomGrid
 from chowforms.errors import (DegenerateError, IndeterminateError,
@@ -418,7 +418,8 @@ class TestSampleAtZero:
         V = MultiprojVariety(X3, [parse_poly("x0*x2 - x1^2", X3)], dim=1)
         sys, blocks = chow_ci_system(V.polys, 1)
         log = _SliceLog(monkeypatch, sys, blocks)
-        chow_form_ci(V, RandomGrid(seed=0))
+        gcp_block_interpolation(sys, range(1), blocks, [2, 2],
+                                RandomGrid(seed=0), tag="chow-ci")
         assert [k for k, _ in log.slices] == [1] * 6
         assert [k for k, _, _ in log.samples] == [1] * 35
         assert reductions == [2] * 6
@@ -426,6 +427,21 @@ class TestSampleAtZero:
         first, fresh = log.unsliced
         assert first[2][0] != 0
         assert all(fresh[1][sys.vars.index(blk[0])] != 1 for blk in blocks)
+
+    def test_line_meet_quadric_chow_ci_runs_the_engine_once(self,
+                                                            monkeypatch):
+        # Two polynomials (m = 2) have no closed form: chow-ci eliminates
+        # them by one perturbed Macaulay interpolation.
+        calls = []
+        inner = chow.gcp_block_interpolation
+        monkeypatch.setattr(chow, "gcp_block_interpolation",
+                            lambda *a, **k: calls.append(a) or inner(*a, **k))
+        X4 = VarTable(("x0", "x1", "x2", "x3"))
+        V = MultiprojVariety(X4, [parse_poly("x0 - x1 + 2*x3", X4),
+                                  parse_poly("x0*x2 - x1^2 + x3^2", X4)],
+                             dim=1)
+        R = chow_form_ci(V, RandomGrid(seed=0))
+        assert len(calls) == 1 and R.block_degrees() == (2, 2)
 
     def test_sliced_samples_match_unsliced(self, monkeypatch):
         # A quartic and a quadric surface: every grid point lies in its
